@@ -9,11 +9,12 @@
 #   5. cargo test                 (whole workspace)
 #   6. cargo test --features fault-inject   (fault-injection harness)
 #   7. audited tiny matrix        (debug assertions + inter-stage auditors)
-#   8. kill-and-resume smoke      (interrupted checkpointed matrix resumes bit-identical)
-#   9. interchange round-trip     (SDF/.vxdl emission verifies + checkpoints migrate)
-#  10. parallel determinism smoke (--stage-threads 2 fingerprint == serial;
+#   8. single-design flow golden  (vpga flow design fingerprint, tiny ALU)
+#   9. kill-and-resume smoke      (interrupted checkpointed matrix resumes bit-identical)
+#  10. interchange round-trip     (SDF/.vxdl emission verifies + checkpoints migrate)
+#  11. parallel determinism smoke (--stage-threads 2 fingerprint == serial;
 #      a paper-scale variant runs when VPGA_PAPER_SMOKE=1)
-#  11. cargo bench, smoke mode    (one sample per bench, catches bit-rot)
+#  12. cargo bench, smoke mode    (one sample per bench, catches bit-rot)
 #
 # The workspace has no network dependencies: rand/proptest/criterion are
 # vendored as path crates under vendor/, so every step works offline.
@@ -64,6 +65,22 @@ if [ "$audited" != "$golden" ]; then
     echo "error: audited matrix diverged from the golden: '$audited' != '$golden'" >&2
     exit 1
 fi
+
+step "single-design flow golden (vpga flow, tiny ALU on granular)"
+# `vpga flow` runs one design through run_design, which overlaps the
+# flow-a and flow-b back-ends on two threads; its fingerprint must stay
+# the serial flow's, as the matrix's does.
+FLW=$(mktemp -d)
+trap 'rm -rf "$FLW"' EXIT
+cargo run -q --bin vpga -- gen alu --size tiny -o "$FLW/alu.v" 2>/dev/null
+flow_golden="design fingerprint: 0x399c806b8eef6723"
+flow_fp=$(cargo run -q --bin vpga -- flow "$FLW/alu.v" --arch granular \
+    | grep '^design fingerprint:')
+if [ "$flow_fp" != "$flow_golden" ]; then
+    echo "error: vpga flow diverged from the golden: '$flow_fp' != '$flow_golden'" >&2
+    exit 1
+fi
+rm -rf "$FLW"
 
 step "kill-and-resume smoke (interrupted checkpointed matrix resumes bit-identical)"
 CKPT=$(mktemp -d)

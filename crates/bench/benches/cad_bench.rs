@@ -85,16 +85,9 @@ fn bench_physical(c: &mut Criterion) {
         ..vpga_route::RouteConfig::default()
     };
     c.bench_function("route/pathfinder", |b| {
-        b.iter(|| {
-            vpga_route::route(
-                black_box(&mapped),
-                arch.library(),
-                &packed_placement,
-                &route_cfg,
-            )
-        })
+        b.iter(|| vpga_route::route(black_box(&mapped), &packed_placement, &route_cfg))
     });
-    let routing = vpga_route::route(&mapped, arch.library(), &packed_placement, &route_cfg);
+    let routing = vpga_route::route(&mapped, &packed_placement, &route_cfg);
     c.bench_function("timing/sta_post_route", |b| {
         b.iter(|| {
             vpga_timing::analyze(

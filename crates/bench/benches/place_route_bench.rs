@@ -76,7 +76,7 @@ fn bench_negotiation(c: &mut Criterion) {
         ..vpga_route::RouteConfig::default()
     };
     c.bench_function("route/negotiation_iteration", |b| {
-        b.iter(|| vpga_route::route(black_box(&mapped), arch.library(), &placement, &one_iter))
+        b.iter(|| vpga_route::route(black_box(&mapped), &placement, &one_iter))
     });
 
     // Congested convergence: a tight channel forces several negotiation
@@ -91,7 +91,7 @@ fn bench_negotiation(c: &mut Criterion) {
         incremental: false,
         ..tight.clone()
     };
-    let probe = vpga_route::route(&mapped, arch.library(), &placement, &tight);
+    let probe = vpga_route::route(&mapped, &placement, &tight);
     // The JSON payload tracked in BENCH_place_route.json is emitted by the
     // bench itself — including the per-iteration reroute counts — so the
     // recorded work profile can never drift from what the bench measured.
@@ -110,10 +110,10 @@ fn bench_negotiation(c: &mut Criterion) {
         eprintln!("warning: could not write {}: {e}", payload_path.display());
     }
     c.bench_function("route/congested_dirty_net", |b| {
-        b.iter(|| vpga_route::route(black_box(&mapped), arch.library(), &placement, &tight))
+        b.iter(|| vpga_route::route(black_box(&mapped), &placement, &tight))
     });
     c.bench_function("route/congested_full_ripup", |b| {
-        b.iter(|| vpga_route::route(black_box(&mapped), arch.library(), &placement, &full))
+        b.iter(|| vpga_route::route(black_box(&mapped), &placement, &full))
     });
     // Batched (parallel) negotiation against the frozen congestion
     // snapshot: same iterations, same per-iteration reroutes, bit-equal
@@ -122,7 +122,7 @@ fn bench_negotiation(c: &mut Criterion) {
         threads: 2,
         ..tight.clone()
     };
-    let par_probe = vpga_route::route(&mapped, arch.library(), &placement, &par);
+    let par_probe = vpga_route::route(&mapped, &placement, &par);
     assert_eq!(
         par_probe.reroutes_per_iteration(),
         probe.reroutes_per_iteration(),
@@ -135,7 +135,7 @@ fn bench_negotiation(c: &mut Criterion) {
         par_probe.parallel_nets_replayed()
     );
     c.bench_function("route/congested_dirty_net_t2", |b| {
-        b.iter(|| vpga_route::route(black_box(&mapped), arch.library(), &placement, &par))
+        b.iter(|| vpga_route::route(black_box(&mapped), &placement, &par))
     });
 }
 

@@ -543,7 +543,6 @@ mod tests {
         audit_sta_ready(&nl, &lib).unwrap();
         let routing = vpga_route::route(
             &nl,
-            &lib,
             &p,
             &vpga_route::RouteConfig {
                 keep_routes: true,

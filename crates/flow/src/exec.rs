@@ -3,7 +3,9 @@
 //! [`Executor`] is a bounded worker pool over [`std::thread::scope`] (no
 //! external crates). [`Executor::run`] races an index-ordered queue of
 //! independent jobs; [`Executor::run_dag`] schedules a dependency DAG of
-//! tasks, dispatching ready tasks lowest-index-first. Every flow job is a
+//! tasks, dispatching ready tasks lowest-index-first, with the calling
+//! thread as worker 0 and helpers spawned only while more tasks are ready
+//! than workers are free. Every flow job is a
 //! pure function of its index — each derives all randomness from the
 //! seeds in its own `FlowConfig`, shares nothing mutable, and therefore
 //! produces bit-identical results whether run on 1 worker or 16 (the
@@ -15,7 +17,9 @@
 //! cell, with each shared front-end's last stage fanning out to both
 //! variant back-ends by reference. Independent stages of different cells
 //! interleave freely across the pool; the per-cell chains keep every
-//! result bit-identical to a serial run.
+//! result bit-identical to a serial run. The same scheduler runs
+//! [`crate::run_design`]: one pair from the caller's netlist, whose two
+//! back-ends overlap once the shared front-end is done.
 //!
 //! Jobs are panic-isolated: each stage task runs under
 //! [`std::panic::catch_unwind`], so a poisoned job yields a failed matrix
@@ -35,8 +39,8 @@ use std::cmp::Reverse;
 use std::collections::BinaryHeap;
 use std::num::NonZeroUsize;
 use std::panic::{catch_unwind, resume_unwind, AssertUnwindSafe};
-use std::sync::atomic::{AtomicUsize, Ordering};
-use std::sync::{Condvar, Mutex, OnceLock};
+use std::sync::{Condvar, Mutex, MutexGuard, OnceLock, PoisonError};
+use std::thread::Scope;
 
 use vpga_core::PlbArchitecture;
 use vpga_designs::{DesignParams, NamedDesign};
@@ -88,45 +92,30 @@ impl Executor {
         self.workers
     }
 
-    /// Runs `job(0) ..= job(n - 1)`, returning results in index order.
-    /// With one worker (or one job) this degenerates to a plain serial
-    /// loop on the calling thread; otherwise `min(workers, n)` scoped
-    /// threads race over an atomic work queue. Either way `out[i]` is
-    /// exactly `job(i)`.
+    /// Runs `job(0) ..= job(n - 1)`, returning results in index order:
+    /// a DAG without edges on [`Executor::run_dag`], so one worker (or one
+    /// job) runs a plain serial loop on the calling thread. Either way
+    /// `out[i]` is exactly `job(i)`.
     ///
     /// # Panics
     ///
     /// If a job panics, the panic propagates to the caller once the
-    /// remaining workers drain.
+    /// in-flight jobs settle.
     pub fn run<T, F>(&self, n: usize, job: F) -> Vec<T>
     where
         T: Send,
         F: Fn(usize) -> T + Sync,
     {
-        let workers = self.workers.min(n);
-        if workers <= 1 {
-            return (0..n).map(job).collect();
-        }
         let slots: Vec<Mutex<Option<T>>> = (0..n).map(|_| Mutex::new(None)).collect();
-        let next = AtomicUsize::new(0);
-        std::thread::scope(|scope| {
-            for _ in 0..workers {
-                scope.spawn(|| loop {
-                    let i = next.fetch_add(1, Ordering::Relaxed);
-                    if i >= n {
-                        break;
-                    }
-                    let out = job(i);
-                    *slots[i].lock().unwrap_or_else(|e| e.into_inner()) = Some(out);
-                });
-            }
+        self.run_dag(&vec![Vec::new(); n], vec![0; n], |i| {
+            *slots[i].lock().unwrap_or_else(PoisonError::into_inner) = Some(job(i));
         });
         slots
             .into_iter()
             .map(|slot| {
                 slot.into_inner()
-                    .unwrap_or_else(|e| e.into_inner())
-                    .expect("every index claimed exactly once")
+                    .unwrap_or_else(PoisonError::into_inner)
+                    .expect("every index ran exactly once")
             })
             .collect()
     }
@@ -136,91 +125,135 @@ impl Executor {
     /// on. Ready tasks dispatch lowest-index-first, so a single worker
     /// visits tasks in exactly the order a serial nested loop would —
     /// the determinism anchor the flow's one-shot fault points rely on.
-    /// With multiple workers, ready tasks of *different* chains run
-    /// concurrently.
+    ///
+    /// The calling thread is worker 0. A worker that takes a task and
+    /// leaves more ready tasks behind than there are idle workers spawns
+    /// scoped helpers for the surplus, up to the executor's worker count,
+    /// so ready tasks of *different* chains run concurrently and a graph
+    /// that never has two ready tasks never leaves the calling thread.
     ///
     /// # Panics
     ///
     /// Propagates the first task panic after the in-flight tasks settle
     /// (tasks left unreachable by the panic are skipped). Panics if the
     /// graph has a cycle (some task never becomes ready).
-    pub(crate) fn run_dag<F>(&self, dependents: &[Vec<usize>], mut indegree: Vec<usize>, task: F)
+    pub(crate) fn run_dag<F>(&self, dependents: &[Vec<usize>], indegree: Vec<usize>, task: F)
     where
         F: Fn(usize) + Sync,
     {
-        let n = dependents.len();
-        assert_eq!(indegree.len(), n);
-        let mut ready: BinaryHeap<Reverse<usize>> =
-            (0..n).filter(|&t| indegree[t] == 0).map(Reverse).collect();
-        let workers = self.workers.min(n.max(1));
-        if workers <= 1 {
-            let mut done = 0usize;
-            while let Some(Reverse(t)) = ready.pop() {
-                task(t);
-                done += 1;
-                for &d in &dependents[t] {
-                    indegree[d] -= 1;
-                    if indegree[d] == 0 {
-                        ready.push(Reverse(d));
-                    }
+        assert_eq!(indegree.len(), dependents.len());
+        let dag = Dag {
+            dependents,
+            task,
+            workers: self.workers,
+            state: Mutex::new(DagState {
+                ready: (0..indegree.len())
+                    .filter(|&t| indegree[t] == 0)
+                    .map(Reverse)
+                    .collect(),
+                remaining: indegree.len(),
+                indegree,
+                threads: 1,
+                idle: 0,
+                panic: None,
+            }),
+            wake: Condvar::new(),
+        };
+        std::thread::scope(|scope| dag.work(scope));
+        let state = dag
+            .state
+            .into_inner()
+            .unwrap_or_else(PoisonError::into_inner);
+        if let Some(payload) = state.panic {
+            resume_unwind(payload);
+        }
+    }
+}
+
+/// One [`Executor::run_dag`] call, shared by its workers.
+struct Dag<'a, F> {
+    dependents: &'a [Vec<usize>],
+    task: F,
+    workers: usize,
+    state: Mutex<DagState>,
+    /// Signalled when a task becomes ready for an idle worker, and when
+    /// the run ends.
+    wake: Condvar,
+}
+
+struct DagState {
+    ready: BinaryHeap<Reverse<usize>>,
+    indegree: Vec<usize>,
+    /// Tasks not yet finished.
+    remaining: usize,
+    /// Workers running, the calling thread included.
+    threads: usize,
+    /// Workers waiting for a ready task.
+    idle: usize,
+    /// The first task panic, re-raised once the scope joins.
+    panic: Option<Box<dyn std::any::Any + Send>>,
+}
+
+impl<F: Fn(usize) + Sync> Dag<'_, F> {
+    fn lock(&self) -> MutexGuard<'_, DagState> {
+        self.state.lock().unwrap_or_else(PoisonError::into_inner)
+    }
+
+    /// One worker's loop: take the lowest ready task, hand the surplus to
+    /// idle workers or new helpers, run the task, release its dependents.
+    fn work<'s>(&'s self, scope: &'s Scope<'s, '_>) {
+        let mut st = self.lock();
+        loop {
+            if st.remaining == 0 || st.panic.is_some() {
+                return;
+            }
+            let Some(Reverse(t)) = st.ready.pop() else {
+                if st.idle + 1 == st.threads {
+                    // No task is running, so none will ever become ready.
+                    st.panic = Some(Box::new("task graph has a cycle"));
+                    self.wake.notify_all();
+                    return;
+                }
+                st.idle += 1;
+                st = self.wake.wait(st).unwrap_or_else(PoisonError::into_inner);
+                st.idle -= 1;
+                continue;
+            };
+            let helpers = (st.ready.len().saturating_sub(st.idle))
+                .min(self.workers.saturating_sub(st.threads));
+            st.threads += helpers;
+            if st.idle > 0 && !st.ready.is_empty() {
+                self.wake.notify_all();
+            }
+            drop(st);
+            for _ in 0..helpers {
+                let spawned = std::thread::Builder::new()
+                    .spawn_scoped(scope, move || self.work(scope))
+                    .is_ok();
+                if !spawned {
+                    // Out of threads: the running workers take the surplus.
+                    self.lock().threads -= 1;
                 }
             }
-            assert_eq!(done, n, "task graph has a cycle");
-            return;
-        }
-        struct DagState {
-            ready: BinaryHeap<Reverse<usize>>,
-            indegree: Vec<usize>,
-            remaining: usize,
-        }
-        let state = Mutex::new(DagState {
-            ready,
-            indegree,
-            remaining: n,
-        });
-        let panicked: Mutex<Option<Box<dyn std::any::Any + Send>>> = Mutex::new(None);
-        let cv = Condvar::new();
-        std::thread::scope(|scope| {
-            for _ in 0..workers {
-                scope.spawn(|| loop {
-                    let mut st = state.lock().unwrap_or_else(|e| e.into_inner());
-                    let t = loop {
-                        if st.remaining == 0 {
-                            return;
-                        }
-                        match st.ready.pop() {
-                            Some(Reverse(t)) => break t,
-                            None => st = cv.wait(st).unwrap_or_else(|e| e.into_inner()),
-                        }
-                    };
-                    drop(st);
-                    let outcome = catch_unwind(AssertUnwindSafe(|| task(t)));
-                    let mut st = state.lock().unwrap_or_else(|e| e.into_inner());
-                    match outcome {
-                        Ok(()) => {
-                            st.remaining -= 1;
-                            for &d in &dependents[t] {
-                                st.indegree[d] -= 1;
-                                if st.indegree[d] == 0 {
-                                    st.ready.push(Reverse(d));
-                                }
-                            }
-                        }
-                        Err(payload) => {
-                            // Wind the scheduler down and re-raise after
-                            // the scope joins.
-                            st.remaining = 0;
-                            let mut slot = panicked.lock().unwrap_or_else(|e| e.into_inner());
-                            slot.get_or_insert(payload);
+            let outcome = catch_unwind(AssertUnwindSafe(|| (self.task)(t)));
+            st = self.lock();
+            match outcome {
+                Ok(()) => {
+                    st.remaining -= 1;
+                    for &d in &self.dependents[t] {
+                        st.indegree[d] -= 1;
+                        if st.indegree[d] == 0 {
+                            st.ready.push(Reverse(d));
                         }
                     }
-                    drop(st);
-                    cv.notify_all();
-                });
+                }
+                Err(payload) => {
+                    st.panic.get_or_insert(payload);
+                }
             }
-        });
-        if let Some(payload) = panicked.into_inner().unwrap_or_else(|e| e.into_inner()) {
-            resume_unwind(payload);
+            if st.remaining == 0 || st.panic.is_some() {
+                self.wake.notify_all();
+            }
         }
     }
 }
@@ -259,8 +292,8 @@ pub struct JobResult {
 /// Per-pair scheduler state while the shared front-end's stage chain is
 /// in flight. Sealed into an immutable [`FrontEnd`] when the last stage
 /// completes.
+#[derive(Default)]
 struct PairState {
-    source: Option<Netlist>,
     store: FrontArtifacts,
     stages: Vec<StageStats>,
     clock: Option<JobClock>,
@@ -271,12 +304,228 @@ struct PairState {
 
 /// Per-job scheduler state while a variant back-end's stage chain is in
 /// flight.
+#[derive(Default)]
 struct BackState<'f> {
     store: Option<BackArtifacts<'f>>,
     stages: Vec<StageStats>,
     clock: Option<JobClock>,
     result: Option<FlowResult>,
     error: Option<FlowError>,
+}
+
+/// The flow's one scheduler: runs `cells` — (pair index, variant)
+/// back-ends over the front-ends of `pairs`, each a (source netlist,
+/// architecture) pair — on `executor` as a stage-level dependency DAG
+/// (see [`FlowMatrix::run_cells_checkpointed`] for the contract).
+/// Checkpoints are keyed on the design parameters the sources were
+/// generated at. Returns each pair's sealed front-end (`None` where it
+/// failed) and one result per cell, in cell order.
+pub(crate) fn run_stages(
+    pairs: &[(&Netlist, &PlbArchitecture)],
+    cells: &[(usize, FlowVariant)],
+    config: &FlowConfig,
+    executor: &Executor,
+    checkpoints: Option<(&CheckpointStore, &DesignParams)>,
+) -> (Vec<Option<FrontEnd>>, Vec<Result<FlowResult, FlowError>>) {
+    // Task numbering: front tasks first (pair-major, then plan step),
+    // back tasks after (cell-major, then plan step) — so the serial
+    // lowest-index-first dispatch runs every front-end, then each cell's
+    // back-end, in order.
+    let plan = front_plan(config);
+    let f = plan.len();
+    let npairs = pairs.len();
+    let mut cell_base: Vec<usize> = Vec::with_capacity(cells.len());
+    let mut total = npairs * f;
+    for &(_, variant) in cells {
+        cell_base.push(total);
+        total += back_plan(variant).len();
+    }
+    let mut dependents: Vec<Vec<usize>> = vec![Vec::new(); total];
+    let mut indegree: Vec<usize> = vec![0; total];
+    for p in 0..npairs {
+        for s in 1..f {
+            dependents[p * f + s - 1].push(p * f + s);
+            indegree[p * f + s] = 1;
+        }
+    }
+    for (j, &(p, variant)) in cells.iter().enumerate() {
+        let first = cell_base[j];
+        dependents[p * f + f - 1].push(first);
+        indegree[first] = 1;
+        for s in 1..back_plan(variant).len() {
+            dependents[first + s - 1].push(first + s);
+            indegree[first + s] = 1;
+        }
+    }
+
+    let fronts: Vec<OnceLock<FrontEnd>> = (0..npairs).map(|_| OnceLock::new()).collect();
+    let pair_states: Vec<Mutex<PairState>> = (0..npairs).map(|_| Mutex::default()).collect();
+    let back_states: Vec<Mutex<BackState<'_>>> =
+        (0..cells.len()).map(|_| Mutex::default()).collect();
+
+    let front_task = |p: usize, s: usize| {
+        let mut guard = pair_states[p].lock().unwrap_or_else(|e| e.into_inner());
+        let st = &mut *guard;
+        if st.error.is_some() {
+            return;
+        }
+        let (source, arch) = pairs[p];
+        let ctx = front_ctx(source.name(), arch);
+        clear_stage();
+        let outcome = catch_unwind(AssertUnwindSafe(|| -> Result<(), FlowError> {
+            if s == 0 {
+                st.clock = Some(JobClock::new(config.deadline, config.cancel.clone()));
+                st.store = FrontArtifacts::new(source.name());
+                if let Some((ck, params)) = checkpoints {
+                    if let Some((store, stages, completed)) =
+                        ck.load_front(source.name(), arch, config, params, f)
+                    {
+                        st.store = store;
+                        st.stages = stages;
+                        st.restored = completed;
+                    }
+                }
+            }
+            if s < st.restored {
+                return Ok(());
+            }
+            let env = StageEnv {
+                config,
+                arch,
+                job: &ctx,
+                clock: st.clock.as_ref().expect("step 0 started the clock"),
+            };
+            run_front_stage(plan[s], Some(source), &env, &mut st.store, &mut st.stages)?;
+            if let Some((ck, params)) = checkpoints {
+                ck.save_front(arch, config, params, &st.store, &st.stages, s + 1);
+            }
+            Ok(())
+        }));
+        match outcome {
+            Ok(Ok(())) => {
+                if s + 1 == f {
+                    let store = std::mem::take(&mut st.store);
+                    let stages = std::mem::take(&mut st.stages);
+                    let _ = fronts[p].set(store.into_front_end(stages));
+                }
+            }
+            Ok(Err(e)) => st.error = Some(e),
+            Err(payload) => {
+                st.error = Some(FlowError::StagePanic {
+                    stage: current_stage(),
+                    design: ctx,
+                    payload: panic_message(payload),
+                });
+            }
+        }
+    };
+
+    let back_task = |j: usize, s: usize| {
+        let (p, variant) = cells[j];
+        let (source, arch) = pairs[p];
+        let bplan = back_plan(variant);
+        let mut guard = back_states[j].lock().unwrap_or_else(|e| e.into_inner());
+        let st = &mut *guard;
+        if st.error.is_some() || st.result.is_some() {
+            return;
+        }
+        clear_stage();
+        if s == 0 {
+            let Some(front) = fronts[p].get() else {
+                // Front-end failed; the collection pass attributes it.
+                return;
+            };
+            st.clock = Some(JobClock::new(config.deadline, config.cancel.clone()));
+            if let Some((ck, params)) = checkpoints {
+                if let Some(result) = ck.load_result(&front.design, arch, variant, config, params) {
+                    st.result = Some(result);
+                    return;
+                }
+            }
+            st.store = Some(BackArtifacts::new(front));
+        }
+        let Some(store) = st.store.as_mut() else {
+            // Front-end failed at step 0; later steps stay inert.
+            return;
+        };
+        let ctx = job_ctx(source.name(), arch, variant);
+        let outcome = catch_unwind(AssertUnwindSafe(|| {
+            let env = StageEnv {
+                config,
+                arch,
+                job: &ctx,
+                clock: st.clock.as_ref().expect("step 0 started the clock"),
+            };
+            run_back_stage(bplan[s], variant, &env, store, &mut st.stages)
+        }));
+        match outcome {
+            Ok(Ok(())) => {
+                if s + 1 == bplan.len() {
+                    let store = st.store.take().expect("checked above");
+                    let stages = std::mem::take(&mut st.stages);
+                    let design = store.front.design.clone();
+                    let result = store.into_result(variant, stages);
+                    if let Some((ck, params)) = checkpoints {
+                        ck.save_result(&design, arch, config, params, &result);
+                    }
+                    st.result = Some(result);
+                }
+            }
+            Ok(Err(e)) => st.error = Some(e),
+            Err(payload) => {
+                st.error = Some(FlowError::StagePanic {
+                    stage: current_stage(),
+                    design: ctx,
+                    payload: panic_message(payload),
+                });
+            }
+        }
+    };
+
+    executor.run_dag(&dependents, indegree, |t| {
+        if t < npairs * f {
+            front_task(t / f, t % f);
+        } else {
+            let j = cell_base.partition_point(|&base| base <= t) - 1;
+            back_task(j, t - cell_base[j]);
+        }
+    });
+
+    // A failed front-end poisons its dependents: the pair's first cell
+    // carries the error itself, later cells are marked skipped with the
+    // cause so nothing silently vanishes from the result vector.
+    let mut front_errors: Vec<Option<FlowError>> = pair_states
+        .into_iter()
+        .map(|m| m.into_inner().unwrap_or_else(|e| e.into_inner()).error)
+        .collect();
+    let causes: Vec<Option<String>> = front_errors
+        .iter()
+        .map(|e| e.as_ref().map(ToString::to_string))
+        .collect();
+    let results = cells
+        .iter()
+        .zip(back_states)
+        .map(|(&(p, variant), state)| {
+            let st = state.into_inner().unwrap_or_else(|e| e.into_inner());
+            if let Some(result) = st.result {
+                return Ok(result);
+            }
+            if let Some(e) = st.error {
+                return Err(e);
+            }
+            match front_errors[p].take() {
+                Some(e) => Err(e),
+                None => Err(FlowError::Skipped {
+                    design: job_ctx(pairs[p].0.name(), pairs[p].1, variant),
+                    cause: causes[p].clone().unwrap_or_default(),
+                }),
+            }
+        })
+        .collect();
+    (
+        fronts.into_iter().map(OnceLock::into_inner).collect(),
+        results,
+    )
 }
 
 /// A set of (design, architecture, flow-variant) jobs.
@@ -363,279 +612,48 @@ impl FlowMatrix {
         executor: &Executor,
         checkpoints: Option<&CheckpointStore>,
     ) -> Vec<Result<JobResult, FlowError>> {
-        // Distinct (design, arch) front-ends, keyed by first use.
-        let mut pair_keys: Vec<(NamedDesign, String)> = Vec::new();
-        let mut pair_arch: Vec<&PlbArchitecture> = Vec::new();
-        let mut pair_of_job: Vec<usize> = Vec::with_capacity(self.jobs.len());
-        for job in &self.jobs {
-            let key = (job.design, job.arch.name().to_owned());
-            let ix = match pair_keys.iter().position(|k| *k == key) {
-                Some(ix) => ix,
-                None => {
-                    pair_keys.push(key);
-                    pair_arch.push(&job.arch);
-                    pair_keys.len() - 1
-                }
-            };
-            pair_of_job.push(ix);
-        }
-
-        // Task numbering: front tasks first (pair-major, then plan step),
-        // back tasks after (job-major, then plan step) — so the serial
-        // lowest-index-first dispatch visits stages in exactly the order
-        // the old two-wave schedule did.
-        let plan = front_plan(config);
-        let f = plan.len();
-        let npairs = pair_keys.len();
-        let mut job_base: Vec<usize> = Vec::with_capacity(self.jobs.len());
-        let mut total = npairs * f;
-        for job in &self.jobs {
-            job_base.push(total);
-            total += back_plan(job.variant).len();
-        }
-        let mut dependents: Vec<Vec<usize>> = vec![Vec::new(); total];
-        let mut indegree: Vec<usize> = vec![0; total];
-        for p in 0..npairs {
-            for s in 1..f {
-                dependents[p * f + s - 1].push(p * f + s);
-                indegree[p * f + s] = 1;
-            }
-        }
-        for (j, job) in self.jobs.iter().enumerate() {
-            let first = job_base[j];
-            dependents[pair_of_job[j] * f + f - 1].push(first);
-            indegree[first] = 1;
-            for s in 1..back_plan(job.variant).len() {
-                dependents[first + s - 1].push(first + s);
-                indegree[first + s] = 1;
-            }
-        }
-
-        let fronts: Vec<OnceLock<FrontEnd>> = (0..npairs).map(|_| OnceLock::new()).collect();
-        let pair_states: Vec<Mutex<PairState>> = (0..npairs)
-            .map(|_| {
-                Mutex::new(PairState {
-                    source: None,
-                    store: FrontArtifacts::new(""),
-                    stages: Vec::new(),
-                    clock: None,
-                    restored: 0,
-                    error: None,
-                })
-            })
-            .collect();
-        let back_states: Vec<Mutex<BackState<'_>>> = (0..self.jobs.len())
-            .map(|_| {
-                Mutex::new(BackState {
-                    store: None,
-                    stages: Vec::new(),
-                    clock: None,
-                    result: None,
-                    error: None,
-                })
-            })
-            .collect();
-
-        let front_task = |p: usize, s: usize| {
-            let mut guard = pair_states[p].lock().unwrap_or_else(|e| e.into_inner());
-            let st = &mut *guard;
-            if st.error.is_some() {
-                return;
-            }
-            let (named, _) = &pair_keys[p];
-            let arch = pair_arch[p];
-            clear_stage();
-            let outcome = catch_unwind(AssertUnwindSafe(|| -> Result<(), FlowError> {
-                if s == 0 {
-                    st.clock = Some(JobClock::new(config.deadline, config.cancel.clone()));
-                    let source = named.generate(params);
-                    st.store = FrontArtifacts::new(source.name());
-                    if let Some(ck) = checkpoints {
-                        if let Some((store, stages, completed)) =
-                            ck.load_front(source.name(), arch, config, params, f)
-                        {
-                            st.store = store;
-                            st.stages = stages;
-                            st.restored = completed;
-                        }
-                    }
-                    st.source = Some(source);
-                }
-                if s < st.restored {
-                    return Ok(());
-                }
-                let ctx = front_ctx(&st.store.design, arch);
-                let PairState {
-                    source,
-                    store,
-                    stages,
-                    clock,
-                    ..
-                } = st;
-                let env = StageEnv {
-                    config,
-                    arch,
-                    job: &ctx,
-                    clock: clock.as_ref().expect("step 0 started the clock"),
-                };
-                run_front_stage(plan[s], source.as_ref(), &env, store, stages)?;
-                if let Some(ck) = checkpoints {
-                    ck.save_front(arch, config, params, store, stages, s + 1);
-                }
-                Ok(())
-            }));
-            match outcome {
-                Ok(Ok(())) => {
-                    if s + 1 == f {
-                        let store = std::mem::replace(&mut st.store, FrontArtifacts::new(""));
-                        let stages = std::mem::take(&mut st.stages);
-                        let _ = fronts[p].set(store.into_front_end(stages));
-                    }
-                }
-                Ok(Err(e)) => st.error = Some(e),
-                Err(payload) => {
-                    st.error = Some(FlowError::StagePanic {
-                        stage: current_stage(),
-                        design: format!("{}/{}", named.name(), arch.name()),
-                        payload: panic_message(payload),
-                    });
-                }
-            }
-        };
-
-        let back_task = |j: usize, s: usize| {
-            let job = &self.jobs[j];
-            let p = pair_of_job[j];
-            let bplan = back_plan(job.variant);
-            let mut guard = back_states[j].lock().unwrap_or_else(|e| e.into_inner());
-            let st = &mut *guard;
-            if st.error.is_some() || st.result.is_some() {
-                return;
-            }
-            clear_stage();
-            if s == 0 {
-                let Some(front) = fronts[p].get() else {
-                    // Front-end failed; the collection pass attributes it.
-                    return;
-                };
-                st.clock = Some(JobClock::new(config.deadline, config.cancel.clone()));
-                if let Some(ck) = checkpoints {
-                    if let Some(result) =
-                        ck.load_result(&front.design, &job.arch, job.variant, config, params)
-                    {
-                        st.result = Some(result);
-                        return;
-                    }
-                }
-                st.store = Some(BackArtifacts::new(front));
-            }
-            if st.store.is_none() {
-                // Front-end failed at step 0; later steps stay inert.
-                return;
-            }
-            let ctx = job_ctx(
-                &st.store.as_ref().expect("checked above").front.design,
-                &job.arch,
-                job.variant,
-            );
-            let outcome = catch_unwind(AssertUnwindSafe(|| -> Result<(), FlowError> {
-                let BackState {
-                    store,
-                    stages,
-                    clock,
-                    ..
-                } = st;
-                let store = store.as_mut().expect("checked above");
-                let env = StageEnv {
-                    config,
-                    arch: &job.arch,
-                    job: &ctx,
-                    clock: clock.as_ref().expect("step 0 started the clock"),
-                };
-                run_back_stage(bplan[s], job.variant, &env, store, stages)
-            }));
-            match outcome {
-                Ok(Ok(())) => {
-                    if s + 1 == bplan.len() {
-                        let store = st.store.take().expect("checked above");
-                        let stages = std::mem::take(&mut st.stages);
-                        let design = store.front.design.clone();
-                        let result = store.into_result(job.variant, stages);
-                        if let Some(ck) = checkpoints {
-                            ck.save_result(&design, &job.arch, config, params, &result);
-                        }
-                        st.result = Some(result);
-                    }
-                }
-                Ok(Err(e)) => st.error = Some(e),
-                Err(payload) => {
-                    st.error = Some(FlowError::StagePanic {
-                        stage: current_stage(),
-                        design: ctx,
-                        payload: panic_message(payload),
-                    });
-                }
-            }
-        };
-
-        executor.run_dag(&dependents, indegree, |t| {
-            if t < npairs * f {
-                front_task(t / f, t % f);
-            } else {
-                let j = match job_base.binary_search(&t) {
-                    Ok(j) => j,
-                    Err(next) => next - 1,
-                };
-                back_task(j, t - job_base[j]);
-            }
-        });
-
-        // A failed front-end poisons its dependents: the pair's first job
-        // carries the error itself, later jobs are marked skipped with the
-        // cause so nothing silently vanishes from the result vector.
-        let mut front_errors: Vec<Option<FlowError>> = pair_states
-            .into_iter()
-            .map(|m| m.into_inner().unwrap_or_else(|e| e.into_inner()).error)
-            .collect();
-        let causes: Vec<Option<String>> = front_errors
+        // Distinct (design, arch) front-ends, keyed by first use; their
+        // sources are generated up front, in parallel.
+        let mut keys: Vec<(NamedDesign, &PlbArchitecture)> = Vec::new();
+        let cells: Vec<(usize, FlowVariant)> = self
+            .jobs
             .iter()
-            .map(|e| e.as_ref().map(ToString::to_string))
+            .map(|job| {
+                let p = keys
+                    .iter()
+                    .position(|&(d, a)| d == job.design && a.name() == job.arch.name())
+                    .unwrap_or_else(|| {
+                        keys.push((job.design, &job.arch));
+                        keys.len() - 1
+                    });
+                (p, job.variant)
+            })
             .collect();
+        let sources = executor.run(keys.len(), |p| keys[p].0.generate(params));
+        let pairs: Vec<(&Netlist, &PlbArchitecture)> = sources
+            .iter()
+            .zip(&keys)
+            .map(|(n, &(_, a))| (n, a))
+            .collect();
+        let checkpoints = checkpoints.map(|ck| (ck, params));
+        let (fronts, results) = run_stages(&pairs, &cells, config, executor, checkpoints);
         self.jobs
             .iter()
-            .zip(back_states)
-            .enumerate()
-            .map(|(j, (job, state))| {
-                let st = state.into_inner().unwrap_or_else(|e| e.into_inner());
-                if let Some(result) = st.result {
-                    let front = fronts[pair_of_job[j]]
-                        .get()
-                        .expect("a back-end result implies its front-end completed");
-                    return Ok(JobResult {
-                        job: job.clone(),
-                        design: front.design.clone(),
-                        gates_nand2: front.gates_nand2,
-                        compaction: front.compaction.clone(),
-                        front_stages: front.stages.clone(),
-                        result,
-                    });
-                }
-                if let Some(e) = st.error {
-                    return Err(e);
-                }
-                let pair = pair_of_job[j];
-                match front_errors[pair].take() {
-                    Some(e) => Err(e),
-                    None => Err(FlowError::Skipped {
-                        design: format!(
-                            "{}/{}/{}",
-                            job.design.name(),
-                            job.arch.name(),
-                            job.variant.key()
-                        ),
-                        cause: causes[pair].clone().unwrap_or_default(),
-                    }),
-                }
+            .zip(&cells)
+            .zip(results)
+            .map(|((job, &(p, _)), result)| {
+                let result = result?;
+                let front = fronts[p]
+                    .as_ref()
+                    .expect("a back-end result implies its front-end completed");
+                Ok(JobResult {
+                    job: job.clone(),
+                    design: front.design.clone(),
+                    gates_nand2: front.gates_nand2,
+                    compaction: front.compaction.clone(),
+                    front_stages: front.stages.clone(),
+                    result,
+                })
             })
             .collect()
     }
@@ -724,32 +742,30 @@ mod tests {
     }
 
     #[test]
-    fn matrix_subset_runs_and_matches_run_design() {
-        let params = DesignParams::tiny();
-        let config = FlowConfig::default();
-        let jobs = vec![
-            FlowJob {
-                design: NamedDesign::Alu,
-                arch: PlbArchitecture::granular(),
-                variant: FlowVariant::B,
-            },
-            FlowJob {
-                design: NamedDesign::Alu,
-                arch: PlbArchitecture::granular(),
-                variant: FlowVariant::A,
-            },
-        ];
-        let out = FlowMatrix::from_jobs(jobs)
-            .run(&params, &config, &Executor::new(1))
-            .unwrap();
-        assert_eq!(out.len(), 2);
-        let whole = crate::run_design(
-            &NamedDesign::Alu.generate(&params),
-            &PlbArchitecture::granular(),
-            &config,
-        )
-        .unwrap();
-        assert_eq!(out[0].result.fingerprint(), whole.flow_b.fingerprint());
-        assert_eq!(out[1].result.fingerprint(), whole.flow_a.fingerprint());
+    fn dag_runs_on_the_calling_thread_and_spawns_only_for_surplus() {
+        // The `run_design` shape: a front chain 0 → 1 fanning out to the
+        // back-end chains 2 → 3 and 4 → 5.
+        let dependents = vec![vec![1], vec![2, 4], vec![3], vec![], vec![5], vec![]];
+        let indegree = vec![0, 1, 1, 1, 1, 1];
+        let ran_on = Mutex::new(vec![None; 6]);
+        Executor::new(8).run_dag(&dependents, indegree.clone(), |t| {
+            ran_on.lock().unwrap()[t] = Some(std::thread::current().id());
+        });
+        let ran_on: Vec<_> = ran_on.into_inner().unwrap().into_iter().flatten().collect();
+        let caller = std::thread::current().id();
+        // The front chain and the first branch never leave the caller;
+        // the second branch is the only surplus, so one helper at most.
+        assert!(ran_on[..4].iter().all(|&id| id == caller), "{ran_on:?}");
+        assert!(ran_on[4..].iter().all(|&id| id == ran_on[4]), "{ran_on:?}");
+
+        // A task panic reaches the caller; so does a cycle, never a hang.
+        let panicked = std::panic::catch_unwind(|| {
+            Executor::new(2).run_dag(&dependents, indegree, |t| assert_ne!(t, 4));
+        });
+        assert!(panicked.is_err());
+        let cycle = std::panic::catch_unwind(|| {
+            Executor::new(2).run_dag(&[vec![1], vec![0]], vec![1, 1], |_| {});
+        });
+        assert!(cycle.is_err());
     }
 }

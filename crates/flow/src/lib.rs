@@ -12,15 +12,16 @@
 //! The pipeline is a typed stage graph: each of the eight stages is a
 //! [`stages::Stage`] over a typed artifact store, and one generic stage
 //! runner applies the deadline, audit, faultpoint, retry, and stats
-//! middleware uniformly. [`run_design`] drives the graph serially and
+//! middleware uniformly. [`run_design`] runs one design's graph and
 //! returns a [`DesignOutcome`]; [`report`] assembles the paper's Table 1
 //! (die area) and Table 2 (top-10 path slack) plus the derived §3.2
 //! claims.
 //!
-//! The [`exec`] module schedules many (design, architecture,
-//! flow-variant) jobs as a stage-level dependency DAG across a bounded
-//! [`Executor`] pool, deterministically: results are bit-identical to a
-//! serial run (pinned by [`FlowResult::fingerprint`]). The [`checkpoint`]
+//! The [`exec`] module is the one scheduler: it runs a single design
+//! (overlapping the flow-a and flow-b back-ends) or many (design,
+//! architecture, flow-variant) jobs as a stage-level dependency DAG on a
+//! bounded [`Executor`], deterministically: results are bit-identical to
+//! a serial run (pinned by [`FlowResult::fingerprint`]). The [`checkpoint`]
 //! module persists completed stages to disk so a killed matrix run can
 //! resume bit-identically. The [`stats`] module carries per-stage
 //! instrumentation — wall time, netlist sizes, optimizer cost movement,

@@ -1,7 +1,7 @@
-//! Flow orchestration: drives the typed stage graph of [`crate::stages`]
-//! through the front-end and back-end stage plans. All per-stage
-//! middleware (deadline, audit, faultpoint, retries, stats) lives in the
-//! stage runner, not here.
+//! The flow's results and its single-design entry point, [`run_design`],
+//! which hands one (design, architecture) pair to the stage-DAG scheduler
+//! of [`crate::exec`]. All per-stage middleware (deadline, audit,
+//! faultpoint, retries, stats) lives in the stage runner, not here.
 
 use vpga_compact::CompactionReport;
 use vpga_core::PlbArchitecture;
@@ -9,12 +9,9 @@ use vpga_netlist::Netlist;
 use vpga_place::Placement;
 use vpga_timing::IncrementalSta;
 
-use crate::clock::JobClock;
 use crate::config::{FlowConfig, FlowVariant};
 use crate::error::FlowError;
-use crate::stages::{
-    back_plan, front_plan, run_back_stage, run_front_stage, BackArtifacts, FrontArtifacts, StageEnv,
-};
+use crate::exec::{run_stages, Executor};
 use crate::stats::StageStats;
 
 /// The metrics of one flow run — one cell of Table 1 plus one of Table 2.
@@ -47,6 +44,15 @@ pub struct FlowResult {
 }
 
 impl FlowResult {
+    /// The route legality line `--stats` prints: `route: legal`, or
+    /// `route: overflow=N edges` when routing left over-capacity edges.
+    pub fn route_legality(&self) -> String {
+        match self.route_overflow {
+            0 => "route: legal".to_owned(),
+            n => format!("route: overflow={n} edges"),
+        }
+    }
+
     /// A 64-bit FNV-1a digest over every deterministic field — metrics to
     /// the bit (`f64::to_bits`) plus the stage counters, excluding wall
     /// times. Two runs of the same job agree on this exactly, regardless
@@ -163,66 +169,33 @@ pub(crate) fn job_ctx(design: &str, arch: &PlbArchitecture, variant: FlowVariant
     format!("{design}/{}/{}", arch.name(), variant.key())
 }
 
-/// Runs synthesis, compaction, timing-driven placement, and physical
-/// synthesis for one (design, architecture) pair.
-pub(crate) fn front_end(
-    design: &Netlist,
-    arch: &PlbArchitecture,
-    config: &FlowConfig,
-) -> Result<FrontEnd, FlowError> {
-    let ctx = front_ctx(design.name(), arch);
-    let clock = JobClock::new(config.deadline, config.cancel.clone());
-    let env = StageEnv {
-        config,
-        arch,
-        job: &ctx,
-        clock: &clock,
-    };
-    let mut store = FrontArtifacts::new(design.name());
-    let mut stages = Vec::new();
-    for id in front_plan(config) {
-        run_front_stage(id, Some(design), &env, &mut store, &mut stages)?;
-    }
-    Ok(store.into_front_end(stages))
-}
-
-/// Runs one back-end variant over a (shared, immutable) front-end.
-pub(crate) fn run_variant(
-    front: &FrontEnd,
-    arch: &PlbArchitecture,
-    config: &FlowConfig,
-    variant: FlowVariant,
-) -> Result<FlowResult, FlowError> {
-    let ctx = job_ctx(&front.design, arch, variant);
-    let clock = JobClock::new(config.deadline, config.cancel.clone());
-    let env = StageEnv {
-        config,
-        arch,
-        job: &ctx,
-        clock: &clock,
-    };
-    let mut store = BackArtifacts::new(front);
-    let mut stages = Vec::new();
-    for &id in back_plan(variant) {
-        run_back_stage(id, variant, &env, &mut store, &mut stages)?;
-    }
-    Ok(store.into_result(variant, stages))
-}
-
 /// Runs the complete flow (both variants) for one generic design netlist on
 /// one architecture.
 ///
+/// The stages run on the [`crate::exec`] stage-DAG scheduler with
+/// [`std::thread::available_parallelism`] workers, but one design never
+/// has more than two ready stage chains, so it uses at most two threads:
+/// the shared front-end and flow a run on the calling thread, and flow
+/// b's back-end runs on one scoped helper thread alongside flow a. On a
+/// single-CPU host flow b follows flow a on the calling thread. Results
+/// are bit-identical either way.
+///
 /// # Errors
 ///
-/// Returns a [`FlowError`] if mapping, netlist editing, or packing fails.
+/// Returns a [`FlowError`] if mapping, netlist editing, or packing fails;
+/// when several stages fail, the front-end's error wins, then flow a's. A
+/// panicking stage does not unwind into the caller: it comes back as
+/// [`FlowError::StagePanic`] naming the stage and the job context.
 pub fn run_design(
     design: &Netlist,
     arch: &PlbArchitecture,
     config: &FlowConfig,
 ) -> Result<DesignOutcome, FlowError> {
-    let front = front_end(design, arch, config)?;
-    let flow_a = run_variant(&front, arch, config, FlowVariant::A)?;
-    let flow_b = run_variant(&front, arch, config, FlowVariant::B)?;
+    let cells = [(0, FlowVariant::A), (0, FlowVariant::B)];
+    let (fronts, results) = run_stages(&[(design, arch)], &cells, config, &Executor::new(0), None);
+    let [flow_a, flow_b]: [_; 2] = results.try_into().expect("one result per cell");
+    let (flow_a, flow_b) = (flow_a?, flow_b?);
+    let front = fronts.into_iter().flatten().next().expect("front-end done");
     Ok(DesignOutcome {
         design: front.design,
         arch: arch.name().to_owned(),

@@ -340,6 +340,7 @@ impl Matrix {
             for result in [&o.flow_a, &o.flow_b] {
                 let _ = writeln!(s, "{} / {} — {}", o.design, o.arch, result.variant);
                 s.push_str(&render_stages(&result.stages, "  "));
+                let _ = writeln!(s, "  {}", result.route_legality());
             }
         }
         s

@@ -258,7 +258,6 @@ impl Stage<BackArtifacts<'_>> for RouteStage {
     ) -> Result<StageStats, FlowError> {
         let front = store.front;
         let netlist = &front.netlist;
-        let lib = env.arch.library();
         // Auditing the router and `.vxdl` emission both need the per-net
         // tile paths retained; the routes themselves never enter a
         // fingerprint, so this cannot perturb determinism checks.
@@ -279,7 +278,7 @@ impl Stage<BackArtifacts<'_>> for RouteStage {
             ..base
         };
         let placement = store.routing_placement(self.variant);
-        let routing = vpga_route::try_route(netlist, lib, placement, &cfg)?;
+        let routing = vpga_route::try_route(netlist, placement, &cfg)?;
         let stats = StageStats::new(StageId::Route, Duration::ZERO, front.cells, nets(netlist))
             .with_reroutes(
                 routing.total_reroutes() as u64,

@@ -10,11 +10,12 @@
 //! [`crate::derive_seed`] reseeds, and the [`StageStats`] record — lives
 //! in exactly one place, the [`run_stage`] runner.
 //!
-//! The schedulers ([`crate::run_design`] serially, [`crate::exec`] as a
-//! stage-level dependency DAG) drive the graph through the stage plans
+//! The stage-DAG scheduler of [`crate::exec`] (behind both
+//! [`crate::run_design`] and the matrix) and the service's
+//! [`crate::CachedFlow`] drive the graph through the stage plans
 //! ([`front_plan`] / [`back_plan`]) and the per-stage dispatchers, so a
-//! stage executes identically whether it runs inline, interleaved across
-//! a worker pool, or replayed after a checkpoint resume.
+//! stage executes identically whether it runs on one thread, interleaved
+//! across workers, or replayed after a checkpoint resume.
 
 mod artifacts;
 mod back;

@@ -29,7 +29,7 @@
 
 use std::collections::{BinaryHeap, HashSet};
 
-use vpga_netlist::{CellKind, Library, NetId, Netlist};
+use vpga_netlist::{CellKind, NetId, Netlist};
 use vpga_place::Placement;
 
 /// Recoverable routing failures surfaced by [`try_route`]. The panicking
@@ -388,13 +388,8 @@ impl Scratch {
 ///
 /// Panics if the placement lacks positions for placed library cells (run
 /// placement first) or if the config is degenerate.
-pub fn route(
-    netlist: &Netlist,
-    lib: &Library,
-    placement: &Placement,
-    config: &RouteConfig,
-) -> RoutingResult {
-    try_route(netlist, lib, placement, config).unwrap_or_else(|e| panic!("{e}"))
+pub fn route(netlist: &Netlist, placement: &Placement, config: &RouteConfig) -> RoutingResult {
+    try_route(netlist, placement, config).unwrap_or_else(|e| panic!("{e}"))
 }
 
 /// Non-panicking [`route`]: degenerate configs and unreachable sinks come
@@ -406,14 +401,12 @@ pub fn route(
 /// * [`RouteError::Unroutable`] if a sink tile cannot be reached.
 pub fn try_route(
     netlist: &Netlist,
-    lib: &Library,
     placement: &Placement,
     config: &RouteConfig,
 ) -> Result<RoutingResult, RouteError> {
     if config.channel_capacity == 0 {
         return Err(RouteError::InvalidCapacity);
     }
-    let _ = lib;
     let die = placement.die();
     let tile = config.tile_size.unwrap_or_else(|| {
         (die.area() / config.target_tiles.max(1) as f64)
@@ -827,7 +820,7 @@ mod tests {
         }
         nl.add_output("y", cur);
         let p = vpga_place::place(&nl, &lib, &PlaceConfig::default());
-        let r = route(&nl, &lib, &p, cfg);
+        let r = route(&nl, &p, cfg);
         (nl, r)
     }
 
@@ -858,7 +851,7 @@ mod tests {
             tile_size: Some(die.width() / 8.0),
             ..RouteConfig::default()
         };
-        let r = route(&nl, &lib, &p, &cfg);
+        let r = route(&nl, &p, &cfg);
         let a_net = nl.cell(nl.inputs()[0]).unwrap().output().unwrap();
         let (ax, ay) = p.position(nl.inputs()[0]).unwrap();
         let (gx, gy) = p.position(gc).unwrap();
@@ -897,8 +890,7 @@ mod tests {
         // the router must spread or accept history-guided detours and end
         // legal (or at least reduce overflow drastically).
         let (nl, p, tight) = congested();
-        let lib = generic::library();
-        let r = route(&nl, &lib, &p, &tight);
+        let r = route(&nl, &p, &tight);
         assert!(
             r.overflow_edges() <= 1,
             "negotiation left {} overflows",
@@ -924,7 +916,7 @@ mod tests {
             tile_size: Some(p.die().width()),
             ..RouteConfig::default()
         };
-        let r = route(&nl, &lib, &p, &cfg);
+        let r = route(&nl, &p, &cfg);
         assert_eq!(r.net_length(g1), 0.0);
     }
 
@@ -948,7 +940,7 @@ mod tests {
             incremental: false,
             ..RouteConfig::default()
         };
-        let r_full = route(&nl, &lib, &p, &full_ripup);
+        let r_full = route(&nl, &p, &full_ripup);
         assert_eq!(r_inc.overflow_edges(), r_full.overflow_edges());
         assert_eq!(
             r_inc.total_length().to_bits(),
@@ -966,13 +958,12 @@ mod tests {
     #[test]
     fn incremental_converges_like_full_ripup_under_congestion() {
         let (nl, p, tight) = congested();
-        let lib = generic::library();
-        let r_inc = route(&nl, &lib, &p, &tight);
+        let r_inc = route(&nl, &p, &tight);
         let full = RouteConfig {
             incremental: false,
             ..tight.clone()
         };
-        let r_full = route(&nl, &lib, &p, &full);
+        let r_full = route(&nl, &p, &full);
         assert_eq!(
             r_inc.overflow_edges(),
             r_full.overflow_edges(),
@@ -996,9 +987,8 @@ mod tests {
     #[test]
     fn routing_is_deterministic_across_runs() {
         let (nl, p, tight) = congested();
-        let lib = generic::library();
-        let r1 = route(&nl, &lib, &p, &tight);
-        let r2 = route(&nl, &lib, &p, &tight);
+        let r1 = route(&nl, &p, &tight);
+        let r2 = route(&nl, &p, &tight);
         assert_eq!(r1.total_length().to_bits(), r2.total_length().to_bits());
         assert_eq!(r1.overflow_edges(), r2.overflow_edges());
         assert_eq!(r1.reroutes_per_iteration(), r2.reroutes_per_iteration());
@@ -1031,13 +1021,13 @@ mod tests {
                 congested()
             };
             cfg.keep_routes = true;
-            let serial = route(&nl, &lib, &p, &cfg);
+            let serial = route(&nl, &p, &cfg);
             for threads in [2usize, 4] {
                 let par_cfg = RouteConfig {
                     threads,
                     ..cfg.clone()
                 };
-                let par = route(&nl, &lib, &p, &par_cfg);
+                let par = route(&nl, &p, &par_cfg);
                 assert_eq!(
                     serial.total_length().to_bits(),
                     par.total_length().to_bits(),
@@ -1091,7 +1081,7 @@ mod route_extraction_tests {
             keep_routes: true,
             ..RouteConfig::default()
         };
-        let r = route(&nl, &lib, &p, &cfg);
+        let r = route(&nl, &p, &cfg);
         let (cols, rows) = r.grid_dims();
         assert!(cols > 0 && rows > 0);
         let mut seen_any = false;
@@ -1120,7 +1110,7 @@ mod route_extraction_tests {
         let g = nl.add_lib_cell("g", &lib, "INV", &[a]).unwrap();
         nl.add_output("y", g);
         let p = vpga_place::place(&nl, &lib, &PlaceConfig::default());
-        let r = route(&nl, &lib, &p, &RouteConfig::default());
+        let r = route(&nl, &p, &RouteConfig::default());
         assert!(r.net_route(g).is_none());
     }
 }

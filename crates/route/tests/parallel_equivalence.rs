@@ -71,14 +71,14 @@ proptest! {
             keep_routes: true,
             ..RouteConfig::default()
         };
-        let serial = vpga_route::route(&netlist, &lib, &placement, &cfg);
+        let serial = vpga_route::route(&netlist, &placement, &cfg);
         prop_assert_eq!(serial.parallel_batches(), 0);
         for threads in [2usize, 4] {
             let par_cfg = RouteConfig {
                 threads,
                 ..cfg.clone()
             };
-            let par = vpga_route::route(&netlist, &lib, &placement, &par_cfg);
+            let par = vpga_route::route(&netlist, &placement, &par_cfg);
             prop_assert_eq!(
                 par.total_length().to_bits(),
                 serial.total_length().to_bits(),

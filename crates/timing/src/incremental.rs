@@ -1163,12 +1163,7 @@ mod tests {
     fn graph_analyze_matches_the_oracle_with_routing() {
         let (netlist, arch, placement) = mapped_switch();
         let config = TimingConfig::default();
-        let routing = vpga_route::route(
-            &netlist,
-            arch.library(),
-            &placement,
-            &vpga_route::RouteConfig::default(),
-        );
+        let routing = vpga_route::route(&netlist, &placement, &vpga_route::RouteConfig::default());
         let graph = TimingGraph::build(&netlist, arch.library()).unwrap();
         let fast = graph.analyze(&netlist, &placement, Some(&routing), &config);
         let oracle = try_analyze(

@@ -480,7 +480,7 @@ mod tests {
         let (n, arch) = pipeline();
         let p = vpga_place::place(&n, arch.library(), &PlaceConfig::default());
         let pre = analyze(&n, arch.library(), &p, None, &TimingConfig::default());
-        let r = vpga_route::route(&n, arch.library(), &p, &vpga_route::RouteConfig::default());
+        let r = vpga_route::route(&n, &p, &vpga_route::RouteConfig::default());
         let post = analyze(&n, arch.library(), &p, Some(&r), &TimingConfig::default());
         // Routed detours can only lengthen (or match) the HPWL estimate per
         // net, so the post-route critical delay is at least comparable.

@@ -72,7 +72,7 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
         tile_size: Some(array.plb_pitch()),
         ..RouteConfig::default()
     };
-    let routing = vpga::route::route(&netlist, lib, &placement, &route_cfg);
+    let routing = vpga::route::route(&netlist, &placement, &route_cfg);
     let sta = vpga::timing::analyze(
         &netlist,
         lib,

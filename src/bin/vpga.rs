@@ -23,13 +23,15 @@
 //!
 //! `gen` writes a generated benchmark as structural Verilog over the
 //! generic library; `flow` runs the full Figure 6 flow (both variants) on a
-//! structural-Verilog design and prints the Table 1/2 metrics; `matrix`
+//! structural-Verilog design and prints its fingerprint and the Table 1/2
+//! metrics; `matrix`
 //! runs the paper's full 4 designs × 2 architectures evaluation across a
 //! worker pool (`--jobs 0` = all CPUs; results are bit-identical for any
 //! worker count) and prints Tables 1–2 plus the §3.2 claims; `program`
 //! additionally emits the via program of the packed array; `arch` prints an
 //! architecture summary. `--stats` adds the per-stage instrumentation
-//! (wall time, netlist sizes, cost movement, mover/acceptance counters).
+//! (wall time, netlist sizes, cost movement, mover/acceptance counters)
+//! and each flow's route legality.
 //!
 //! `--emit-sdf` / `--emit-xdl` write one SDF 3.0 timing file and/or one
 //! `.vxdl` netlist/placement/routing file per back-end job after its
@@ -130,7 +132,8 @@ fn print_usage() {
          --arch-file FILE: (matrix, repeatable) load a .varch architecture description\n\
          \x20         and sweep it through the matrix; a description named after a\n\
          \x20         built-in replaces that column, any other name adds one\n\
-         --stats : print per-stage wall time, sizes, cost and move counters\n\n\
+         --stats : print per-stage wall time, sizes, cost and move counters,\n\
+         \x20         and each flow's route legality\n\n\
          robustness (flow and matrix):\n\
          --audit        : run the inter-stage invariant auditors (always on in debug builds)\n\
          --retries N    : retry stochastic stages up to N times with derived reseeds\n\
@@ -323,6 +326,7 @@ fn cmd_flow(args: &[String]) -> Result<(), Box<dyn Error>> {
         design.name()
     );
     let out = run_design(&design, &arch, &config)?;
+    println!("design fingerprint: {:#018x}", out.fingerprint());
     println!(
         "design          : {} ({:.0} NAND2-eq gates)",
         out.design, out.gates_nand2
@@ -363,6 +367,7 @@ fn cmd_flow(args: &[String]) -> Result<(), Box<dyn Error>> {
         for result in [&out.flow_a, &out.flow_b] {
             println!("{}", result.variant);
             print!("{}", vpga::flow::stats::render_stages(&result.stages, "  "));
+            println!("  {}", result.route_legality());
         }
     }
     Ok(())

@@ -23,6 +23,33 @@ fn unknown_command_fails_with_message() {
 }
 
 #[test]
+fn matrix_stats_show_route_legality() {
+    // One legality line per flow; the tiny ALU routes legally.
+    let out = vpga()
+        .args([
+            "matrix",
+            "--size",
+            "tiny",
+            "--only",
+            "alu/granular",
+            "--stats",
+        ])
+        .output()
+        .expect("binary runs");
+    assert!(
+        out.status.success(),
+        "{}",
+        String::from_utf8_lossy(&out.stderr)
+    );
+    let text = String::from_utf8_lossy(&out.stdout);
+    let legality: Vec<&str> = text
+        .lines()
+        .filter(|l| l.trim_start().starts_with("route: "))
+        .collect();
+    assert_eq!(legality, ["  route: legal", "  route: legal"], "{text}");
+}
+
+#[test]
 fn gen_flow_program_roundtrip() {
     let dir = std::env::temp_dir().join("vpga_cli_test");
     std::fs::create_dir_all(&dir).expect("temp dir");
@@ -43,11 +70,11 @@ fn gen_flow_program_roundtrip() {
     let text = std::fs::read_to_string(&design).expect("file written");
     assert!(text.contains("module alu"), "{text}");
 
-    // flow → metrics on stdout.
+    // flow → metrics on stdout, plus one route legality line per flow.
     let out = vpga()
         .args(["flow"])
         .arg(&design)
-        .args(["--arch", "granular"])
+        .args(["--arch", "granular", "--stats"])
         .output()
         .expect("binary runs");
     assert!(
@@ -59,6 +86,12 @@ fn gen_flow_program_roundtrip() {
     assert!(text.contains("flow a"), "{text}");
     assert!(text.contains("flow b"), "{text}");
     assert!(text.contains("power"), "{text}");
+    assert!(text.starts_with("design fingerprint: 0x"), "{text}");
+    let legality: Vec<&str> = text
+        .lines()
+        .filter(|l| l.trim_start().starts_with("route: "))
+        .collect();
+    assert_eq!(legality, ["  route: legal", "  route: legal"], "{text}");
 
     // program → via map file (internally verified by reconstruction).
     let out = vpga()

@@ -7,7 +7,9 @@
 use vpga::core::PlbArchitecture;
 use vpga::designs::{DesignParams, NamedDesign};
 use vpga::flow::report::Matrix;
-use vpga::flow::{run_design, Executor, FlowConfig, FlowJob, FlowMatrix, FlowVariant};
+use vpga::flow::{
+    run_design, DesignOutcome, Executor, FlowConfig, FlowJob, FlowMatrix, FlowVariant,
+};
 
 #[test]
 fn full_matrix_is_bit_identical_for_any_worker_count() {
@@ -85,31 +87,49 @@ fn repeated_runs_are_bit_identical() {
 
 #[test]
 fn executor_subset_matches_run_design() {
+    // Every tiny (design, arch) pair: `run_design`, whose two back-ends
+    // overlap on up to two threads, must match the matrix scheduler on
+    // one worker bit for bit. The matrix lists flow b first, so its
+    // serial order differs from `run_design`'s too.
     let params = DesignParams::tiny();
     let config = FlowConfig::default();
-    let arch = PlbArchitecture::lut_based();
-    let jobs = vec![
-        FlowJob {
-            design: NamedDesign::NetworkSwitch,
-            arch: arch.clone(),
-            variant: FlowVariant::B,
-        },
-        FlowJob {
-            design: NamedDesign::NetworkSwitch,
-            arch: arch.clone(),
-            variant: FlowVariant::A,
-        },
-    ];
-    let out = FlowMatrix::from_jobs(jobs)
-        .run(&params, &config, &Executor::new(2))
-        .expect("subset run");
-    let whole = run_design(
-        &NamedDesign::NetworkSwitch.generate(&params),
-        &arch,
-        &config,
-    )
-    .expect("run_design");
-    assert_eq!(out[0].result.fingerprint(), whole.flow_b.fingerprint());
-    assert_eq!(out[1].result.fingerprint(), whole.flow_a.fingerprint());
-    assert_eq!(out[0].design, whole.design);
+    for design in NamedDesign::ALL {
+        for arch in [PlbArchitecture::granular(), PlbArchitecture::lut_based()] {
+            let name = format!("{}/{}", design.name(), arch.name());
+            let jobs = [FlowVariant::B, FlowVariant::A]
+                .map(|variant| FlowJob {
+                    design,
+                    arch: arch.clone(),
+                    variant,
+                })
+                .to_vec();
+            let out = FlowMatrix::from_jobs(jobs)
+                .run(&params, &config, &Executor::new(1))
+                .unwrap_or_else(|e| panic!("{name}: subset run: {e}"));
+            let whole = run_design(&design.generate(&params), &arch, &config)
+                .unwrap_or_else(|e| panic!("{name}: run_design: {e}"));
+            assert_eq!(
+                out[0].result.fingerprint(),
+                whole.flow_b.fingerprint(),
+                "{name}: flow b"
+            );
+            assert_eq!(
+                out[1].result.fingerprint(),
+                whole.flow_a.fingerprint(),
+                "{name}: flow a"
+            );
+            // The whole outcome: front-end stage records, gate count and
+            // names included.
+            let assembled = DesignOutcome {
+                design: out[0].design.clone(),
+                arch: arch.name().to_owned(),
+                gates_nand2: out[0].gates_nand2,
+                compaction: out[0].compaction.clone(),
+                front_stages: out[0].front_stages.clone(),
+                flow_a: out[1].result.clone(),
+                flow_b: out[0].result.clone(),
+            };
+            assert_eq!(assembled.fingerprint(), whole.fingerprint(), "{name}");
+        }
+    }
 }

@@ -244,6 +244,49 @@ fn injected_panic_poisons_one_cell_and_leaves_the_rest_bit_identical() {
 }
 
 #[test]
+fn back_end_panics_on_both_threads_return_a_stage_panic() {
+    let _guard = locked();
+    let design = tiny_alu();
+    let arch = PlbArchitecture::granular();
+    let config = FlowConfig::default();
+    let golden = run_design(&design, &arch, &config)
+        .expect("golden run")
+        .fingerprint();
+
+    // `run_design` runs flow a on the calling thread and flow b on a
+    // helper: poison one stage of each while the other back-end is in
+    // flight.
+    faultpoint::arm("pack", Some("alu/granular/b"), FaultKind::Panic);
+    faultpoint::arm("route", Some("alu/granular/a"), FaultKind::Panic);
+    let prev_hook = std::panic::take_hook();
+    std::panic::set_hook(Box::new(|_| {}));
+    let outcome = run_design(&design, &arch, &config);
+    std::panic::set_hook(prev_hook);
+    assert!(
+        !faultpoint::any_armed(),
+        "both back-ends must reach their fault"
+    );
+
+    // The panics come back as a typed error, flow a's first.
+    match outcome {
+        Err(FlowError::StagePanic {
+            stage,
+            design,
+            payload,
+        }) => {
+            assert_eq!(stage, Some(Stage::Route));
+            assert_eq!(design, "alu/granular/a");
+            assert!(payload.contains("injected fault at route"), "{payload}");
+        }
+        other => panic!("expected flow a's StagePanic, got {other:?}"),
+    }
+
+    // Nothing is left behind: the next call completes on the golden.
+    let rerun = run_design(&design, &arch, &config).expect("clean rerun");
+    assert_eq!(rerun.fingerprint(), golden);
+}
+
+#[test]
 fn worker_thread_panic_fails_the_owning_stage_closed() {
     let _guard = locked();
     let params = DesignParams::tiny();

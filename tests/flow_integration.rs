@@ -116,7 +116,7 @@ fn routed_arrays_are_congestion_legal() {
         tile_size: Some(array.plb_pitch()),
         ..vpga::route::RouteConfig::default()
     };
-    let routing = vpga::route::route(&mapped, arch.library(), &placement, &route_cfg);
+    let routing = vpga::route::route(&mapped, &placement, &route_cfg);
     assert_eq!(routing.overflow_edges(), 0, "array routing must be legal");
     let sta = vpga::timing::analyze(
         &mapped,

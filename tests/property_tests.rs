@@ -210,7 +210,7 @@ mod physical_properties {
             let place_cfg = PlaceConfig { seed, ..PlaceConfig::default() };
             let placement = vpga::place::place(&netlist, &src, &place_cfg);
             let cfg = vpga::route::RouteConfig::default();
-            let result = vpga::route::route(&netlist, &src, &placement, &cfg);
+            let result = vpga::route::route(&netlist, &placement, &cfg);
             prop_assert_eq!(result.overflow_edges(), 0);
             let tile = result.tile_size();
             for net in netlist.nets() {
