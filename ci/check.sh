@@ -8,13 +8,14 @@
 #   4. cargo build --release      (whole workspace, all targets)
 #   5. cargo test                 (whole workspace)
 #   6. cargo test --features fault-inject   (fault-injection harness)
-#   7. audited tiny matrix        (debug assertions + inter-stage auditors)
-#   8. single-design flow golden  (vpga flow design fingerprint, tiny ALU)
-#   9. kill-and-resume smoke      (interrupted checkpointed matrix resumes bit-identical)
-#  10. interchange round-trip     (SDF/.vxdl emission verifies + checkpoints migrate)
-#  11. parallel determinism smoke (--stage-threads 2 fingerprint == serial;
+#   7. perfbench self-test        (Verilog write/read round trip == direct run)
+#   8. audited tiny matrix        (debug assertions + inter-stage auditors)
+#   9. single-design flow golden  (vpga flow design fingerprint, tiny ALU)
+#  10. kill-and-resume smoke      (interrupted checkpointed matrix resumes bit-identical)
+#  11. interchange round-trip     (SDF/.vxdl emission verifies + checkpoints migrate)
+#  12. parallel determinism smoke (--stage-threads 2 fingerprint == serial;
 #      a paper-scale variant runs when VPGA_PAPER_SMOKE=1)
-#  12. cargo bench, smoke mode    (one sample per bench, catches bit-rot)
+#  13. cargo bench, smoke mode    (one sample per bench, catches bit-rot)
 #
 # The workspace has no network dependencies: rand/proptest/criterion are
 # vendored as path crates under vendor/, so every step works offline.
@@ -53,6 +54,13 @@ cargo test --workspace -q
 
 step "cargo test --features fault-inject (fault-injection harness)"
 cargo test --features fault-inject -q
+
+step "perfbench self-test (cargo test --manifest-path perfbench/Cargo.toml)"
+# The benchmark's seed self-test writes the tiny designs as structural
+# Verilog, reads them back, and checks every flow fingerprint against a
+# direct run, so it pins read_verilog end to end. perfbench is a package
+# of its own (its own workspace and lock file), hence the manifest path.
+cargo test --offline --manifest-path perfbench/Cargo.toml
 
 step "audited matrix run (debug assertions + inter-stage auditors)"
 # The fingerprint folds the pack/swap mover counters, so this also pins

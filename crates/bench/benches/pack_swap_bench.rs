@@ -1,12 +1,13 @@
 //! Criterion benchmarks for the back-end hot paths: recursive-quadrisection
 //! packing (the §3.1 pack ↔ physical-synthesis loop) and whole-PLB swap
 //! annealing. Both run the network switch — the largest Table 1 design —
-//! at the `small` scale so numbers line up with the CI goldens, and both
-//! are benchmarked with their incremental engine against the
-//! full-recompute formulation it replaced (which survives behind
-//! `PackConfig::incremental` / `SwapConfig::delta_cost` as the test
-//! oracle). The engines are bit-identical — asserted here on every
-//! counter — so the ratio between the pairs is pure overhead removed.
+//! at the `small` scale so numbers line up with the CI goldens. Packing is
+//! benchmarked with its incremental engine against the full-recompute
+//! formulation it replaced (which survives behind
+//! `PackConfig::incremental` as the test oracle), the swap with its
+//! delta-cost engine against the flat-row recompute engine
+//! (`SwapConfig::delta_cost = false`). Each pair is bit-identical —
+//! asserted here — so the ratio between them is pure overhead.
 //! `BENCH_pack_swap.json` in the repo root records the baseline these
 //! benches are tracked against.
 
@@ -107,7 +108,7 @@ fn bench_swap(c: &mut Criterion) {
     assert_eq!(
         gain.to_bits(),
         gain_full.to_bits(),
-        "delta-cost swap must be bit-identical to the recompute oracle"
+        "delta-cost swap must be bit-identical to the recompute engine"
     );
     assert_eq!(
         (stats.moves_attempted, stats.moves_accepted),

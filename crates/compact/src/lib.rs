@@ -109,9 +109,13 @@ pub fn compact(
     arch: &PlbArchitecture,
 ) -> Result<CompactionReport, NetlistError> {
     const MAX_PASSES: usize = 8;
+    // Both caches depend only on the architecture, so every pass shares
+    // them (filling the realization cache is exact synthesis).
+    let mut costs = PackingCosts::new(arch);
+    let mut realizer = Realizer::new(arch);
     let mut total: Option<CompactionReport> = None;
     for _ in 0..MAX_PASSES {
-        let pass = compact_once(netlist, arch)?;
+        let pass = compact_once(netlist, arch, &mut costs, &mut realizer)?;
         let done = pass.num_rewrites() == 0;
         total = Some(match total.take() {
             None => pass,
@@ -135,6 +139,8 @@ pub fn compact(
 fn compact_once(
     netlist: &mut Netlist,
     arch: &PlbArchitecture,
+    costs: &mut PackingCosts<'_>,
+    realizer: &mut Realizer<'_>,
 ) -> Result<CompactionReport, NetlistError> {
     let lib = arch.library();
     netlist.validate(lib)?;
@@ -142,8 +148,6 @@ fn compact_once(
     let (dag, nets) = Dag::from_netlist(netlist, lib);
     let labels = Labeling::compute(&dag, 3, 64);
 
-    let mut costs = PackingCosts::new(arch);
-    let mut realizer = Realizer::new(arch);
     let mut candidates: Vec<Candidate> = Vec::new();
     // Primary candidates: the FlowMap depth-optimal supernode per node.
     // Secondary candidates: adjacent (node, fanin) pairs whose merged leaf
@@ -314,7 +318,7 @@ fn compact_once(
     Ok(report)
 }
 
-/// Realization cache shared across the pass.
+/// Realization cache shared across the passes of one [`compact`] call.
 struct Realizer<'a> {
     arch: &'a PlbArchitecture,
     cache: HashMap<(String, Tt3), Option<vpga_core::Realization>>,

@@ -305,18 +305,26 @@ impl FabricProgram {
                 pending.push((slot, new_cell));
             }
         }
-        // Rewire pins.
+        // Rewire pins: resolve every strap, then move them all off the
+        // placeholder in one pass over its sink list.
+        let mut rewires: Vec<(CellId, usize, NetId)> = Vec::new();
         for (slot, new_cell) in pending {
             for (pin, strap) in slot.pins.iter().enumerate() {
                 let net = match *strap {
-                    PinStrap::Net(src) => *net_map
-                        .get(&src)
-                        .ok_or(FabricError::Netlist(NetlistError::UnknownNet(src)))?,
+                    PinStrap::Net(src) => match net_map.get(&src) {
+                        Some(&net) => net,
+                        None => {
+                            // An earlier pin's rewire error comes first.
+                            out.rewire_pins(placeholder, &rewires)?;
+                            return Err(FabricError::Netlist(NetlistError::UnknownNet(src)));
+                        }
+                    },
                     PinStrap::Rail(b) => out.constant(b),
                 };
-                out.connect_pin(new_cell, pin, net)?;
+                rewires.push((new_cell, pin, net));
             }
         }
+        out.rewire_pins(placeholder, &rewires)?;
         // Primary outputs.
         for &po in interface.outputs() {
             let cell = interface.cell(po).expect("live PO");

@@ -17,7 +17,7 @@ use vpga_logic::Tt3;
 
 use crate::cell::CellKind;
 use crate::error::NetlistError;
-use crate::ids::NetId;
+use crate::ids::{CellId, NetId};
 use crate::library::Library;
 use crate::netlist::Netlist;
 
@@ -163,7 +163,6 @@ pub fn read_verilog(text: &str, lib: &Library) -> Result<Netlist, NetlistError> 
     let perr =
         |line: usize, col: usize, message: String| NetlistError::Parse { line, col, message };
     let mut netlist: Option<Netlist> = None;
-    let mut outputs: Vec<(String, String)> = Vec::new(); // (port, source net)
     let mut nets: HashMap<String, NetId> = HashMap::new();
     let mut pending_outputs: Vec<(String, usize, usize)> = Vec::new();
     // Instances whose pins may reference nets defined later.
@@ -271,7 +270,7 @@ pub fn read_verilog(text: &str, lib: &Library) -> Result<Netlist, NetlistError> 
     // then rewire (instances may reference each other in any order).
     let placeholder = n.constant(false);
     // (cell, pending (pin, net) rewires, source line, source column)
-    type Fixup = (crate::ids::CellId, Vec<(usize, String)>, usize, usize);
+    type Fixup = (CellId, Vec<(usize, String)>, usize, usize);
     let mut fixups: Vec<Fixup> = Vec::new();
     for inst in &instances {
         let lc = lib
@@ -306,28 +305,34 @@ pub fn read_verilog(text: &str, lib: &Library) -> Result<Netlist, NetlistError> 
         }
         fixups.push((cell, inputs, inst.line, inst.col));
     }
+    // Every instance input now sits on the placeholder: resolve the nets
+    // in statement order and rewire them in one batch, which filters the
+    // placeholder's sink list once rather than once per pin.
+    let mut rewires: Vec<(CellId, usize, NetId)> = Vec::new();
     for (cell, inputs, lno, col) in fixups {
         for (pin, net_name) in inputs {
-            let net = *nets
-                .get(&net_name)
-                .ok_or_else(|| perr(lno, col, format!("undriven net {net_name:?}")))?;
-            n.connect_pin(cell, pin, net)?;
+            let Some(&net) = nets.get(&net_name) else {
+                // An earlier pin's rewire error comes first.
+                n.rewire_pins(placeholder, &rewires)?;
+                return Err(perr(lno, col, format!("undriven net {net_name:?}")));
+            };
+            rewires.push((cell, pin, net));
         }
     }
+    n.rewire_pins(placeholder, &rewires)?;
+    let mut sources: HashMap<String, String> = HashMap::new(); // port → source net
     for (port, src, lno, col) in assigns {
-        if outputs.iter().any(|(p, _)| *p == port) {
+        if sources.contains_key(&port) {
             return Err(perr(lno, col, format!("duplicate assign to {port:?}")));
         }
-        outputs.push((port, src));
+        sources.insert(port, src);
     }
     for (port, lno, col) in pending_outputs {
-        let src = outputs
-            .iter()
-            .find(|(p, _)| *p == port)
-            .map(|(_, s)| s.clone())
+        let src = sources
+            .get(&port)
             .ok_or_else(|| perr(lno, col, format!("output {port:?} never assigned")))?;
         let net = *nets
-            .get(&src)
+            .get(src)
             .ok_or_else(|| perr(lno, col, format!("undriven net {src:?}")))?;
         if n.cell_by_name(&port).is_some() {
             return Err(perr(lno, col, format!("duplicate port name {port:?}")));
@@ -500,6 +505,144 @@ mod tests {
         let vectors = vec![vec![false]; 6];
         let div = crate::sim::first_divergence(&n, &lib, &back, &lib, &vectors).unwrap();
         assert_eq!(div, None);
+    }
+
+    /// Reads `body` wrapped in a module with inputs `a`, `b`.
+    fn read(ports: &str, body: &str) -> Result<Netlist, NetlistError> {
+        let text = format!("module t (a, b, {ports});\n  input a;\n  input b;\n{body}endmodule\n");
+        read_verilog(&text, &generic::library())
+    }
+
+    /// The `(cell name, pin)` sinks of the net `driver` drives, in order.
+    fn sinks_of(n: &Netlist, driver: &str) -> Vec<(String, usize)> {
+        let cell = n.cell_by_name(driver).expect("driver exists");
+        let net = n.cell(cell).and_then(|c| c.output()).expect("driver net");
+        n.sinks(net)
+            .iter()
+            .map(|&(c, p)| (n.cell_name(c).to_owned(), p))
+            .collect()
+    }
+
+    fn pins(list: &[(&str, usize)]) -> Vec<(String, usize)> {
+        list.iter().map(|&(c, p)| (c.to_owned(), p)).collect()
+    }
+
+    #[test]
+    fn a_pin_listed_twice_takes_its_last_net() {
+        let n = read(
+            "y",
+            "  output y;\n  NAND2 g0 (.i0(a), .i1(b), .i0(b), .y(n0));\n  assign y = n0;\n",
+        )
+        .unwrap();
+        assert_eq!(sinks_of(&n, "a"), pins(&[]));
+        assert_eq!(sinks_of(&n, "b"), pins(&[("g0", 1), ("g0", 0)]));
+        assert_eq!(sinks_of(&n, "_tie0"), pins(&[]));
+        assert_eq!(sinks_of(&n, "g0"), pins(&[("y", 0)]));
+    }
+
+    #[test]
+    fn an_unlisted_pin_stays_on_the_tie_net() {
+        let n = read(
+            "y",
+            "  output y;\n  NAND2 g0 (.i1(a), .y(n0));\n  INV g1 (.i0(n0), .y(n1));\n  \
+             AND2 g2 (.i0(a), .i1(n1), .y(n2));\n  assign y = n2;\n",
+        )
+        .unwrap();
+        assert_eq!(sinks_of(&n, "_tie0"), pins(&[("g0", 0)]));
+        assert_eq!(sinks_of(&n, "a"), pins(&[("g0", 1), ("g2", 0)]));
+        assert_eq!(sinks_of(&n, "g0"), pins(&[("g1", 0)]));
+        assert_eq!(sinks_of(&n, "g1"), pins(&[("g2", 1)]));
+        assert_eq!(sinks_of(&n, "g2"), pins(&[("y", 0)]));
+    }
+
+    #[test]
+    fn a_constant_assign_feeds_instances_through_the_tie_net() {
+        // `w` is the tie net the instances are seated on: pins rewired
+        // onto it move to the end of its sinks, in statement order.
+        let n = read(
+            "y, z",
+            "  output y;\n  output z;\n  assign w = 1'b0;\n  AND2 g0 (.i0(w), .i1(a), .y(n0));\n  \
+             XOR2 g1 (.i0(a), .i1(w), .y(n1));\n  assign y = n0;\n  assign z = w;\n",
+        )
+        .unwrap();
+        assert_eq!(
+            sinks_of(&n, "_tie0"),
+            pins(&[("g0", 0), ("g1", 1), ("z", 0)])
+        );
+        assert_eq!(sinks_of(&n, "a"), pins(&[("g0", 1), ("g1", 0)]));
+        assert_eq!(sinks_of(&n, "g1"), pins(&[]));
+    }
+
+    #[test]
+    fn forward_references_resolve_in_statement_order() {
+        let n = read(
+            "y, q",
+            "  output y;\n  output q;\n  INV g0 (.i0(n1), .y(n0));\n  AND2 g1 (.i0(b), .i1(q0), .y(n1));\n  \
+             DFF ff (.d(n0), .q(q0));\n  assign y = n0;\n  assign q = q0;\n",
+        )
+        .unwrap();
+        assert_eq!(sinks_of(&n, "g1"), pins(&[("g0", 0)]));
+        assert_eq!(sinks_of(&n, "g0"), pins(&[("ff", 0), ("y", 0)]));
+        assert_eq!(sinks_of(&n, "ff"), pins(&[("g1", 1), ("q", 0)]));
+        assert_eq!(sinks_of(&n, "b"), pins(&[("g1", 0)]));
+        assert_eq!(sinks_of(&n, "_tie0"), pins(&[]));
+    }
+
+    #[test]
+    fn one_net_drives_outputs_in_declaration_order() {
+        let n = read(
+            "y0, y1, y2",
+            "  output y0;\n  output y1;\n  output y2;\n  INV g0 (.i0(a), .y(n0));\n  \
+             BUF g1 (.i0(n0), .y(n1));\n  assign y2 = n0;\n  assign y0 = n0;\n  assign y1 = a;\n",
+        )
+        .unwrap();
+        assert_eq!(sinks_of(&n, "g0"), pins(&[("g1", 0), ("y0", 0), ("y2", 0)]));
+        assert_eq!(sinks_of(&n, "a"), pins(&[("g0", 0), ("y1", 0)]));
+        assert_eq!(
+            n.outputs()
+                .iter()
+                .map(|&o| n.cell_name(o))
+                .collect::<Vec<_>>(),
+            ["y0", "y1", "y2"]
+        );
+    }
+
+    #[test]
+    fn malformed_text_reports_the_first_error_in_statement_order() {
+        let parse = |line, col, message: &str| NetlistError::Parse {
+            line,
+            col,
+            message: message.to_owned(),
+        };
+        // An undriven net before a bad pin index: the net is reported.
+        let undriven = "  output y;\n  INV g0 (.i0(a), .y(n0));\n  INV g1 (.i0(nx), .y(n1));\n  \
+                        INV g2 (.i7(a), .y(n2));\n  assign y = n1;\n";
+        assert_eq!(
+            read("y", undriven).unwrap_err(),
+            parse(6, 3, "undriven net \"nx\"")
+        );
+        // A bad pin index before an undriven net: the pin is reported.
+        let bad_pin = "  output y;\n  INV g0 (.i0(a), .y(n0));\n  INV g2 (.i7(a), .y(n2));\n  \
+                       INV g1 (.i0(nx), .y(n1));\n  assign y = n1;\n";
+        assert_eq!(
+            read("y", bad_pin).unwrap_err(),
+            NetlistError::PinCountMismatch {
+                cell: "g2".into(),
+                got: 7,
+                expected: 1,
+            }
+        );
+        let twice =
+            "  output y;\n  INV g0 (.i0(a), .y(n0));\n  assign y = n0;\n    assign y = a;\n";
+        assert_eq!(
+            read("y", twice).unwrap_err(),
+            parse(7, 5, "duplicate assign to \"y\"")
+        );
+        let unassigned = "  output y;\n  output z;\n  INV g0 (.i0(a), .y(n0));\n  assign y = n0;\n";
+        assert_eq!(
+            read("y, z", unassigned).unwrap_err(),
+            parse(5, 3, "output \"z\" never assigned")
+        );
     }
 
     #[test]

@@ -396,6 +396,68 @@ impl Netlist {
         Ok(())
     }
 
+    /// Reconnects a batch of input pins that all sit on net `from`: each
+    /// `(cell, pin, net)` moves `pin` of `cell` onto `net`.
+    ///
+    /// The result — cells, nets, every net's sink order, and the first
+    /// error — is that of calling [`Netlist::connect_pin`] on each entry
+    /// in order, but `from`'s sink list is filtered once instead of once
+    /// per pin, so code that seats every instance on a placeholder net and
+    /// rewires once all nets exist stays linear. A batch that
+    /// repeats a pin, or names one that is not on `from`, falls back to
+    /// the per-pin loop.
+    ///
+    /// # Errors
+    ///
+    /// As [`Netlist::connect_pin`], for the first failing entry; the
+    /// entries before it stay applied.
+    pub fn rewire_pins(
+        &mut self,
+        from: NetId,
+        rewires: &[(CellId, usize, NetId)],
+    ) -> Result<(), NetlistError> {
+        let Some(mask) = self.pins_on_net(from, rewires) else {
+            for &(cell, pin, net) in rewires {
+                self.connect_pin(cell, pin, net)?;
+            }
+            return Ok(());
+        };
+        // Each per-pin `retain` drops one pin from `from`'s original sinks
+        // and leaves the rest in order, and each push appends in batch
+        // order (pins rewired onto `from` itself included), so one filter
+        // followed by the pushes leaves the same lists.
+        self.net_mut(from)
+            .sinks
+            .retain(|&(c, p)| !(p < 64 && mask.get(c.index()).is_some_and(|m| m >> p & 1 == 1)));
+        for &(cell, pin, net) in rewires {
+            self.cell_mut(cell).inputs_mut()[pin] = net;
+            self.net_mut(net).sinks.push((cell, pin));
+        }
+        Ok(())
+    }
+
+    /// The pins of `rewires` as one bit mask per cell index, if every
+    /// entry names a live net and a distinct pin (below 64) that sits on
+    /// `from`.
+    fn pins_on_net(&self, from: NetId, rewires: &[(CellId, usize, NetId)]) -> Option<Vec<u64>> {
+        let len = rewires.iter().map(|&(c, _, _)| c.index() + 1).max()?;
+        let mut mask = vec![0u64; len];
+        for &(cell, pin, net) in rewires {
+            if pin >= 64 || !self.net_exists(net) {
+                return None;
+            }
+            if self.cell(cell)?.inputs().get(pin) != Some(&from) {
+                return None;
+            }
+            let m = &mut mask[cell.index()];
+            if *m >> pin & 1 == 1 {
+                return None;
+            }
+            *m |= 1 << pin;
+        }
+        Some(mask)
+    }
+
     /// Moves every sink of `from` onto `to`, leaving `from` sinkless.
     ///
     /// # Errors
@@ -844,6 +906,89 @@ mod tests {
         assert!(n.sinks(b).is_empty());
         assert_eq!(n.sinks(a).len(), 2);
         n.validate(&lib).unwrap();
+    }
+
+    fn snapshot(n: &Netlist) -> Vec<u8> {
+        let mut w = crate::wire::Writer::new();
+        n.encode_snapshot(&mut w);
+        w.into_bytes()
+    }
+
+    /// Applies `rewires` both ways and checks the batch left the exact
+    /// state (ids, sink order, everything a snapshot holds) and result of
+    /// the per-pin loop.
+    fn assert_batch_matches_loop(
+        n: &Netlist,
+        from: NetId,
+        rewires: &[(CellId, usize, NetId)],
+    ) -> Result<(), NetlistError> {
+        let mut looped = n.clone();
+        let looped_result = rewires
+            .iter()
+            .try_for_each(|&(c, p, net)| looped.connect_pin(c, p, net));
+        let mut batched = n.clone();
+        let batched_result = batched.rewire_pins(from, rewires);
+        assert_eq!(batched_result, looped_result);
+        assert_eq!(snapshot(&batched), snapshot(&looped));
+        batched_result
+    }
+
+    /// Three INVs and a NAND2 seated on the tie-0 placeholder, with a PO
+    /// also reading it.
+    fn seated() -> (Netlist, Library, NetId, Vec<CellId>, [NetId; 2]) {
+        let lib = generic::library();
+        let mut n = Netlist::new("s");
+        let a = n.add_input("a");
+        let b = n.add_input("b");
+        let tie = n.constant(false);
+        let mut cells = Vec::new();
+        for (name, kind, arity) in [("g0", "INV", 1), ("g1", "NAND2", 2), ("g2", "INV", 1)] {
+            let out = n.add_lib_cell(name, &lib, kind, &vec![tie; arity]).unwrap();
+            cells.push(n.driver(out).unwrap());
+        }
+        n.add_output("y", tie);
+        (n, lib, tie, cells, [a, b])
+    }
+
+    #[test]
+    fn rewire_pins_matches_the_per_pin_loop() {
+        let (n, lib, tie, g, [a, b]) = seated();
+        // A pin rewired onto the placeholder itself moves to the end of
+        // its sink list; a pin left out keeps its place.
+        let rewires = [(g[1], 1, a), (g[0], 0, tie), (g[2], 0, b)];
+        assert_batch_matches_loop(&n, tie, &rewires).unwrap();
+        let mut batched = n.clone();
+        batched.rewire_pins(tie, &rewires).unwrap();
+        let po = n.outputs()[0];
+        assert_eq!(batched.sinks(tie), &[(g[1], 0), (po, 0), (g[0], 0)]);
+        assert_eq!(batched.sinks(a), &[(g[1], 1)]);
+        batched.validate(&lib).unwrap();
+    }
+
+    #[test]
+    fn rewire_pins_falls_back_on_repeated_or_foreign_pins() {
+        let (n, _, tie, g, [a, b]) = seated();
+        // The same pin twice: the second rewire moves it off `a`.
+        assert_batch_matches_loop(&n, tie, &[(g[0], 0, a), (g[2], 0, a), (g[0], 0, b)]).unwrap();
+        // A pin that is not on `from` (already on `a` after the first entry
+        // of a previous batch) goes through connect_pin too.
+        let mut moved = n.clone();
+        moved.connect_pin(g[0], 0, a).unwrap();
+        assert_batch_matches_loop(&moved, tie, &[(g[2], 0, b), (g[0], 0, b)]).unwrap();
+        assert_batch_matches_loop(&n, tie, &[]).unwrap();
+    }
+
+    #[test]
+    fn rewire_pins_reports_the_first_error_after_earlier_entries() {
+        let (n, _, tie, g, [a, _]) = seated();
+        let bad_pin = assert_batch_matches_loop(&n, tie, &[(g[0], 0, a), (g[1], 2, a)]);
+        assert!(matches!(
+            bad_pin,
+            Err(NetlistError::PinCountMismatch { got: 2, .. })
+        ));
+        let dead = NetId::from_index(99);
+        let bad_net = assert_batch_matches_loop(&n, tie, &[(g[2], 0, a), (g[0], 0, dead)]);
+        assert_eq!(bad_net, Err(NetlistError::UnknownNet(dead)));
     }
 
     #[test]

@@ -7,16 +7,20 @@
 //! cheap annealer over whole-PLB swaps recovers much of the loss — the
 //! array-side half of the §3.1 "minimize perturbation" objective.
 //!
-//! The default engine evaluates each swap in O(touched nets) against
-//! cached per-net bounding boxes with boundary-pin counts (the same
-//! structure as the placement annealer's incremental cost): moving a pin
-//! extends the box in place, and only when the last pin on a boundary
-//! vacates is the net's pin list rescanned. A journal of first-touch
-//! snapshots rolls rejected moves back. Accept decisions, RNG consumption,
-//! and every cost in between are bit-identical to the direct
-//! recompute-over-the-placement formulation, which is retained as
-//! [`SwapConfig::delta_cost`]` = false` and serves as the oracle in the
-//! equivalence tests.
+//! Both engines work on flat rows built once per call: each tracked net's
+//! placed pins as a CSR row of dense cell indices, pin positions by cell,
+//! and each PLB's sorted net list. The recompute engine
+//! ([`SwapConfig::delta_cost`]` = false`, the one the flow runs after
+//! physical synthesis) recomputes every touched net from its row. The
+//! delta engine evaluates each swap against cached per-net bounding boxes
+//! with boundary-pin counts (the same structure as the placement
+//! annealer's incremental cost): moving a pin extends the box in place,
+//! and only when the last pin on a boundary vacates is the net's pin list
+//! rescanned; a journal of first-touch snapshots rolls rejected moves
+//! back. Accept decisions, RNG consumption, and every cost in between are
+//! bit-identical across both engines and the direct
+//! recompute-over-the-placement formulation, which lives on as the oracle
+//! of the equivalence tests.
 
 use rand::rngs::SmallRng;
 use rand::{Rng, SeedableRng};
@@ -35,8 +39,8 @@ pub struct SwapConfig {
     /// Per-net weights (timing criticality); `None` = uniform.
     pub net_weights: Option<Vec<f64>>,
     /// Evaluate swaps against cached per-net bounding boxes instead of
-    /// recomputing HPWL from the placement. Results are bit-identical
-    /// either way; the switch exists for the equivalence tests.
+    /// recomputing each touched net from its pin row. Results are
+    /// bit-identical either way.
     pub delta_cost: bool,
     /// Nets with at most this many placed pin occurrences skip the
     /// incremental boundary-count maintenance and go straight to an exact
@@ -115,7 +119,7 @@ pub fn swap_optimize_with_stats(
     if config.delta_cost {
         swap_delta(array, netlist, placement, config)
     } else {
-        swap_legacy(array, netlist, placement, config)
+        swap_recompute(array, netlist, placement, config)
     }
 }
 
@@ -339,12 +343,186 @@ fn merge_into(a: &[u32], b: &[u32], out: &mut Vec<u32>) {
     out.extend_from_slice(&b[j..]);
 }
 
+/// What both engines build once per call. A net is *tracked* when it has
+/// a non-constant driver, at least two placed pin occurrences, and at
+/// least one movable pin; every other net has a statically zero cost.
+struct SwapRows {
+    /// Cells per PLB.
+    cells_of: Vec<Vec<CellId>>,
+    weights: Vec<f64>,
+    /// Weighted HPWL per net (all nets), from the placement.
+    net_cost: Vec<f64>,
+    initial: f64,
+    /// Home PLB per movable cell index, `u32::MAX` for static cells.
+    movable_home: Vec<u32>,
+    /// Pin positions by cell index (movable cells and static port pins).
+    pos_x: Vec<f64>,
+    pos_y: Vec<f64>,
+    /// Net index → tracked id and back.
+    net_tid: Vec<u32>,
+    tid_net: Vec<u32>,
+    /// Placed pins per tracked net, CSR, deduplicated cells with
+    /// occurrence multiplicity.
+    pin_off: Vec<u32>,
+    pin_cell: Vec<u32>,
+    pin_mult: Vec<u32>,
+    /// Tracked nets (as net indices) per PLB, sorted and deduplicated.
+    plb_nets: Vec<Vec<u32>>,
+}
+
+impl SwapRows {
+    fn build(
+        array: &PlbArray,
+        netlist: &Netlist,
+        placement: &Placement,
+        config: &SwapConfig,
+    ) -> SwapRows {
+        let n_plbs = array.len();
+        let mut cells_of: Vec<Vec<CellId>> = vec![Vec::new(); n_plbs];
+        for (id, cell) in netlist.cells() {
+            if cell.lib_id().is_none() {
+                continue;
+            }
+            if let Some(ix) = array.plb_of(id) {
+                cells_of[ix].push(id);
+            }
+        }
+        let mut weights = vec![1.0f64; netlist.net_capacity()];
+        if let Some(w) = &config.net_weights {
+            for (i, &v) in w.iter().enumerate().take(weights.len()) {
+                weights[i] = v;
+            }
+        }
+        let net_cost: Vec<f64> = (0..netlist.net_capacity())
+            .map(|i| weights[i] * placement.net_hpwl(netlist, NetId::from_index(i)))
+            .collect();
+        let initial: f64 = net_cost.iter().sum();
+        let cell_cap = netlist.cell_capacity();
+        let mut movable_home = vec![u32::MAX; cell_cap];
+        for (ix, cells) in cells_of.iter().enumerate() {
+            for &c in cells {
+                movable_home[c.index()] = ix as u32;
+            }
+        }
+        let mut net_tid = vec![u32::MAX; netlist.net_capacity()];
+        let mut tid_net: Vec<u32> = Vec::new();
+        let mut pin_off: Vec<u32> = vec![0];
+        let mut pin_cell: Vec<u32> = Vec::new();
+        let mut pin_mult: Vec<u32> = Vec::new();
+        let mut pos_x = vec![0.0f64; cell_cap];
+        let mut pos_y = vec![0.0f64; cell_cap];
+        let mut occurrences: Vec<u32> = Vec::new();
+        for net in netlist.nets() {
+            let Some(driver) = netlist.driver(net) else {
+                continue;
+            };
+            if matches!(
+                netlist.cell(driver).map(|c| c.kind()),
+                Some(CellKind::Constant(_))
+            ) {
+                continue;
+            }
+            occurrences.clear();
+            if placement.position(driver).is_some() {
+                occurrences.push(driver.index() as u32);
+            }
+            for &(sink, _) in netlist.sinks(net) {
+                if placement.position(sink).is_some() {
+                    occurrences.push(sink.index() as u32);
+                }
+            }
+            if occurrences.len() < 2 {
+                continue;
+            }
+            if !occurrences
+                .iter()
+                .any(|&c| movable_home[c as usize] != u32::MAX)
+            {
+                continue; // static net: its cached cost never changes
+            }
+            net_tid[net.index()] = tid_net.len() as u32;
+            tid_net.push(net.index() as u32);
+            occurrences.sort_unstable();
+            let mut i = 0;
+            while i < occurrences.len() {
+                let c = occurrences[i];
+                let mut m = 1u32;
+                while i + (m as usize) < occurrences.len() && occurrences[i + m as usize] == c {
+                    m += 1;
+                }
+                let (x, y) = placement
+                    .position(CellId::from_index(c as usize))
+                    .expect("checked placed");
+                pos_x[c as usize] = x;
+                pos_y[c as usize] = y;
+                pin_cell.push(c);
+                pin_mult.push(m);
+                i += m as usize;
+            }
+            pin_off.push(pin_cell.len() as u32);
+        }
+        let mut plb_nets: Vec<Vec<u32>> = vec![Vec::new(); n_plbs];
+        for (tid, &net) in tid_net.iter().enumerate() {
+            for &c in &pin_cell[pin_off[tid] as usize..pin_off[tid + 1] as usize] {
+                let home = movable_home[c as usize];
+                if home != u32::MAX {
+                    plb_nets[home as usize].push(net);
+                }
+            }
+        }
+        for list in &mut plb_nets {
+            list.sort_unstable();
+            list.dedup();
+        }
+        SwapRows {
+            cells_of,
+            weights,
+            net_cost,
+            initial,
+            movable_home,
+            pos_x,
+            pos_y,
+            net_tid,
+            tid_net,
+            pin_off,
+            pin_cell,
+            pin_mult,
+            plb_nets,
+        }
+    }
+
+    /// Weighted HPWL of tracked net `net` from its pin row: the same
+    /// min/max over the same placed pins, in the same expression, as
+    /// [`Placement::net_hpwl`] times the weight.
+    fn cost(&self, net: u32) -> f64 {
+        let tid = self.net_tid[net as usize] as usize;
+        let (mut min_x, mut max_x) = (f64::INFINITY, f64::NEG_INFINITY);
+        let (mut min_y, mut max_y) = (f64::INFINITY, f64::NEG_INFINITY);
+        for &c in &self.pin_cell[self.pin_off[tid] as usize..self.pin_off[tid + 1] as usize] {
+            let (x, y) = (self.pos_x[c as usize], self.pos_y[c as usize]);
+            min_x = min_x.min(x);
+            max_x = max_x.max(x);
+            min_y = min_y.min(y);
+            max_y = max_y.max(y);
+        }
+        self.weights[net as usize] * ((max_x - min_x) + (max_y - min_y))
+    }
+
+    /// Moves the cells of PLB `ix` to `(x, y)`.
+    fn seat(&mut self, ix: usize, (x, y): (f64, f64)) {
+        for &c in &self.cells_of[ix] {
+            self.pos_x[c.index()] = x;
+            self.pos_y[c.index()] = y;
+        }
+    }
+}
+
 /// The delta-cost engine. Nets with a statically zero cost (no driver, a
 /// constant driver, fewer than two placed pins, or no movable pin) are
-/// excluded from the per-attempt sums; with the non-negative weights the
-/// flow supplies they contribute exactly `+0.0` to the legacy engine's
-/// sums, which is the additive identity at every partial sum the legacy
-/// engine forms, so the two engines' deltas agree bit-for-bit.
+/// excluded from the per-attempt sums, as in the recompute engine; with
+/// the non-negative weights the flow supplies they contribute exactly
+/// `+0.0` to the direct formulation's sums, which is the additive identity
+/// at every partial sum it forms, so the deltas agree bit-for-bit.
 fn swap_delta(
     array: &mut PlbArray,
     netlist: &Netlist,
@@ -356,26 +534,21 @@ fn swap_delta(
     if n_plbs < 2 {
         return (0.0, stats);
     }
-    // Cells per PLB.
-    let mut cells_of: Vec<Vec<CellId>> = vec![Vec::new(); n_plbs];
-    for (id, cell) in netlist.cells() {
-        if cell.lib_id().is_none() {
-            continue;
-        }
-        if let Some(ix) = array.plb_of(id) {
-            cells_of[ix].push(id);
-        }
-    }
-    let mut weights = vec![1.0f64; netlist.net_capacity()];
-    if let Some(w) = &config.net_weights {
-        for (i, &v) in w.iter().enumerate().take(weights.len()) {
-            weights[i] = v;
-        }
-    }
-    let net_cost: Vec<f64> = (0..netlist.net_capacity())
-        .map(|i| weights[i] * placement.net_hpwl(netlist, NetId::from_index(i)))
-        .collect();
-    let initial: f64 = net_cost.iter().sum();
+    let SwapRows {
+        mut cells_of,
+        weights,
+        net_cost,
+        initial,
+        movable_home,
+        pos_x,
+        pos_y,
+        net_tid,
+        tid_net,
+        pin_off,
+        pin_cell,
+        pin_mult,
+        mut plb_nets,
+    } = SwapRows::build(array, netlist, placement, config);
     stats.cost_initial = initial;
     stats.cost_final = initial;
     if initial <= 0.0 {
@@ -383,87 +556,16 @@ fn swap_delta(
     }
     // --- Engine construction ---------------------------------------
     let cell_cap = netlist.cell_capacity();
-    let mut movable_home = vec![u32::MAX; cell_cap];
-    for (ix, cells) in cells_of.iter().enumerate() {
-        for &c in cells {
-            movable_home[c.index()] = ix as u32;
-        }
-    }
-    let net_cap = netlist.net_capacity();
-    let mut net_tid = vec![u32::MAX; net_cap];
-    let mut tid_net: Vec<u32> = Vec::new();
-    let mut pin_off: Vec<u32> = vec![0];
-    let mut pin_cell: Vec<u32> = Vec::new();
-    let mut pin_mult: Vec<u32> = Vec::new();
-    let mut pos_x = vec![0.0f64; cell_cap];
-    let mut pos_y = vec![0.0f64; cell_cap];
-    let mut occurrences: Vec<u32> = Vec::new();
-    for net in netlist.nets() {
-        let Some(driver) = netlist.driver(net) else {
-            continue;
-        };
-        if matches!(
-            netlist.cell(driver).map(|c| c.kind()),
-            Some(CellKind::Constant(_))
-        ) {
-            continue;
-        }
-        occurrences.clear();
-        if placement.position(driver).is_some() {
-            occurrences.push(driver.index() as u32);
-        }
-        for &(sink, _) in netlist.sinks(net) {
-            if placement.position(sink).is_some() {
-                occurrences.push(sink.index() as u32);
-            }
-        }
-        if occurrences.len() < 2 {
-            continue;
-        }
-        if !occurrences
-            .iter()
-            .any(|&c| movable_home[c as usize] != u32::MAX)
-        {
-            continue; // static net: its cached cost never changes
-        }
-        net_tid[net.index()] = tid_net.len() as u32;
-        tid_net.push(net.index() as u32);
-        occurrences.sort_unstable();
-        let mut i = 0;
-        while i < occurrences.len() {
-            let c = occurrences[i];
-            let mut m = 1u32;
-            while i + (m as usize) < occurrences.len() && occurrences[i + m as usize] == c {
-                m += 1;
-            }
-            let (x, y) = placement
-                .position(CellId::from_index(c as usize))
-                .expect("checked placed");
-            pos_x[c as usize] = x;
-            pos_y[c as usize] = y;
-            pin_cell.push(c);
-            pin_mult.push(m);
-            i += m as usize;
-        }
-        pin_off.push(pin_cell.len() as u32);
-    }
     let n_tracked = tid_net.len();
-    // Cell → tracked-net references and per-PLB net lists.
+    // Cell → tracked-net references.
     let mut pairs: Vec<(u32, u32, u32)> = Vec::new(); // (cell, tid, mult)
-    let mut plb_nets: Vec<Vec<u32>> = vec![Vec::new(); n_plbs];
     for tid in 0..n_tracked {
         for i in pin_off[tid] as usize..pin_off[tid + 1] as usize {
             let c = pin_cell[i];
-            let home = movable_home[c as usize];
-            if home != u32::MAX {
+            if movable_home[c as usize] != u32::MAX {
                 pairs.push((c, tid as u32, pin_mult[i]));
-                plb_nets[home as usize].push(tid_net[tid]);
             }
         }
-    }
-    for list in &mut plb_nets {
-        list.sort_unstable();
-        list.dedup();
     }
     pairs.sort_unstable();
     let mut ref_off = vec![0u32; cell_cap + 1];
@@ -625,10 +727,17 @@ fn swap_delta(
     (1.0 - final_cost / initial, stats)
 }
 
-/// The direct formulation: every attempt moves the cells in the placement
-/// and recomputes each affected net's HPWL from it. Kept as the oracle the
-/// delta engine is tested against.
-fn swap_legacy(
+/// The recompute engine: every attempt moves the swapped cells' pin
+/// positions and recomputes each touched tracked net from its pin row, so
+/// an attempt allocates nothing. Accept decisions, RNG consumption, and
+/// every cost are bit-identical to the direct formulation over
+/// [`Placement::net_hpwl`] (the oracle in
+/// `tests/incremental_equivalence.rs`): the rows hold the same placed
+/// pins, and the nets they leave out add `+0.0` to its sums (see
+/// [`swap_delta`]). The array and the placement are written once, after
+/// the anneal; instead of a snapshot per improvement, the accepted swaps
+/// since the best state are logged and undone at the end.
+fn swap_recompute(
     array: &mut PlbArray,
     netlist: &Netlist,
     placement: &mut Placement,
@@ -639,43 +748,8 @@ fn swap_legacy(
     if n_plbs < 2 {
         return (0.0, stats);
     }
-    // Cells per PLB.
-    let mut cells_of: Vec<Vec<CellId>> = vec![Vec::new(); n_plbs];
-    for (id, cell) in netlist.cells() {
-        if cell.lib_id().is_none() {
-            continue;
-        }
-        if let Some(ix) = array.plb_of(id) {
-            cells_of[ix].push(id);
-        }
-    }
-    // Net weights and incidence.
-    let mut weights = vec![1.0f64; netlist.net_capacity()];
-    if let Some(w) = &config.net_weights {
-        for (i, &v) in w.iter().enumerate().take(weights.len()) {
-            weights[i] = v;
-        }
-    }
-    let mut cell_nets: Vec<Vec<NetId>> = vec![Vec::new(); netlist.cell_capacity()];
-    for net in netlist.nets() {
-        if let Some(d) = netlist.driver(net) {
-            cell_nets[d.index()].push(net);
-        }
-        for &(sink, _) in netlist.sinks(net) {
-            cell_nets[sink.index()].push(net);
-        }
-    }
-    for nets in cell_nets.iter_mut() {
-        nets.sort_unstable();
-        nets.dedup();
-    }
-    let cost_of = |placement: &Placement, net: NetId| -> f64 {
-        weights[net.index()] * placement.net_hpwl(netlist, net)
-    };
-    let mut net_cost: Vec<f64> = (0..netlist.net_capacity())
-        .map(|i| cost_of(placement, NetId::from_index(i)))
-        .collect();
-    let initial: f64 = net_cost.iter().sum();
+    let mut rows = SwapRows::build(array, netlist, placement, config);
+    let initial = rows.initial;
     stats.cost_initial = initial;
     stats.cost_final = initial;
     if initial <= 0.0 {
@@ -686,7 +760,9 @@ fn swap_legacy(
     let moves = config.moves_per_plb * n_plbs;
     let mut current = initial;
     let mut best_cost = initial;
-    let mut best_state = cells_of.clone();
+    let mut since_best: Vec<(usize, usize)> = Vec::new();
+    let mut affected: Vec<u32> = Vec::new();
+    let mut after_cost: Vec<f64> = Vec::new();
     for round in 0..72 {
         let greedy = round >= 60; // zero-temperature tail
         let mut accepted = 0usize;
@@ -697,17 +773,13 @@ fn swap_legacy(
                 continue;
             }
             stats.moves_attempted += 1;
-            // Affected nets.
-            let mut nets: Vec<NetId> = Vec::new();
-            for &cell in cells_of[p].iter().chain(&cells_of[q]) {
-                nets.extend(cell_nets[cell.index()].iter().copied());
-            }
-            nets.sort_unstable();
-            nets.dedup();
-            let before: f64 = nets.iter().map(|n| net_cost[n.index()]).sum();
-            seat_cells(array, placement, &cells_of[p], q);
-            seat_cells(array, placement, &cells_of[q], p);
-            let after: f64 = nets.iter().map(|&n| cost_of(placement, n)).sum();
+            merge_into(&rows.plb_nets[p], &rows.plb_nets[q], &mut affected);
+            let before: f64 = affected.iter().map(|&n| rows.net_cost[n as usize]).sum();
+            rows.seat(p, array.plb_center(q));
+            rows.seat(q, array.plb_center(p));
+            after_cost.clear();
+            after_cost.extend(affected.iter().map(|&n| rows.cost(n)));
+            let after: f64 = after_cost.iter().sum();
             let delta = after - before;
             let accept = if greedy {
                 delta < 0.0
@@ -715,20 +787,22 @@ fn swap_legacy(
                 delta <= 0.0 || rng.gen::<f64>() < (-delta / t.max(1e-9)).exp()
             };
             if accept {
-                for &n in &nets {
-                    net_cost[n.index()] = cost_of(placement, n);
+                for (&n, &cost) in affected.iter().zip(&after_cost) {
+                    rows.net_cost[n as usize] = cost;
                 }
-                cells_of.swap(p, q);
+                rows.cells_of.swap(p, q);
+                rows.plb_nets.swap(p, q);
                 current += delta;
                 accepted += 1;
+                since_best.push((p, q));
                 if current < best_cost {
                     best_cost = current;
-                    best_state = cells_of.clone();
+                    since_best.clear();
                 }
             } else {
                 // Revert: each cell list returns to its home PLB.
-                seat_cells(array, placement, &cells_of[p], p);
-                seat_cells(array, placement, &cells_of[q], q);
+                rows.seat(p, array.plb_center(p));
+                rows.seat(q, array.plb_center(q));
             }
         }
         stats.moves_accepted += accepted as u64;
@@ -738,15 +812,19 @@ fn swap_legacy(
             break;
         }
     }
-    // Restore the best configuration seen.
+    // Restore the best configuration seen, then write the result back
+    // into the array and the placement in one pass.
     if current > best_cost {
-        for (ix, cells) in best_state.iter().enumerate() {
-            seat_cells(array, placement, cells, ix);
+        for &(p, q) in since_best.iter().rev() {
+            rows.cells_of.swap(p, q);
         }
+    }
+    for (ix, cells) in rows.cells_of.iter().enumerate() {
+        seat_cells(array, placement, cells, ix);
     }
     let final_cost: f64 = best_cost.min(current);
     let real: f64 = (0..netlist.net_capacity())
-        .map(|i| cost_of(placement, NetId::from_index(i)))
+        .map(|i| rows.weights[i] * placement.net_hpwl(netlist, NetId::from_index(i)))
         .sum();
     debug_assert!(
         (final_cost - real).abs() < 1e-6 * real.max(1.0) + 1e-6,
@@ -820,10 +898,10 @@ mod tests {
     }
 
     #[test]
-    fn delta_engine_matches_legacy_oracle() {
+    fn delta_engine_matches_recompute_engine() {
         // Same netlist, same seed: the delta engine must land on the exact
-        // same assignments, positions, and core stats as the direct
-        // recompute formulation.
+        // same assignments, positions, and core stats as the recompute
+        // engine.
         let arch = PlbArchitecture::granular();
         let src = generic::library();
         let design =

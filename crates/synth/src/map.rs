@@ -12,7 +12,7 @@
 //! 2-input cut fallbacks (every AND node's direct-fanin cut is a ND2WI
 //! shape) guarantee both PLB libraries can always cover the graph.
 
-use std::collections::HashMap;
+use std::collections::{HashMap, HashSet};
 
 use vpga_core::matcher::{match_cell, CellMatch, PinSource};
 use vpga_core::PlbArchitecture;
@@ -277,41 +277,82 @@ pub fn map_netlist(
     }
     // Inverters for complemented output literals, shared per node.
     let mut inverted: HashMap<u32, NetId> = HashMap::new();
-    let mut lit_net = |out: &mut Netlist, lit: Lit, counter: &mut usize| -> NetId {
-        let base = match aig.node(lit.node()) {
-            AigNode::Const => out.constant(false),
-            _ => *node_net.get(&lit.node()).expect("node emitted"),
+    let mut pending_d = PendingD::default();
+    let mut lit_net =
+        |out: &mut Netlist, lit: Lit, counter: &mut usize, pending_d: &mut PendingD| -> NetId {
+            let base = match aig.node(lit.node()) {
+                AigNode::Const => out.constant(false),
+                _ => *node_net.get(&lit.node()).expect("node emitted"),
+            };
+            if !lit.is_complement() {
+                return base;
+            }
+            if matches!(aig.node(lit.node()), AigNode::Const) {
+                return out.constant(true);
+            }
+            if let Some(&n) = inverted.get(&lit.node()) {
+                return n;
+            }
+            let name = format!("m{counter}_inv");
+            *counter += 1;
+            pending_d.before_sink_on(out, base);
+            let net = out
+                .add_lib_cell(name, arch.library(), "INV", &[base])
+                .expect("INV instantiation");
+            inverted.insert(lit.node(), net);
+            net
         };
-        if !lit.is_complement() {
-            return base;
-        }
-        if matches!(aig.node(lit.node()), AigNode::Const) {
-            return out.constant(true);
-        }
-        if let Some(&n) = inverted.get(&lit.node()) {
-            return n;
-        }
-        let name = format!("m{counter}_inv");
-        *counter += 1;
-        let net = out
-            .add_lib_cell(name, arch.library(), "INV", &[base])
-            .expect("INV instantiation");
-        inverted.insert(lit.node(), net);
-        net
-    };
     let mut dff_ix = 0usize;
     for o in aig.outputs() {
-        let net = lit_net(&mut out, o.lit, &mut counter);
+        let net = lit_net(&mut out, o.lit, &mut counter, &mut pending_d);
         if o.is_dff_d {
-            out.connect_pin(dff_cells[dff_ix], 0, net)
-                .expect("rewire DFF D");
+            pending_d.push(dff_cells[dff_ix], net);
             dff_ix += 1;
         } else {
+            pending_d.before_sink_on(&mut out, net);
             out.add_output(o.name.clone(), net);
         }
     }
+    pending_d.apply(&mut out);
     out.sweep_dead();
     Ok(out)
+}
+
+/// Flip-flop D rewires of [`map_netlist`] waiting to be applied as one
+/// batch. Every D still sits on the tie-0 placeholder, so
+/// [`Netlist::rewire_pins`] filters that net's sink list once per batch.
+/// The batch is applied early when another pin is about to join one of
+/// its target nets, so every net's sinks keep the order a pin-by-pin
+/// rewire gives them.
+#[derive(Default)]
+struct PendingD {
+    rewires: Vec<(CellId, usize, NetId)>,
+    targets: HashSet<NetId>,
+}
+
+impl PendingD {
+    fn push(&mut self, dff: CellId, net: NetId) {
+        self.rewires.push((dff, 0, net));
+        self.targets.insert(net);
+    }
+
+    /// Applies the batch first if one of its pins goes to `net`.
+    fn before_sink_on(&mut self, out: &mut Netlist, net: NetId) {
+        if self.targets.contains(&net) {
+            self.apply(out);
+        }
+    }
+
+    fn apply(&mut self, out: &mut Netlist) {
+        if self.rewires.is_empty() {
+            return;
+        }
+        let placeholder = out.constant(false);
+        out.rewire_pins(placeholder, &self.rewires)
+            .expect("rewire DFF D");
+        self.rewires.clear();
+        self.targets.clear();
+    }
 }
 
 fn area_of(c: &Choice) -> f64 {
@@ -437,9 +478,16 @@ pub fn map_netlist_fast(
         let net = *net_map.get(&cell.inputs()[0]).expect("PO net mapped");
         out.add_output(netlist.cell_name(po).to_owned(), net);
     }
-    for (new_cell, src_d) in dff_fixups {
-        let net = *net_map.get(&src_d).expect("D net mapped");
-        out.connect_pin(new_cell, 0, net).expect("rewire DFF D");
+    // Every flip-flop's D still sits on the tie-0 placeholder: rewire them
+    // in one pass over its sink list.
+    if !dff_fixups.is_empty() {
+        let rewires: Vec<(CellId, usize, NetId)> = dff_fixups
+            .into_iter()
+            .map(|(new_cell, src_d)| (new_cell, 0, *net_map.get(&src_d).expect("D net mapped")))
+            .collect();
+        let placeholder = out.constant(false);
+        out.rewire_pins(placeholder, &rewires)
+            .expect("rewire DFF D");
     }
     out.sweep_dead();
     Ok(out)
@@ -544,6 +592,34 @@ mod tests {
     use vpga_designs::{DesignParams, NamedDesign};
     use vpga_netlist::library::generic;
     use vpga_netlist::sim::first_divergence;
+
+    #[test]
+    fn dff_rewire_precedes_an_inverter_created_on_its_net() {
+        // ff1 reads x and ff2 reads !x: the mapper creates ff2's inverter
+        // on x's net after ff1's D was rewired onto it, so ff1 sinks first,
+        // as a pin-by-pin rewire leaves it.
+        let src = generic::library();
+        let mut n = Netlist::new("t");
+        let a = n.add_input("a");
+        let b = n.add_input("b");
+        let x = n.add_lib_cell("x", &src, "AND2", &[a, b]).unwrap();
+        let q1 = n.add_lib_cell("ff1", &src, "DFF", &[x]).unwrap();
+        let nx = n.add_lib_cell("nx", &src, "INV", &[x]).unwrap();
+        let q2 = n.add_lib_cell("ff2", &src, "DFF", &[nx]).unwrap();
+        n.add_output("q1", q1);
+        n.add_output("q2", q2);
+        let mapped = map_netlist(&n, &src, &PlbArchitecture::granular()).unwrap();
+        let ff1 = mapped.cell_by_name("ff1").unwrap();
+        let d = mapped.cell(ff1).unwrap().inputs()[0];
+        let sinks: Vec<&str> = mapped
+            .sinks(d)
+            .iter()
+            .map(|&(c, _)| mapped.cell_name(c))
+            .collect();
+        assert_eq!(sinks.len(), 2, "{sinks:?}");
+        assert_eq!(sinks[0], "ff1");
+        assert!(sinks[1].ends_with("_inv"), "{sinks:?}");
+    }
 
     fn assert_equivalent(a: &Netlist, lib_a: &Library, b: &Netlist, lib_b: &Library) {
         let mut rng = SmallRng::seed_from_u64(0xC0FFEE);
