@@ -4,7 +4,8 @@
 # Runs the same checks a PR must pass, in order of increasing cost:
 #   1. tracked-artifact guard     (nothing under target/ in the index)
 #   2. cargo fmt --check          (formatting)
-#   3. cargo clippy -D warnings   (lints; skipped if clippy is not installed)
+#   3. cargo clippy -D warnings   (lints, also with fault-inject on; skipped
+#      if clippy is not installed)
 #   4. cargo build --release      (whole workspace, all targets)
 #   5. cargo test                 (whole workspace)
 #   6. cargo test --features fault-inject   (fault-injection harness)
@@ -13,9 +14,10 @@
 #   9. single-design flow golden  (vpga flow design fingerprint, tiny ALU)
 #  10. kill-and-resume smoke      (interrupted checkpointed matrix resumes bit-identical)
 #  11. interchange round-trip     (SDF/.vxdl emission verifies + checkpoints migrate)
-#  12. parallel determinism smoke (--stage-threads 2 fingerprint == serial;
-#      a paper-scale variant runs when VPGA_PAPER_SMOKE=1)
-#  13. cargo bench, smoke mode    (one sample per bench, catches bit-rot)
+#  12. .varch round-trip          (reloaded builtins hit the golden; malformed fails closed)
+#  13. serve smoke                (cold/warm daemon matrix golden, SIGTERM drain)
+#  14. serve load harness         (1000 mixed chaos jobs vs batch reference)
+#  15. cargo bench, smoke mode    (one sample per bench, catches bit-rot)
 #
 # The workspace has no network dependencies: rand/proptest/criterion are
 # vendored as path crates under vendor/, so every step works offline.
@@ -64,8 +66,7 @@ cargo test --offline --manifest-path perfbench/Cargo.toml
 
 step "audited matrix run (debug assertions + inter-stage auditors)"
 # The fingerprint folds the pack/swap mover counters, so this also pins
-# the incremental back-end (dirty-region repack, delta-cost swap) to the
-# published golden bit-for-bit.
+# the packer and the PLB swap to the published golden bit-for-bit.
 golden="matrix fingerprint: 0xd516b48daf413258"
 audited=$(cargo run -q --bin vpga -- matrix --size tiny --jobs 2 --audit \
     | grep '^matrix fingerprint:')
@@ -150,34 +151,6 @@ if out=$(cargo run -q --bin vpga -- matrix --size tiny \
 elif ! printf '%s\n' "$out" | grep -q 'line [0-9]*, col [0-9]*'; then
     echo "error: malformed .varch rejection lacks a positioned error: $out" >&2
     exit 1
-fi
-
-step "parallel determinism smoke (tiny matrix, --stage-threads 2 vs 1)"
-serial=$(cargo run -q --bin vpga -- matrix --size tiny --jobs 2 --stage-threads 1 \
-    | grep '^matrix fingerprint:')
-par=$(cargo run -q --bin vpga -- matrix --size tiny --jobs 2 --stage-threads 2 \
-    | grep '^matrix fingerprint:')
-if [ "$serial" != "$par" ]; then
-    echo "error: --stage-threads 2 diverged from serial: '$par' != '$serial'" >&2
-    exit 1
-fi
-
-# Paper-scale smoke: one granular network-switch cell through the full
-# flow at 2 worker threads, asserted bit-identical to the serial run.
-# Minutes of wall time, so it only runs when a nightly opts in with
-# VPGA_PAPER_SMOKE=1.
-if [ "${VPGA_PAPER_SMOKE:-0}" = "1" ]; then
-    step "paper-scale parallel smoke (network_switch/granular, threads 2 vs 1)"
-    p1=$(cargo run -q --release --bin vpga -- matrix --size paper \
-        --only network_switch/granular --stage-threads 1 \
-        | grep '^matrix fingerprint:')
-    p2=$(cargo run -q --release --bin vpga -- matrix --size paper \
-        --only network_switch/granular --stage-threads 2 \
-        | grep '^matrix fingerprint:')
-    if [ "$p1" != "$p2" ]; then
-        echo "error: paper-scale --stage-threads 2 diverged: '$p2' != '$p1'" >&2
-        exit 1
-    fi
 fi
 
 step "serve smoke (cold/warm daemon matrix, golden fingerprint, SIGTERM drain)"

@@ -39,31 +39,6 @@ fn bench_try_move(c: &mut Criterion) {
     c.bench_function("place/anneal_netswitch", |b| {
         b.iter(|| vpga_place::place(black_box(&mapped), arch.library(), &cfg))
     });
-    // Thread-scaling curve for the speculative annealer. The commit pass
-    // replays the same schedule, so the placements are bit-identical; the
-    // speculation counters quantify the worker-side throughput even when
-    // the host serializes the threads (1-core containers).
-    for threads in [2usize, 4] {
-        let par_cfg = vpga_place::PlaceConfig {
-            threads,
-            ..cfg.clone()
-        };
-        let (_, par_stats) = vpga_place::place_with_stats(&mapped, arch.library(), &par_cfg);
-        assert_eq!(
-            par_stats.cost_final.to_bits(),
-            stats.cost_final.to_bits(),
-            "parallel placement must be bit-identical to serial"
-        );
-        println!(
-            "place/anneal t{threads}: {} speculations, {} committed, {} aborted",
-            par_stats.spec_moves_attempted,
-            par_stats.spec_moves_committed,
-            par_stats.spec_moves_aborted
-        );
-        c.bench_function(&format!("place/anneal_netswitch_t{threads}"), |b| {
-            b.iter(|| vpga_place::place(black_box(&mapped), arch.library(), &par_cfg))
-        });
-    }
 }
 
 fn bench_negotiation(c: &mut Criterion) {
@@ -114,28 +89,6 @@ fn bench_negotiation(c: &mut Criterion) {
     });
     c.bench_function("route/congested_full_ripup", |b| {
         b.iter(|| vpga_route::route(black_box(&mapped), &placement, &full))
-    });
-    // Batched (parallel) negotiation against the frozen congestion
-    // snapshot: same iterations, same per-iteration reroutes, bit-equal
-    // wirelength.
-    let par = vpga_route::RouteConfig {
-        threads: 2,
-        ..tight.clone()
-    };
-    let par_probe = vpga_route::route(&mapped, &placement, &par);
-    assert_eq!(
-        par_probe.reroutes_per_iteration(),
-        probe.reroutes_per_iteration(),
-        "parallel negotiation must replay the serial reroute schedule"
-    );
-    println!(
-        "route/congested t2: {} batches, {} validated, {} replayed",
-        par_probe.parallel_batches(),
-        par_probe.parallel_nets_validated(),
-        par_probe.parallel_nets_replayed()
-    );
-    c.bench_function("route/congested_dirty_net_t2", |b| {
-        b.iter(|| vpga_route::route(black_box(&mapped), &placement, &par))
     });
 }
 

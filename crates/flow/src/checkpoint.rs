@@ -43,7 +43,7 @@ use crate::stats::{StageId, StageStats};
 /// completed count, config fingerprint, payload length.
 const HEADER_LEN: usize = 8 + 1 + 1 + 8 + 8;
 
-const MAGIC: &[u8; 8] = b"VPGACKP1";
+const MAGIC: &[u8; 8] = b"VPGACKP2";
 const KIND_FRONT: u8 = 0;
 const KIND_RESULT: u8 = 1;
 
@@ -72,19 +72,8 @@ pub(crate) fn config_fingerprint(
         audit: false,
         deadline: None,
         emit: EmitConfig::default(),
-        // Worker counts and fault hooks never change artifact bits (the
-        // parallel kernels are bit-identical to serial), so a serial
-        // checkpoint resumes under `--stage-threads N` and vice versa.
-        stage_threads: 1,
-        place: PlaceConfig {
-            threads: 1,
-            worker_hook: None,
-            ..config.place.clone()
-        },
         route: vpga_route::RouteConfig {
             keep_routes: false,
-            threads: 1,
-            worker_hook: None,
             ..config.route.clone()
         },
         ..config.clone()
@@ -140,17 +129,9 @@ fn encode_stats(w: &mut Writer, s: &StageStats) {
     w.opt(s.sta_full, Writer::u64);
     w.opt(s.sta_incremental, Writer::u64);
     w.opt(s.sta_nodes_touched, Writer::u64);
-    w.opt(s.spec_moves_attempted, Writer::u64);
-    w.opt(s.spec_moves_committed, Writer::u64);
-    w.opt(s.spec_moves_aborted, Writer::u64);
-    w.opt(s.par_net_batches, Writer::u64);
     w.opt(s.cache_hits, Writer::u64);
     w.opt(s.cache_misses, Writer::u64);
     w.opt(s.cache_evicted, Writer::u64);
-    w.opt(s.repack_regions_reused, Writer::u64);
-    w.opt(s.repack_subtrees_dirty, Writer::u64);
-    w.opt(s.swap_delta_evals, Writer::u64);
-    w.opt(s.swap_bbox_rescans, Writer::u64);
 }
 
 fn decode_stats(r: &mut Reader<'_>) -> Option<StageStats> {
@@ -171,17 +152,9 @@ fn decode_stats(r: &mut Reader<'_>) -> Option<StageStats> {
     s.sta_full = r.opt(Reader::u64)?;
     s.sta_incremental = r.opt(Reader::u64)?;
     s.sta_nodes_touched = r.opt(Reader::u64)?;
-    s.spec_moves_attempted = r.opt(Reader::u64)?;
-    s.spec_moves_committed = r.opt(Reader::u64)?;
-    s.spec_moves_aborted = r.opt(Reader::u64)?;
-    s.par_net_batches = r.opt(Reader::u64)?;
     s.cache_hits = r.opt(Reader::u64)?;
     s.cache_misses = r.opt(Reader::u64)?;
     s.cache_evicted = r.opt(Reader::u64)?;
-    s.repack_regions_reused = r.opt(Reader::u64)?;
-    s.repack_subtrees_dirty = r.opt(Reader::u64)?;
-    s.swap_delta_evals = r.opt(Reader::u64)?;
-    s.swap_bbox_rescans = r.opt(Reader::u64)?;
     Some(s)
 }
 
@@ -287,8 +260,6 @@ pub(crate) fn decode_front(r: &mut Reader<'_>) -> Option<(FrontArtifacts, Vec<St
             seed,
             moves_per_cell,
             net_weights,
-            threads: 1,
-            worker_hook: None,
         })
     })?;
     store.buffer_trace = r.opt(|r| {
@@ -466,7 +437,8 @@ impl CheckpointStore {
             *slot = r.u8().ok_or_else(|| fail(r.pos(), "truncated header"))?;
         }
         if magic != *MAGIC {
-            return Err(fail(0, "bad magic (not a VPGACKP1 checkpoint)"));
+            let expected = String::from_utf8_lossy(MAGIC);
+            return Err(fail(0, &format!("bad magic (not a {expected} checkpoint)")));
         }
         let got_kind = r.u8().ok_or_else(|| fail(r.pos(), "truncated header"))?;
         if got_kind != kind {
@@ -731,10 +703,14 @@ mod tests {
         let s = StageStats::new(StageId::Place, std::time::Duration::from_millis(7), 10, 20)
             .with_cost(3.5, 1.25)
             .with_moves(100, 40)
+            .with_bbox_updates(880, 17)
+            .with_reroutes(36, 30)
             .with_retries(2)
             .with_sta(1, 9, 123)
-            .with_speculation(512, 480, 32)
-            .with_par_batches(6);
+            .with_cache(4, 1, 2);
+        // Every optional field is set, so a codec that drops or reorders
+        // one cannot round-trip.
+        assert!(!format!("{s:?}").contains("None"));
         let mut w = Writer::new();
         encode_stats(&mut w, &s);
         let bytes = w.into_bytes();
@@ -814,9 +790,18 @@ mod tests {
         assert!(store
             .load_result("alu", &widened, FlowVariant::A, &config, &params)
             .is_none());
-        // ...and not once the payload is corrupted.
+        // ...and not from a file written under the previous format
+        // version, whose stats records had a different layout.
         let path = store.result_path("alu", "granular", FlowVariant::A);
-        let mut bytes = std::fs::read(&path).unwrap();
+        let valid = std::fs::read(&path).unwrap();
+        let mut old = valid.clone();
+        old[..8].copy_from_slice(b"VPGACKP1");
+        std::fs::write(&path, &old).unwrap();
+        assert!(store
+            .load_result("alu", &arch, FlowVariant::A, &config, &params)
+            .is_none());
+        // ...and not once the payload is corrupted.
+        let mut bytes = valid;
         let mid = bytes.len() / 2;
         bytes[mid] ^= 0xFF;
         std::fs::write(&path, &bytes).unwrap();

@@ -108,12 +108,6 @@ pub struct FlowConfig {
     /// timing stage. Observational only; excluded from the checkpoint
     /// config fingerprint.
     pub emit: EmitConfig,
-    /// Worker threads for the intra-stage parallel kernels (speculative
-    /// annealing in place/physsynth/pack, batched negotiation in route).
-    /// Results are bit-identical for every value; excluded from the
-    /// checkpoint config fingerprint. `1` (the default) runs the serial
-    /// kernels unchanged.
-    pub stage_threads: usize,
     /// Cooperative cancellation flag, checked by the stage runner at
     /// every stage boundary alongside the deadline. Raising it fails the
     /// job with [`crate::FlowError::Cancelled`] before the next stage
@@ -140,7 +134,6 @@ impl Default for FlowConfig {
             retries: 0,
             deadline: None,
             emit: EmitConfig::default(),
-            stage_threads: 1,
             cancel: CancelToken::new(),
         }
     }

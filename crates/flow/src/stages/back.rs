@@ -96,8 +96,6 @@ impl Stage<BackArtifacts<'_>> for PackStage {
         let hpwl_before = b_placement.total_hpwl(netlist);
         let seeded = PlaceConfig {
             seed: derive_seed(env.config.place.seed, attempt),
-            threads: env.config.stage_threads,
-            worker_hook: Some(crate::faultpoint::place_worker_hook),
             ..env.config.place.clone()
         };
         let (array, pack_stats) = vpga_pack::pack_iterative_with_stats(
@@ -113,7 +111,6 @@ impl Stage<BackArtifacts<'_>> for PackStage {
                 pack_stats.relocations + pack_stats.spilled,
                 pack_stats.relocations,
             )
-            .with_repack(pack_stats.regions_reused, pack_stats.subtrees_repartitioned)
             .with_sta(0, 1, 0);
         store.b_placement = Some(b_placement);
         store.array = Some(array);
@@ -157,43 +154,13 @@ impl Stage<BackArtifacts<'_>> for SwapStage {
 
     fn run(
         &self,
-        env: &StageEnv<'_>,
+        _env: &StageEnv<'_>,
         store: &mut BackArtifacts<'_>,
         _attempt: usize,
     ) -> Result<StageStats, FlowError> {
         let front = store.front;
         let netlist = &front.netlist;
         let sta = front.sta.report(netlist);
-        // The delta-cost engine earns its per-touch journal overhead only
-        // when the swap keeps landing on nets fat enough that an O(1)
-        // boundary-count update replaces an expensive pin rescan. A net's
-        // touch frequency is proportional to its placed-pin occupancy, so
-        // the deciding statistic is the occupancy-weighted mean occupancy
-        // Σocc²/Σocc — "how fat is the net under the average pin". Here
-        // the netlist is post-physical-synthesis: buffering has capped
-        // fanout near `buffer_max_fanout` and the mean sits around 8,
-        // where exact recompute is the faster engine (measured in
-        // BENCH_pack_swap.json `flow_stage_walls`; the unbuffered library
-        // harness measures ~80, where the delta engine wins 3.5×). Gate at
-        // 2× the buffer cap — the fattest average a buffer pass can leave
-        // behind. Both engines are bit-identical, so this moves only wall
-        // clock, never a result bit.
-        let placement = store.b_placement.as_ref().expect("swap runs after packing");
-        let (mut occ_sum, mut occ_sq) = (0u64, 0u64);
-        for n in netlist.nets() {
-            let Some(driver) = netlist.driver(n) else {
-                continue;
-            };
-            let mut occ = u64::from(placement.position(driver).is_some());
-            for &(sink, _) in netlist.sinks(n) {
-                occ += u64::from(placement.position(sink).is_some());
-            }
-            if occ >= 2 {
-                occ_sum += occ;
-                occ_sq += occ * occ;
-            }
-        }
-        let fat_workload = occ_sq > 2 * env.config.buffer_max_fanout as u64 * occ_sum;
         let swap_cfg = vpga_pack::SwapConfig {
             net_weights: Some(
                 sta.net_criticalities()
@@ -201,7 +168,6 @@ impl Stage<BackArtifacts<'_>> for SwapStage {
                     .map(|&c| 1.0 + 8.0 * c * c)
                     .collect(),
             ),
-            delta_cost: fat_workload,
             ..vpga_pack::SwapConfig::default()
         };
         let BackArtifacts {
@@ -215,8 +181,7 @@ impl Stage<BackArtifacts<'_>> for SwapStage {
         Ok(
             StageStats::new(StageId::Swap, Duration::ZERO, front.cells, nets(netlist))
                 .with_cost(swap_stats.cost_initial, swap_stats.cost_final)
-                .with_moves(swap_stats.moves_attempted, swap_stats.moves_accepted)
-                .with_swap_evals(swap_stats.delta_evals, swap_stats.bbox_rescans),
+                .with_moves(swap_stats.moves_attempted, swap_stats.moves_accepted),
         )
     }
 
@@ -269,8 +234,6 @@ impl Stage<BackArtifacts<'_>> for RouteStage {
                 FlowVariant::A => env.config.route.tile_size,
                 FlowVariant::B => Some(store.array.as_ref().expect("flow b packed").plb_pitch()),
             },
-            threads: env.config.stage_threads,
-            worker_hook: Some(crate::faultpoint::route_worker_hook),
             ..env.config.route.clone()
         };
         let cfg = RouteConfig {
@@ -283,8 +246,7 @@ impl Stage<BackArtifacts<'_>> for RouteStage {
             .with_reroutes(
                 routing.total_reroutes() as u64,
                 routing.nets_routed() as u64,
-            )
-            .with_par_batches(routing.parallel_batches() as u64);
+            );
         store.routing = Some(routing);
         Ok(stats)
     }

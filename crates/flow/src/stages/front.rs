@@ -167,8 +167,6 @@ impl Stage<FrontArtifacts> for PlaceStage {
         let lib = env.arch.library();
         let seeded = PlaceConfig {
             seed: derive_seed(env.config.place.seed, attempt),
-            threads: env.config.stage_threads,
-            worker_hook: Some(faultpoint::place_worker_hook),
             ..env.config.place.clone()
         };
         let (mut placement, place_stats) = vpga_place::try_place_with_stats(netlist, lib, &seeded)?;
@@ -214,12 +212,7 @@ impl Stage<FrontArtifacts> for PlaceStage {
             place_stats.bbox_incremental + refine_stats.bbox_incremental,
             place_stats.bbox_full + refine_stats.bbox_full,
         )
-        .with_sta(counters.full, counters.incremental, counters.nodes_touched)
-        .with_speculation(
-            place_stats.spec_moves_attempted + refine_stats.spec_moves_attempted,
-            place_stats.spec_moves_committed + refine_stats.spec_moves_committed,
-            place_stats.spec_moves_aborted + refine_stats.spec_moves_aborted,
-        );
+        .with_sta(counters.full, counters.incremental, counters.nodes_touched);
         store.placement = Some(placement);
         store.weighted = Some(weighted);
         store.sta = Some(sta);
@@ -295,15 +288,8 @@ impl Stage<FrontArtifacts> for PhysSynthStage {
         faultpoint::fire("sta_incremental", env.job)?;
         sta.apply_buffers(netlist, lib, placement, None, &buffer_edits);
         let pre_legalize = placement.clone();
-        // Re-inject the worker count: the stored weighted config may have
-        // been restored from a checkpoint, which normalizes it to serial.
-        let refine_cfg = PlaceConfig {
-            threads: env.config.stage_threads,
-            worker_hook: Some(faultpoint::place_worker_hook),
-            ..weighted.clone()
-        };
         let legalize_stats =
-            vpga_place::try_refine_with_stats(netlist, lib, placement, &refine_cfg, 0.2)?;
+            vpga_place::try_refine_with_stats(netlist, lib, placement, weighted, 0.2)?;
         sta.update_moved_cells(
             netlist,
             placement,
@@ -323,12 +309,7 @@ impl Stage<FrontArtifacts> for PhysSynthStage {
             legalize_stats.moves_accepted,
         )
         .with_bbox_updates(legalize_stats.bbox_incremental, legalize_stats.bbox_full)
-        .with_sta(delta.full, delta.incremental, delta.nodes_touched)
-        .with_speculation(
-            legalize_stats.spec_moves_attempted,
-            legalize_stats.spec_moves_committed,
-            legalize_stats.spec_moves_aborted,
-        );
+        .with_sta(delta.full, delta.incremental, delta.nodes_touched);
         *buffer_trace = Some(buffer_edits);
         Ok(stats)
     }

@@ -131,17 +131,6 @@ pub struct StageStats {
     /// Timing-graph nodes the incremental updates recomputed (full passes
     /// do not count here).
     pub sta_nodes_touched: Option<u64>,
-    /// Speculative annealing-move evaluations run on worker threads
-    /// (`--stage-threads` > 1; unset in serial runs).
-    pub spec_moves_attempted: Option<u64>,
-    /// Speculations the commit pass used directly.
-    pub spec_moves_committed: Option<u64>,
-    /// Speculations invalidated by an earlier commit and replayed
-    /// serially.
-    pub spec_moves_aborted: Option<u64>,
-    /// Negotiation iterations whose dirty nets were routed as a parallel
-    /// batch against a frozen congestion snapshot.
-    pub par_net_batches: Option<u64>,
     /// Stage results served from the shared artifact cache instead of
     /// recomputed (daemon mode; unset in batch runs).
     pub cache_hits: Option<u64>,
@@ -151,17 +140,6 @@ pub struct StageStats {
     /// Cache entries evicted under byte pressure while this job
     /// published its artifacts.
     pub cache_evicted: Option<u64>,
-    /// Leaf regions whose previous-pass seating the §3.1 repack loop
-    /// replayed verbatim (packing stages; unset for single-pass packs).
-    pub repack_regions_reused: Option<u64>,
-    /// Leaf regions the repack loop re-seated because their item
-    /// membership changed.
-    pub repack_subtrees_dirty: Option<u64>,
-    /// Swap evaluations answered by an incremental bounding-box update
-    /// (swap stages; unset when the direct engine ran).
-    pub swap_delta_evals: Option<u64>,
-    /// Swap evaluations that fell back to a full net-pin rescan.
-    pub swap_bbox_rescans: Option<u64>,
 }
 
 impl StageStats {
@@ -184,17 +162,9 @@ impl StageStats {
             sta_full: None,
             sta_incremental: None,
             sta_nodes_touched: None,
-            spec_moves_attempted: None,
-            spec_moves_committed: None,
-            spec_moves_aborted: None,
-            par_net_batches: None,
             cache_hits: None,
             cache_misses: None,
             cache_evicted: None,
-            repack_regions_reused: None,
-            repack_subtrees_dirty: None,
-            swap_delta_evals: None,
-            swap_bbox_rescans: None,
         }
     }
 
@@ -250,29 +220,6 @@ impl StageStats {
         self
     }
 
-    /// Attaches the speculative-execution counters of a parallel annealing
-    /// stage (only recorded when speculation actually ran, so serial runs
-    /// keep their records unchanged).
-    #[must_use]
-    pub fn with_speculation(mut self, attempted: u64, committed: u64, aborted: u64) -> StageStats {
-        if attempted > 0 {
-            self.spec_moves_attempted = Some(attempted);
-            self.spec_moves_committed = Some(committed);
-            self.spec_moves_aborted = Some(aborted);
-        }
-        self
-    }
-
-    /// Attaches the parallel-batch count of a routing stage (only recorded
-    /// when batched routing actually ran).
-    #[must_use]
-    pub fn with_par_batches(mut self, batches: u64) -> StageStats {
-        if batches > 0 {
-            self.par_net_batches = Some(batches);
-        }
-        self
-    }
-
     /// Attaches the shared-artifact-cache counters of a daemon-served
     /// stage (only recorded when the cache was actually consulted, so
     /// batch runs keep their records unchanged). Excluded from
@@ -284,33 +231,6 @@ impl StageStats {
             self.cache_hits = Some(hits);
             self.cache_misses = Some(misses);
             self.cache_evicted = Some(evicted);
-        }
-        self
-    }
-
-    /// Attaches the incremental-repack counters of a packing stage (only
-    /// recorded when a repack pass actually consulted the leaf memo, so
-    /// single-pass packs keep their records unchanged). Excluded from
-    /// [`StageStats::fold_fingerprint`]: a replayed region must
-    /// fingerprint identically to the re-seat it replaced.
-    #[must_use]
-    pub fn with_repack(mut self, reused: u64, dirty: u64) -> StageStats {
-        if reused + dirty > 0 {
-            self.repack_regions_reused = Some(reused);
-            self.repack_subtrees_dirty = Some(dirty);
-        }
-        self
-    }
-
-    /// Attaches the delta-evaluation counters of a swap stage (only
-    /// recorded when the delta engine ran, so the direct engine keeps its
-    /// records unchanged). Excluded from
-    /// [`StageStats::fold_fingerprint`] like the repack counters.
-    #[must_use]
-    pub fn with_swap_evals(mut self, delta: u64, rescans: u64) -> StageStats {
-        if delta + rescans > 0 {
-            self.swap_delta_evals = Some(delta);
-            self.swap_bbox_rescans = Some(rescans);
         }
         self
     }
@@ -343,23 +263,10 @@ impl StageStats {
         // influence is already pinned by the cost/slack fields above. This
         // keeps fingerprints stable across timer-strategy changes.
         //
-        // The parallelism counters (spec_moves_* and par_net_batches) stay
-        // out for the same reason: `--stage-threads N` must fingerprint
-        // identically to a serial run, and the moves/bbox/reroute counters
-        // above already pin every result the workers could have perturbed.
-        //
         // The cache counters (cache_hits/cache_misses/cache_evicted) stay
         // out too: a daemon job served from the artifact cache must
         // fingerprint bit-identically to the batch run that computed the
         // entry, whatever mix of hits, misses, and evictions it saw.
-        //
-        // The incremental back-end counters (repack_regions_reused,
-        // repack_subtrees_dirty, swap_delta_evals, swap_bbox_rescans)
-        // stay out for the same reason: the dirty-region repack and the
-        // delta-cost swap are bit-identical shortcuts, and the
-        // moves/cost fields above already pin every assignment and every
-        // HPWL they could have perturbed. Disabling either engine must
-        // not change a published fingerprint.
     }
 }
 
@@ -391,26 +298,10 @@ impl fmt::Display for StageStats {
                 write!(f, "/{n}n")?;
             }
         }
-        if let (Some(att), Some(com), Some(ab)) = (
-            self.spec_moves_attempted,
-            self.spec_moves_committed,
-            self.spec_moves_aborted,
-        ) {
-            write!(f, "  spec {com}c/{ab}a/{att}t")?;
-        }
-        if let Some(b) = self.par_net_batches {
-            write!(f, "  par {b} batches")?;
-        }
         if let (Some(h), Some(m), Some(e)) =
             (self.cache_hits, self.cache_misses, self.cache_evicted)
         {
             write!(f, "  cache {h}h/{m}m/{e}e")?;
-        }
-        if let (Some(re), Some(di)) = (self.repack_regions_reused, self.repack_subtrees_dirty) {
-            write!(f, "  repack {re}r/{di}d")?;
-        }
-        if let (Some(de), Some(rs)) = (self.swap_delta_evals, self.swap_bbox_rescans) {
-            write!(f, "  delta {de}i/{rs}f")?;
         }
         if let Some(r) = self.retries {
             write!(f, "  retries {r}")?;
@@ -502,29 +393,6 @@ mod tests {
     }
 
     #[test]
-    fn parallelism_counters_show_but_do_not_refingerprint() {
-        let place = StageStats::new(StageId::Place, Duration::ZERO, 10, 20)
-            .with_cost(9.0, 7.0)
-            .with_moves(300, 120);
-        let spec = place.clone().with_speculation(512, 500, 12);
-        assert!(spec.to_string().contains("spec 500c/12a/512t"));
-        let route = StageStats::new(StageId::Route, Duration::ZERO, 10, 20).with_reroutes(36, 30);
-        let par = route.clone().with_par_batches(8);
-        assert!(par.to_string().contains("par 8 batches"));
-        // `--stage-threads N` must fingerprint identically to serial.
-        let (mut ha, mut hb, mut hc, mut hd) = (0u64, 0u64, 0u64, 0u64);
-        place.fold_fingerprint(&mut ha);
-        spec.fold_fingerprint(&mut hb);
-        route.fold_fingerprint(&mut hc);
-        par.fold_fingerprint(&mut hd);
-        assert_eq!(ha, hb);
-        assert_eq!(hc, hd);
-        // Zero-count attachment leaves the record untouched (serial runs).
-        assert_eq!(place.clone().with_speculation(0, 0, 0), place);
-        assert_eq!(route.clone().with_par_batches(0), route);
-    }
-
-    #[test]
     fn cache_counters_show_but_do_not_refingerprint() {
         let base = StageStats::new(StageId::Synth, Duration::ZERO, 10, 20).with_cost(9.0, 7.0);
         let served = base.clone().with_cache(4, 1, 2);
@@ -537,31 +405,6 @@ mod tests {
         assert_eq!(ha, hb);
         // Zero-count attachment leaves the record untouched (batch runs).
         assert_eq!(base.clone().with_cache(0, 0, 0), base);
-    }
-
-    #[test]
-    fn backend_counters_show_but_do_not_refingerprint() {
-        let pack = StageStats::new(StageId::Pack, Duration::ZERO, 10, 20).with_moves(30, 24);
-        let inc = pack.clone().with_repack(553, 5767);
-        assert!(inc.to_string().contains("repack 553r/5767d"));
-        let swap = StageStats::new(StageId::Swap, Duration::ZERO, 10, 20)
-            .with_cost(9.0, 7.0)
-            .with_moves(300, 120);
-        let delta = swap.clone().with_swap_evals(26, 33);
-        assert!(delta.to_string().contains("delta 26i/33f"));
-        // The incremental engines are bit-identical shortcuts: toggling
-        // them must not change a published fingerprint.
-        let (mut ha, mut hb, mut hc, mut hd) = (0u64, 0u64, 0u64, 0u64);
-        pack.fold_fingerprint(&mut ha);
-        inc.fold_fingerprint(&mut hb);
-        swap.fold_fingerprint(&mut hc);
-        delta.fold_fingerprint(&mut hd);
-        assert_eq!(ha, hb);
-        assert_eq!(hc, hd);
-        // Zero-count attachment leaves the record untouched (single-pass
-        // packs, direct swap engine).
-        assert_eq!(pack.clone().with_repack(0, 0), pack);
-        assert_eq!(swap.clone().with_swap_evals(0, 0), swap);
     }
 
     #[test]

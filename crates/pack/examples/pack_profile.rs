@@ -4,8 +4,14 @@
 //! stages this crate owns. The BENCH_pack_swap.json paper-scale rows come
 //! from this harness.
 //!
+//! This is a library harness, not the product flow: it skips physical
+//! synthesis, so the swap runs on unbuffered nets with tens of pins, where
+//! the flat recompute engine rescans more pins per attempt than it does
+//! after buffering. Its swap rows recorded with the since-removed
+//! delta-cost engine are therefore not comparable with later runs.
+//!
 //! Usage: `cargo run --release -p vpga-pack --example pack_profile [size]`
-//! (size = tiny | small | medium | paper; default paper).
+//! (size = tiny | small | paper; default paper).
 
 use std::time::Instant;
 

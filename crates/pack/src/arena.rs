@@ -317,95 +317,3 @@ impl ItemArena {
         d
     }
 }
-
-/// One seated leaf region's outcome, memoized across §3.1 repack passes.
-///
-/// A leaf's seating depends only on its ordered item list (every leaf
-/// starts from an empty PLB, and items are static within one
-/// `pack_iterative` call), so a record whose `items` key matches the
-/// current list verbatim can be replayed without re-running the seat
-/// loop — the pack analogue of PR 2's dirty-net rip-up.
-pub(crate) struct LeafRecord {
-    /// The ordered item list this outcome was computed for (the lookup
-    /// key).
-    pub items: Vec<u32>,
-    /// Items seated, in seat order.
-    pub seated: Vec<u32>,
-    /// Slot-class index per cell of each seated item, concatenated in
-    /// seat order.
-    pub slots: Vec<u8>,
-    /// Items spilled, in spill order.
-    pub spilled: Vec<u32>,
-    /// Final occupancy of the leaf PLB.
-    pub occ: [u16; NCLASS],
-}
-
-struct MemoGrid {
-    cols: usize,
-    rows: usize,
-    leaves: Vec<Option<LeafRecord>>,
-}
-
-/// Cross-pass leaf memo, keyed by array size then leaf index. Content
-/// validation is exact (verbatim ordered-list equality), so replay is
-/// bit-identical by construction whatever mixture of passes and growth
-/// retries produced the records.
-pub(crate) struct RepackMemo {
-    /// Master switch ([`crate::PackConfig::incremental`]).
-    pub enabled: bool,
-    /// True once a full pack pass has completed; the reuse counters only
-    /// tick on later passes, when there is a previous pass to diff
-    /// against.
-    pub populated: bool,
-    grids: Vec<MemoGrid>,
-}
-
-impl RepackMemo {
-    pub fn new(enabled: bool) -> RepackMemo {
-        RepackMemo {
-            enabled,
-            populated: false,
-            grids: Vec::new(),
-        }
-    }
-
-    /// The memoized record for a leaf, if its membership matches
-    /// verbatim.
-    pub fn lookup(
-        &self,
-        cols: usize,
-        rows: usize,
-        leaf: usize,
-        items: &[u32],
-    ) -> Option<&LeafRecord> {
-        let grid = self
-            .grids
-            .iter()
-            .find(|g| g.cols == cols && g.rows == rows)?;
-        let rec = grid.leaves.get(leaf)?.as_ref()?;
-        (rec.items == items).then_some(rec)
-    }
-
-    /// Stores (or overwrites) a leaf's outcome.
-    pub fn record(&mut self, cols: usize, rows: usize, leaf: usize, rec: LeafRecord) {
-        let grid = match self
-            .grids
-            .iter_mut()
-            .position(|g| g.cols == cols && g.rows == rows)
-        {
-            Some(i) => &mut self.grids[i],
-            None => {
-                self.grids.push(MemoGrid {
-                    cols,
-                    rows,
-                    leaves: Vec::new(),
-                });
-                self.grids.last_mut().expect("just pushed")
-            }
-        };
-        if leaf >= grid.leaves.len() {
-            grid.leaves.resize_with(leaf + 1, || None);
-        }
-        grid.leaves[leaf] = Some(rec);
-    }
-}

@@ -1,7 +1,7 @@
 //! The recursive-quadrisection packing algorithm and the pack↔place loop.
 //!
-//! The engine is incremental and cache-friendly while staying bit-identical
-//! to the reference formulation:
+//! The engine is cache-friendly while staying bit-identical to the
+//! reference formulation:
 //!
 //! * Items live in a flat SoA arena ([`crate::arena::ItemArena`]) built
 //!   once per call; the recursion works on index lists over it instead of
@@ -12,9 +12,6 @@
 //!   walks *pristine* subtrees with per-class 2-D prefix sums over leaf
 //!   demands — O(1) per node — and only materializes item lists where a
 //!   quadrant actually overflows and the §3.1 balancing step must run.
-//! * Across repack passes of [`pack_iterative`], leaf regions whose item
-//!   membership is unchanged replay their previous seating verbatim
-//!   ([`crate::arena::RepackMemo`]); dirty regions are re-partitioned.
 //! * The spill pass pulls candidate PLBs from a lazy distance heap
 //!   instead of fully sorting the array per spilled item, and every seat
 //!   probe is a masked occupancy check (the `matcher::match_cell`
@@ -27,7 +24,7 @@ use vpga_core::PlbArchitecture;
 use vpga_netlist::{CellClass, CellId, CellKind, Netlist};
 use vpga_place::{PlaceConfig, Placement};
 
-use crate::arena::{ItemArena, LeafRecord, RepackMemo, NCLASS, NO_PLB};
+use crate::arena::{ItemArena, NCLASS, NO_PLB};
 use crate::array::{PackError, PlbArray};
 
 /// Tunables for [`pack`] and [`pack_iterative`].
@@ -48,11 +45,6 @@ pub struct PackConfig {
     pub criticality: Option<Vec<f64>>,
     /// Retries with a grown array if packing fails.
     pub growth_retries: usize,
-    /// Reuse seated assignments for leaf regions whose item membership is
-    /// unchanged from the previous §3.1 repack pass. Results are
-    /// bit-identical either way; the switch exists for the equivalence
-    /// tests.
-    pub incremental: bool,
 }
 
 impl Default for PackConfig {
@@ -63,7 +55,6 @@ impl Default for PackConfig {
             iterations: 2,
             criticality: None,
             growth_retries: 8,
-            incremental: true,
         }
     }
 }
@@ -85,12 +76,6 @@ pub struct PackStats {
     pub growth_retries: u32,
     /// Full quadrisection passes run (> 1 only for the §3.1 loop).
     pub passes: u32,
-    /// Leaf regions on repack passes whose previous seating was replayed
-    /// verbatim because their item membership was unchanged.
-    pub regions_reused: u64,
-    /// Leaf regions on repack passes re-seated because their item
-    /// membership changed (or no previous record matched).
-    pub subtrees_repartitioned: u64,
 }
 
 /// Packs the placed netlist into a PLB array of `arch`. The placement is
@@ -140,8 +125,7 @@ pub fn pack_with_stats(
         passes: 1,
         ..PackStats::default()
     };
-    let mut memo = RepackMemo::new(config.incremental);
-    let array = pack_once(&arena, arch, placement.die(), config, &mut memo, &mut stats)?;
+    let array = pack_once(&arena, arch, placement.die(), config, &mut stats)?;
     Ok((array, stats))
 }
 
@@ -152,7 +136,6 @@ fn pack_once(
     arch: &PlbArchitecture,
     die: vpga_place::Rect,
     config: &PackConfig,
-    memo: &mut RepackMemo,
     stats: &mut PackStats,
 ) -> Result<PlbArray, PackError> {
     // Total demand per class.
@@ -228,18 +211,13 @@ fn pack_once(
         let cols = (attempt_plbs as f64).sqrt().ceil() as usize;
         let rows = attempt_plbs.div_ceil(cols);
         let mut attempt = Attempt::new(arena, config, cols, rows, die);
-        attempt.walk_pristine(
-            Region {
-                c0: 0,
-                c1: cols,
-                r0: 0,
-                r1: rows,
-            },
-            memo,
-        );
+        attempt.walk_pristine(Region {
+            c0: 0,
+            c1: cols,
+            r0: 0,
+            r1: rows,
+        });
         stats.relocations += attempt.relocations;
-        stats.regions_reused += attempt.reused;
-        stats.subtrees_repartitioned += attempt.repartitioned;
         stats.spilled += attempt.spill.len() as u64;
         // Spill pass: hardest items first (groups, then the least flexible
         // single cells), each into the nearest PLB with room.
@@ -415,8 +393,6 @@ struct Attempt<'a> {
     cell_slot: Vec<u8>,
     spill: Vec<u32>,
     relocations: u64,
-    reused: u64,
-    repartitioned: u64,
     /// Recycled backing store for the spill pass's distance heap.
     heap_scratch: Vec<Reverse<(Dist, usize)>>,
 }
@@ -503,8 +479,6 @@ impl<'a> Attempt<'a> {
             cell_slot: vec![0u8; arena.n_cells()],
             spill: Vec::new(),
             relocations: 0,
-            reused: 0,
-            repartitioned: 0,
             heap_scratch: Vec::new(),
         }
     }
@@ -535,7 +509,7 @@ impl<'a> Attempt<'a> {
     /// relocation: membership is implied by the floor grid cell, demand
     /// checks are prefix-sum queries, and no item list is materialized
     /// until a quadrant overflows.
-    fn walk_pristine(&mut self, region: Region, memo: &mut RepackMemo) {
+    fn walk_pristine(&mut self, region: Region) {
         if self.rect_count(&region) == 0 {
             return;
         }
@@ -543,14 +517,14 @@ impl<'a> Attempt<'a> {
             let leaf = region.r0 * self.cols + region.c0;
             let row = self.leaf_off[leaf] as usize..self.leaf_off[leaf + 1] as usize;
             let list = self.leaf_items[row].to_vec();
-            self.seat_leaf(leaf, list, memo);
+            self.seat_leaf(leaf, list);
             return;
         }
         let (quads, nq) = split(&region);
         let quads = &quads[..nq];
         if !quads.iter().any(|q| self.rect_overflows(q)) {
             for q in quads {
-                self.walk_pristine(*q, memo);
+                self.walk_pristine(*q);
             }
             return;
         }
@@ -572,20 +546,20 @@ impl<'a> Attempt<'a> {
             .collect();
         self.relocations += self.balance(quads, &mut buckets);
         for (q, bucket) in quads.iter().zip(buckets) {
-            self.walk_materialized(*q, bucket, memo);
+            self.walk_materialized(*q, bucket);
         }
     }
 
     /// Recursion over an explicit item list (a balance relocation touched
     /// an ancestor, so floor-cell membership no longer applies) — the
     /// reference algorithm verbatim, over arena indices.
-    fn walk_materialized(&mut self, region: Region, items: Vec<u32>, memo: &mut RepackMemo) {
+    fn walk_materialized(&mut self, region: Region, items: Vec<u32>) {
         if items.is_empty() {
             return;
         }
         if region.plbs() == 1 {
             let leaf = region.r0 * self.cols + region.c0;
-            self.seat_leaf(leaf, items, memo);
+            self.seat_leaf(leaf, items);
             return;
         }
         let (quads, nq) = split(&region);
@@ -604,7 +578,7 @@ impl<'a> Attempt<'a> {
         }
         self.relocations += self.balance(quads, &mut buckets);
         for (q, bucket) in quads.iter().zip(buckets) {
-            self.walk_materialized(*q, bucket, memo);
+            self.walk_materialized(*q, bucket);
         }
     }
 
@@ -685,58 +659,14 @@ impl<'a> Attempt<'a> {
         relocated
     }
 
-    /// Seats a leaf's items (groups first — they need several free slots
-    /// at once), replaying the previous pass's outcome when the memo has
-    /// a verbatim membership match.
-    fn seat_leaf(&mut self, leaf: usize, list: Vec<u32>, memo: &mut RepackMemo) {
-        if memo.enabled {
-            if let Some(rec) = memo.lookup(self.cols, self.rows, leaf, &list) {
-                self.occ[leaf] = rec.occ;
-                let mut si = 0usize;
-                for &it in &rec.seated {
-                    for c in self.arena.cells_of(it) {
-                        self.cell_plb[c] = leaf as u32;
-                        self.cell_slot[c] = rec.slots[si];
-                        si += 1;
-                    }
-                }
-                self.spill.extend_from_slice(&rec.spilled);
-                if memo.populated {
-                    self.reused += 1;
-                }
-                return;
+    /// Seats a leaf's items, groups first — they need several free slots
+    /// at once; whatever does not fit goes to the spill pass.
+    fn seat_leaf(&mut self, leaf: usize, mut list: Vec<u32>) {
+        list.sort_by_key(|&it| Reverse(self.arena.cells_of(it).len()));
+        for it in list {
+            if !self.seat(leaf, it) {
+                self.spill.push(it);
             }
-            if memo.populated {
-                self.repartitioned += 1;
-            }
-        }
-        let mut order = list.clone();
-        order.sort_by_key(|&it| Reverse(self.arena.cells_of(it).len()));
-        let mut seated: Vec<u32> = Vec::new();
-        let mut slots: Vec<u8> = Vec::new();
-        let mut spilled: Vec<u32> = Vec::new();
-        for &it in &order {
-            if self.seat(leaf, it) {
-                seated.push(it);
-                slots.extend(self.arena.cells_of(it).map(|c| self.cell_slot[c]));
-            } else {
-                spilled.push(it);
-            }
-        }
-        self.spill.extend_from_slice(&spilled);
-        if memo.enabled {
-            memo.record(
-                self.cols,
-                self.rows,
-                leaf,
-                LeafRecord {
-                    items: list,
-                    seated,
-                    slots,
-                    spilled,
-                    occ: self.occ[leaf],
-                },
-            );
         }
     }
 
@@ -902,11 +832,7 @@ pub fn pack_iterative_with_stats(
         passes: 1,
         ..PackStats::default()
     };
-    // The leaf memo persists across repack passes: pass 2+ replays the
-    // seating of every leaf whose item membership is unchanged.
-    let mut memo = RepackMemo::new(config.incremental);
-    let mut array = pack_once(&arena, arch, placement.die(), config, &mut memo, &mut stats)?;
-    memo.populated = true;
+    let mut array = pack_once(&arena, arch, placement.die(), config, &mut stats)?;
     for _ in 1..config.iterations.max(1) {
         // Measure displacement of each cell from its assigned PLB centre.
         let mut moved: Vec<(CellId, f64, (f64, f64))> = Vec::new();
@@ -956,7 +882,7 @@ pub fn pack_iterative_with_stats(
         }
         arena.refresh_positions(placement);
         stats.passes += 1;
-        array = pack_once(&arena, arch, placement.die(), config, &mut memo, &mut stats)?;
+        array = pack_once(&arena, arch, placement.die(), config, &mut stats)?;
     }
     apply_to_placement(&array, netlist, placement);
     Ok((array, stats))
@@ -1183,57 +1109,6 @@ mod tests {
             }
             let ix = array.plb_of(id).expect("assigned");
             assert_eq!(placement.position(id), Some(array.plb_center(ix)));
-        }
-    }
-
-    #[test]
-    fn incremental_toggle_is_bit_identical() {
-        // The leaf memo must be a pure optimization: every counter except
-        // the reuse instrumentation, every assignment, and the final
-        // placement agree bit-for-bit with the memo disabled.
-        let arch = PlbArchitecture::granular();
-        let netlist = mapped_design(vpga_designs::NamedDesign::NetworkSwitch, &arch);
-        let pc = PlaceConfig::default();
-        let p0 = vpga_place::place(&netlist, arch.library(), &pc);
-        let mut p_inc = p0.clone();
-        let mut p_full = p0;
-        let cfg = PackConfig {
-            iterations: 3,
-            ..PackConfig::default()
-        };
-        let (a_inc, s_inc) =
-            pack_iterative_with_stats(&netlist, &arch, &mut p_inc, &pc, &cfg).unwrap();
-        let (a_full, s_full) = pack_iterative_with_stats(
-            &netlist,
-            &arch,
-            &mut p_full,
-            &pc,
-            &PackConfig {
-                incremental: false,
-                ..cfg
-            },
-        )
-        .unwrap();
-        assert_eq!(
-            PackStats {
-                regions_reused: 0,
-                subtrees_repartitioned: 0,
-                ..s_inc
-            },
-            s_full
-        );
-        assert_eq!(s_full.regions_reused, 0);
-        assert_eq!(s_full.subtrees_repartitioned, 0);
-        for (id, cell) in netlist.cells() {
-            if cell.lib_id().is_none() {
-                continue;
-            }
-            assert_eq!(a_inc.plb_of(id), a_full.plb_of(id));
-            assert_eq!(a_inc.slot_class_of(id), a_full.slot_class_of(id));
-            assert_eq!(
-                p_inc.position(id).map(|(x, y)| (x.to_bits(), y.to_bits())),
-                p_full.position(id).map(|(x, y)| (x.to_bits(), y.to_bits()))
-            );
         }
     }
 }

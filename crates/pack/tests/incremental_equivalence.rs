@@ -1,9 +1,8 @@
-//! Property-based determinism for the incremental back-end: the
-//! dirty-region repack memo and both PLB-swap engines (delta-cost and
-//! flat-row recompute) must be **bit-identical** to their full-recompute
-//! formulations — final positions, assignment tables, cost bits, and
-//! every fingerprinted counter — on random netlists, iteration counts,
-//! fill targets, and seeds.
+//! Property-based determinism for the PLB-swap engine: the flat-row
+//! recompute annealer must be **bit-identical** to the direct
+//! recompute-over-the-placement formulation — final positions, assignment
+//! tables, cost bits, and every counter — on random netlists, weights,
+//! and seeds.
 
 use proptest::prelude::*;
 use rand::rngs::SmallRng;
@@ -71,8 +70,8 @@ fn random_netlist(rng: &mut SmallRng, lib: &Library, hubs: bool) -> Netlist {
 /// the granular architecture. Compaction is best-effort: `vpga_compact`
 /// has a pre-existing debug_assert ("cluster removal left N cells") that
 /// fires on some random DAGs with shared fanout inside a cluster; those
-/// netlists are tested uncompacted — both engines always receive the
-/// same netlist, which is all the equivalence property needs.
+/// netlists are tested uncompacted — the engine and the oracle always
+/// receive the same netlist, which is all the equivalence property needs.
 fn mapped(rng: &mut SmallRng, arch: &PlbArchitecture, hubs: bool) -> Netlist {
     let lib = generic::library();
     let netlist = random_netlist(rng, &lib, hubs);
@@ -86,8 +85,8 @@ fn mapped(rng: &mut SmallRng, arch: &PlbArchitecture, hubs: bool) -> Netlist {
     }
 }
 
-/// The direct formulation of the PLB-swap anneal, the oracle both
-/// engines are held to: every attempt collects the nets of the swapped
+/// The direct formulation of the PLB-swap anneal, the oracle the engine
+/// is held to: every attempt collects the nets of the swapped
 /// cells, moves the cells in the placement, and recomputes each net's
 /// HPWL with `Placement::net_hpwl`. Returns the gain, the stats, and each
 /// PLB's final cells.
@@ -214,7 +213,7 @@ fn swap_oracle(
     (1.0 - final_cost / initial, stats, cells_of)
 }
 
-/// Packs `netlist`, runs the swap engine `config` selects and the oracle
+/// Packs `netlist`, runs the swap engine and the oracle
 /// on copies of the result, and checks they agree bit for bit: gain bits,
 /// the core stats, every assignment, and every position.
 fn check_swap_against_oracle(netlist: &Netlist, arch: &PlbArchitecture, config: &SwapConfig) {
@@ -228,10 +227,7 @@ fn check_swap_against_oracle(netlist: &Netlist, arch: &PlbArchitecture, config: 
     let (gain, s) =
         vpga_pack::swap_optimize_with_stats(&mut array, netlist, &mut placement, config);
     assert_eq!(gain.to_bits(), gain_o.to_bits());
-    let mut core = s;
-    core.delta_evals = 0;
-    core.bbox_rescans = 0;
-    assert_eq!(core, s_o);
+    assert_eq!(s, s_o);
     for (ix, cells) in cells_o.iter().enumerate() {
         for &id in cells {
             assert_eq!(array.plb_of(id), Some(ix), "cell {}", id);
@@ -255,89 +251,9 @@ fn check_swap_against_oracle(netlist: &Netlist, arch: &PlbArchitecture, config: 
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(10))]
 
-    /// Random netlist + random (iterations, fill, criticality): the §3.1
-    /// loop with the cross-pass leaf memo reproduces the from-scratch
-    /// quadrisection bit-for-bit — every assignment, every position, and
-    /// every counter except the reuse instrumentation itself.
-    #[test]
-    fn incremental_repack_matches_full(
-        netlist_seed in 0u64..1_000_000,
-        iterations in 1usize..4,
-        fill_pick in 0usize..3,
-        with_crit in any::<bool>(),
-    ) {
-        let arch = PlbArchitecture::granular();
-        let mut rng = SmallRng::seed_from_u64(netlist_seed);
-        let netlist = mapped(&mut rng, &arch, false);
-        let criticality = with_crit.then(|| {
-            (0..netlist.cell_capacity()).map(|_| rng.gen::<f64>()).collect::<Vec<f64>>()
-        });
-        let cfg = PackConfig {
-            iterations,
-            target_fill: [0.75, 0.85, 0.95][fill_pick],
-            criticality,
-            ..PackConfig::default()
-        };
-        let pc = PlaceConfig::default();
-        let p0 = vpga_place::place(&netlist, arch.library(), &pc);
-        let mut p_inc = p0.clone();
-        let mut p_full = p0;
-        let inc = vpga_pack::pack_iterative_with_stats(&netlist, &arch, &mut p_inc, &pc, &cfg);
-        let full = vpga_pack::pack_iterative_with_stats(
-            &netlist,
-            &arch,
-            &mut p_full,
-            &pc,
-            &PackConfig { incremental: false, ..cfg },
-        );
-        match (inc, full) {
-            (Err(ei), Err(ef)) => prop_assert_eq!(ei, ef),
-            (Ok((a_inc, s_inc)), Ok((a_full, s_full))) => {
-                let mut core = s_inc;
-                core.regions_reused = 0;
-                core.subtrees_repartitioned = 0;
-                prop_assert_eq!(core, s_full);
-                prop_assert_eq!(s_full.regions_reused, 0);
-                prop_assert_eq!(s_full.subtrees_repartitioned, 0);
-                for (id, cell) in netlist.cells() {
-                    if cell.lib_id().is_none() {
-                        continue;
-                    }
-                    prop_assert_eq!(a_inc.plb_of(id), a_full.plb_of(id), "cell {}", id);
-                    prop_assert_eq!(a_inc.slot_class_of(id), a_full.slot_class_of(id));
-                    prop_assert_eq!(
-                        p_inc.position(id).map(|(x, y)| (x.to_bits(), y.to_bits())),
-                        p_full.position(id).map(|(x, y)| (x.to_bits(), y.to_bits()))
-                    );
-                }
-            }
-            (inc, full) => prop_assert!(false, "engines diverged: {inc:?} vs {full:?}"),
-        }
-    }
-
-    /// Random netlist + random swap seed: the delta-cost engine reproduces
-    /// the direct formulation bit-for-bit — gain bits, assignments,
-    /// positions, and the core stats.
-    #[test]
-    fn delta_swap_matches_oracle(
-        netlist_seed in 0u64..1_000_000,
-        swap_seed in 0u64..1_000_000,
-        moves_per_plb in 1usize..8,
-    ) {
-        let arch = PlbArchitecture::granular();
-        let mut rng = SmallRng::seed_from_u64(netlist_seed);
-        let netlist = mapped(&mut rng, &arch, false);
-        let cfg = SwapConfig {
-            seed: swap_seed,
-            moves_per_plb,
-            ..SwapConfig::default()
-        };
-        check_swap_against_oracle(&netlist, &arch, &cfg);
-    }
-
-    /// The flat-row recompute engine (the one the flow runs) against the
-    /// same oracle, on fat unbuffered hub nets as well as ordinary ones,
-    /// with and without criticality weights.
+    /// Random netlist + random swap seed: the flat-row recompute engine
+    /// reproduces the oracle on fat unbuffered hub nets as well as ordinary
+    /// ones, with and without criticality weights.
     #[test]
     fn recompute_swap_matches_oracle(
         netlist_seed in 0u64..1_000_000,
@@ -361,8 +277,6 @@ proptest! {
             seed: swap_seed,
             moves_per_plb,
             net_weights,
-            delta_cost: false,
-            ..SwapConfig::default()
         };
         check_swap_against_oracle(&netlist, &arch, &cfg);
     }

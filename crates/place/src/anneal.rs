@@ -15,21 +15,9 @@
 //! bit-identical to a from-scratch half-perimeter recompute at all times,
 //! which keeps results independent of the caching strategy (the
 //! determinism fingerprints rely on this).
-//!
-//! With [`PlaceConfig::threads`] > 1 the inner loop runs in deterministic
-//! speculative windows: worker threads evaluate upcoming moves against the
-//! frozen start-of-window state using pre-generated RNG draws, and a
-//! serial commit pass replays them in the exact serial order, falling back
-//! to a local re-evaluation whenever an earlier commit invalidated a
-//! speculation. Results are bit-identical to the serial engine for any
-//! thread count (see `run_window`).
-
-use std::panic::{self, AssertUnwindSafe};
-use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
-use std::sync::{Barrier, Mutex};
 
 use rand::rngs::SmallRng;
-use rand::{Rng, RngCore, SeedableRng};
+use rand::{Rng, SeedableRng};
 use vpga_netlist::{CellId, CellKind, Library, NetId, Netlist};
 
 use crate::error::PlaceError;
@@ -48,14 +36,6 @@ pub struct PlaceConfig {
     pub moves_per_cell: usize,
     /// Per-net weights (timing criticality); `None` = uniform.
     pub net_weights: Option<Vec<f64>>,
-    /// Worker threads for the speculative inner loop (1 = the serial
-    /// engine). Results are bit-identical for any value; this only trades
-    /// wall-clock for cores, so it is excluded from config fingerprints.
-    pub threads: usize,
-    /// Test hook run at the start of every speculative worker round (fault
-    /// injection); never called by the serial engine. Excluded from config
-    /// fingerprints like `threads`.
-    pub worker_hook: Option<fn()>,
 }
 
 impl Default for PlaceConfig {
@@ -65,8 +45,6 @@ impl Default for PlaceConfig {
             seed: 6,
             moves_per_cell: 8,
             net_weights: None,
-            threads: 1,
-            worker_hook: None,
         }
     }
 }
@@ -90,15 +68,6 @@ pub struct PlaceStats {
     /// Per-net bounding boxes that needed a full pin rescan (a boundary
     /// pin moved inward, so the box may have shrunk).
     pub bbox_full: u64,
-    /// Speculative move evaluations run on worker threads (re-evaluations
-    /// after an offset misprediction count again). Zero in serial runs.
-    pub spec_moves_attempted: u64,
-    /// Speculations the commit pass used directly (the frozen-state
-    /// evaluation was still valid in commit order).
-    pub spec_moves_committed: u64,
-    /// Speculations invalidated by an earlier commit (state or RNG-offset
-    /// conflict) and replayed serially from the pre-generated draws.
-    pub spec_moves_aborted: u64,
 }
 
 /// Places all library cells of `netlist` by simulated annealing from a
@@ -514,14 +483,6 @@ struct Engine<'a> {
     /// cost is exact at all times, every net.
     net_cw: Vec<(f64, f64)>,
     stats: PlaceStats,
-    /// Per-net window stamp: `net_touched[n] == window_stamp` means an
-    /// accepted commit already modified net `n` inside the current
-    /// speculative window, so later speculations touching it are invalid.
-    net_touched: Vec<u32>,
-    window_stamp: u32,
-    /// Predicted RNG draws per move (3 or 4) for the next window's offset
-    /// guesses, adapted from the last window's realized consumption.
-    spec_pred: u32,
     /// True if any movable cell carries a region constraint; when false
     /// the per-move region checks are skipped entirely.
     use_regions: bool,
@@ -692,9 +653,6 @@ impl<'a> Engine<'a> {
             net_cnt: vec![BoxCnt::default(); netlist.net_capacity()],
             net_cw: weights.iter().map(|&w| (0.0, w)).collect(),
             stats: PlaceStats::default(),
-            net_touched: vec![0; netlist.net_capacity()],
-            window_stamp: 0,
-            spec_pred: 4,
             use_regions,
             scratch_costs: Vec::new(),
             scratch_boxes: Vec::new(),
@@ -846,15 +804,7 @@ impl<'a> Engine<'a> {
     }
 
     /// Attempts one move; returns the accepted cost delta, if accepted.
-    /// Generic over the RNG so the speculative commit pass can replay a
-    /// move from pre-generated draws (a [`RawCursor`]) with the exact
-    /// draw-for-draw behaviour of the live [`SmallRng`] path.
-    fn try_move_with<R: RngCore>(
-        &mut self,
-        temperature: f64,
-        window: usize,
-        rng: &mut R,
-    ) -> Option<f64> {
+    fn try_move(&mut self, temperature: f64, window: usize, rng: &mut SmallRng) -> Option<f64> {
         if self.movable.is_empty() {
             return None;
         }
@@ -1046,11 +996,10 @@ impl<'a> Engine<'a> {
         // keep the starting state to restore in that case.
         let start_sites = self.site_of.clone();
         // Initial temperature from the spread of random perturbations.
-        // Probes stay serial: they are a fixed, tiny move budget.
         let probes = (self.movable.len() * 2).clamp(16, 512);
         let mut deltas: Vec<f64> = Vec::with_capacity(probes);
         for _ in 0..probes {
-            if let Some(d) = self.try_move_with(f64::INFINITY, self.cols.max(self.rows), rng) {
+            if let Some(d) = self.try_move(f64::INFINITY, self.cols.max(self.rows), rng) {
                 deltas.push(d);
             }
         }
@@ -1061,22 +1010,11 @@ impl<'a> Engine<'a> {
         let mut window = self.cols.max(self.rows);
         let moves = self.config.moves_per_cell * self.movable.len();
         let stop = 0.002 * self.total_cost().max(1.0) / self.netlist.num_nets().max(1) as f64;
-        let threads = self.config.threads.max(1);
         for _ in 0..200 {
             let mut accepted = 0usize;
-            if threads == 1 {
-                for _ in 0..moves {
-                    if self.try_move_with(t, window, rng).is_some() {
-                        accepted += 1;
-                    }
-                }
-            } else {
-                // Speculative windows, never crossing a temperature step.
-                let mut remaining = moves;
-                while remaining > 0 {
-                    let d = remaining.min(SPEC_WINDOW);
-                    accepted += self.run_window(t, window, d, threads, rng);
-                    remaining -= d;
+            for _ in 0..moves {
+                if self.try_move(t, window, rng).is_some() {
+                    accepted += 1;
                 }
             }
             let rate = accepted as f64 / moves.max(1) as f64;
@@ -1179,496 +1117,6 @@ impl<'a> Engine<'a> {
                 "net {net:?}: cached cost diverged from from-scratch recompute"
             );
         }
-    }
-}
-
-/// Moves per speculative window. Windows never cross a temperature step,
-/// so the schedule (acceptance rate, window scaling, stop test) is
-/// untouched. Larger windows amortize thread coordination but raise the
-/// chance a later slot conflicts with an earlier commit; conflicts only
-/// cost a serial replay, never correctness. A conflict whose replay
-/// consumes a different draw count than its speculation poisons every
-/// later offset in the window, so short windows keep the committed
-/// prefix a useful fraction of the whole.
-const SPEC_WINDOW: usize = 64;
-
-/// Fixpoint-round budget per window. Offsets converge at least one slot
-/// per round, so an uncapped loop terminates — but under dense
-/// mispredictions it degenerates to one slot per round and the window
-/// re-evaluates O(d^2) speculations. Stopping early is always safe: a
-/// slot whose offset never settled simply fails the `used_offset` check
-/// at commit and replays serially. The round structure depends only on
-/// the evaluation results, never on thread scheduling, so the cap keeps
-/// the counters (and the placement) thread-count-invariant.
-const SPEC_ROUNDS_MAX: usize = 3;
-
-/// An [`RngCore`] over a pre-generated block of raw draws. The vendored
-/// generator consumes exactly one `next_u64` per `gen_range`/`gen` call
-/// (no rejection sampling), so a cursor positioned at a move's raw offset
-/// replays that move's draws bit-for-bit.
-struct RawCursor<'r> {
-    raws: &'r [u64],
-    pos: usize,
-}
-
-impl RngCore for RawCursor<'_> {
-    fn next_u64(&mut self) -> u64 {
-        let v = self.raws[self.pos];
-        self.pos += 1;
-        v
-    }
-}
-
-/// One speculatively evaluated move: everything the commit pass needs to
-/// either apply it as-is or detect that an earlier commit invalidated it.
-struct SpecEval {
-    /// Raw-draw offset (within the window block) this evaluation read from.
-    used_offset: u32,
-    /// Raw draws consumed: 3, or 4 when the uphill acceptance draw ran.
-    consumed: u32,
-    cell: u32,
-    from: u32,
-    to: u32,
-    /// Frozen occupant of `to` ([`NO_CELL`] if empty — and also for
-    /// `to == from` no-ops, which never read the occupant).
-    other: u32,
-    /// Whether the move would be accepted under the frozen state.
-    accept: bool,
-    /// True when the move never reached cost evaluation (`to == from` or a
-    /// region violation): nothing changes on commit either way.
-    noop: bool,
-    /// Affected nets in serial merge order: CSR entry, new cost, tentative
-    /// box, small-net flag, boundary-counts-valid flag.
-    nets: Vec<(CellNetRef, f64, NetBox, bool, bool)>,
-    bbox_incremental: u64,
-    bbox_full: u64,
-}
-
-/// [`scan_row`] with the move's coordinate substitution applied on the
-/// fly: the moved cell reads at the target site and the displaced cell at
-/// the vacated one, without mutating shared state. The min/max chain is
-/// identical, so the extent is bit-identical to a post-swap rescan.
-#[inline]
-fn scan_row_subst(
-    row: &[u32],
-    pos: &[(f64, f64)],
-    cell: u32,
-    other: u32,
-    to_xy: (f64, f64),
-    from_xy: (f64, f64),
-) -> NetBox {
-    let mut b = NetBox::empty();
-    if row.is_empty() {
-        return b;
-    }
-    let (mut min_x, mut max_x) = (f64::INFINITY, f64::NEG_INFINITY);
-    let (mut min_y, mut max_y) = (f64::INFINITY, f64::NEG_INFINITY);
-    for &ci in row {
-        let (x, y) = if ci == cell {
-            to_xy
-        } else if ci == other {
-            from_xy
-        } else {
-            pos[ci as usize]
-        };
-        min_x = min_x.min(x);
-        max_x = max_x.max(x);
-        min_y = min_y.min(y);
-        max_y = max_y.max(y);
-    }
-    b.min_x = min_x;
-    b.max_x = max_x;
-    b.min_y = min_y;
-    b.max_y = max_y;
-    b.pins = row.len() as u32;
-    b
-}
-
-impl<'a> Engine<'a> {
-    /// Evaluates the move whose draws start at `off` in `raws` against the
-    /// frozen engine state, without mutating anything. Draw-for-draw and
-    /// flop-for-flop identical to [`Engine::try_move_with`] evaluating the
-    /// same draws on the same state.
-    fn eval_move(&self, raws: &[u64], off: usize, temperature: f64, window: usize) -> SpecEval {
-        let mut rng = RawCursor { raws, pos: off };
-        let cell = self.movable[rng.gen_range(0..self.movable.len())];
-        let from = self.site_of[cell.index()] as usize;
-        let (fc, fr) = self.site_cr[from];
-        let w = window.max(1) as i64;
-        let tc = (fc as i64 + rng.gen_range(-w..=w)).clamp(0, self.cols as i64 - 1);
-        let tr = (fr as i64 + rng.gen_range(-w..=w)).clamp(0, self.rows as i64 - 1);
-        let to = tr as usize * self.cols + tc as usize;
-        let mut ev = SpecEval {
-            used_offset: off as u32,
-            consumed: 3,
-            cell: cell.index() as u32,
-            from: from as u32,
-            to: to as u32,
-            other: NO_CELL,
-            accept: false,
-            noop: true,
-            nets: Vec::new(),
-            bbox_incremental: 0,
-            bbox_full: 0,
-        };
-        if to == from {
-            return ev;
-        }
-        // Record the frozen occupant for every distinct-site move — the
-        // commit-time validity check compares it even when a region no-op
-        // returns before the serial path would have read it (regions are
-        // static, so the extra constraint can only force a cheap replay).
-        ev.other = self.cell_at[to];
-        let (tx, ty) = self.site_pos[to];
-        if self.use_regions {
-            if let Some(r) = self.placement.region(cell) {
-                if !r.contains(tx, ty) {
-                    return ev;
-                }
-            }
-        }
-        let (fx, fy) = self.site_pos[from];
-        let other = ev.other;
-        if other != NO_CELL && self.use_regions {
-            let o = CellId::from_index(other as usize);
-            if let Some(r) = self.placement.region(o) {
-                if !r.contains(fx, fy) {
-                    return ev;
-                }
-            }
-        }
-        ev.noop = false;
-        // The same fused two-pointer merge as `try_move_with`, producing
-        // nets (and accumulating costs) in the same order, but reading
-        // moved coordinates via substitution instead of a tentative swap.
-        let mut before = 0.0f64;
-        let mut after = 0.0f64;
-        let mut i = self.cell_net_off[cell.index()] as usize;
-        let a_hi = self.cell_net_off[cell.index() + 1] as usize;
-        let (mut j, b_hi) = if other != NO_CELL {
-            (
-                self.cell_net_off[other as usize] as usize,
-                self.cell_net_off[other as usize + 1] as usize,
-            )
-        } else {
-            (0, 0)
-        };
-        let cu = cell.index() as u32;
-        while i < a_hi || j < b_hi {
-            let (e, k_cell, k_other) = if j >= b_hi {
-                let e = self.cell_net_dat[i];
-                i += 1;
-                (e, e.mult, 0)
-            } else if i >= a_hi {
-                let e = self.cell_net_dat[j];
-                j += 1;
-                (e, 0, e.mult)
-            } else {
-                let ea = self.cell_net_dat[i];
-                let eb = self.cell_net_dat[j];
-                if ea.net < eb.net {
-                    i += 1;
-                    (ea, ea.mult, 0)
-                } else if eb.net < ea.net {
-                    j += 1;
-                    (eb, 0, eb.mult)
-                } else {
-                    i += 1;
-                    j += 1;
-                    (ea, ea.mult, eb.mult)
-                }
-            };
-            let ni = e.net.index();
-            let (old_cost, w) = self.net_cw[ni];
-            before += old_cost;
-            let lo = e.lo as usize;
-            let hi = lo + e.len as usize;
-            let row = &self.pin_cell[lo..hi];
-            let (cost, b, small, counts_valid) = if e.len as usize <= SMALL_NET_PINS {
-                ev.bbox_full += 1;
-                let b = scan_row_subst(row, &self.pos, cu, other, (tx, ty), (fx, fy));
-                let cost = if w == 0.0 { 0.0 } else { w * b.hpwl() };
-                (cost, b, true, false)
-            } else {
-                let mut b = NetBox::from_parts(self.net_ext[ni], self.net_cnt[ni]);
-                let ok = (k_cell == 0 || b.remove(fx, fy, k_cell))
-                    && (k_other == 0 || b.remove(tx, ty, k_other));
-                let counts_valid = if ok {
-                    if k_cell > 0 {
-                        b.add(tx, ty, k_cell);
-                    }
-                    if k_other > 0 {
-                        b.add(fx, fy, k_other);
-                    }
-                    ev.bbox_incremental += 1;
-                    true
-                } else {
-                    ev.bbox_full += 1;
-                    b = scan_row_subst(row, &self.pos, cu, other, (tx, ty), (fx, fy));
-                    false
-                };
-                let cost = if w == 0.0 { 0.0 } else { w * b.hpwl() };
-                (cost, b, false, counts_valid)
-            };
-            after += cost;
-            ev.nets.push((e, cost, b, small, counts_valid));
-        }
-        let delta = after - before;
-        ev.accept = if delta <= 0.0 {
-            true
-        } else {
-            ev.consumed = 4;
-            rng.gen::<f64>() < (-delta / temperature.max(1e-9)).exp()
-        };
-        ev
-    }
-
-    /// Worker body: pulls slot indices off the shared round work list and
-    /// evaluates each against the frozen state. Which thread evaluates a
-    /// slot is scheduling-dependent; the *result* stored per slot is not.
-    #[allow(clippy::too_many_arguments)]
-    fn drain_round(
-        &self,
-        work: &Mutex<Vec<u32>>,
-        off: &Mutex<Vec<u32>>,
-        next: &AtomicUsize,
-        evals: &[Mutex<Option<SpecEval>>],
-        raws: &[u64],
-        temperature: f64,
-        window: usize,
-        abort: &AtomicBool,
-    ) {
-        loop {
-            if abort.load(Ordering::SeqCst) {
-                return;
-            }
-            let i = next.fetch_add(1, Ordering::SeqCst);
-            let (k, o) = {
-                let w = work.lock().unwrap();
-                if i >= w.len() {
-                    return;
-                }
-                let k = w[i] as usize;
-                (k, off.lock().unwrap()[k])
-            };
-            let e = self.eval_move(raws, o as usize, temperature, window);
-            *evals[k].lock().unwrap() = Some(e);
-        }
-    }
-
-    /// Runs `d` moves of the inner loop as one speculative window on
-    /// `threads` threads, returning the number of accepted moves. The
-    /// result (placement, costs, boxes, move/bbox stats, RNG state) is
-    /// bit-identical to `d` serial [`Engine::try_move_with`] calls on
-    /// `rng`, for any thread count:
-    ///
-    /// * RNG draws are pre-generated from a clone of `rng`, so a move's
-    ///   behaviour is a pure function of its state and its *raw offset* —
-    ///   the number of draws consumed before it (3 per move, plus 1 per
-    ///   uphill evaluation).
-    /// * Phase A predicts offsets, evaluates every slot against the frozen
-    ///   start-of-window state in parallel, and iterates toward a fixpoint
-    ///   for at most [`SPEC_ROUNDS_MAX`] rounds: each round re-evaluates
-    ///   exactly the slots whose offsets changed, so the rounds (and the
-    ///   speculation counters) are themselves deterministic. Slots whose
-    ///   offsets have not settled when the budget runs out are simply
-    ///   aborted at commit.
-    /// * Phase B walks slots in serial order tracking the true offset: a
-    ///   speculation is committed as-is only if its offset matched and no
-    ///   earlier commit moved its cells or touched any of its nets
-    ///   (`net_touched` window stamps); otherwise the move replays
-    ///   serially from the pre-generated draws — by induction the state it
-    ///   sees is exactly the serial state, so the outcome is exact.
-    fn run_window(
-        &mut self,
-        temperature: f64,
-        window: usize,
-        d: usize,
-        threads: usize,
-        rng: &mut SmallRng,
-    ) -> usize {
-        // Pre-generate every draw the window can possibly consume.
-        let mut ahead = rng.clone();
-        let raws: Vec<u64> = (0..4 * d).map(|_| ahead.next_u64()).collect();
-        let pred = self.spec_pred;
-        let evals: Vec<Mutex<Option<SpecEval>>> = (0..d).map(|_| Mutex::new(None)).collect();
-        let off: Mutex<Vec<u32>> = Mutex::new((0..d as u32).map(|k| k * pred).collect());
-        let work: Mutex<Vec<u32>> = Mutex::new((0..d as u32).collect());
-        let next = AtomicUsize::new(0);
-        let done = AtomicBool::new(false);
-        let abort = AtomicBool::new(false);
-        let panic_slot: Mutex<Option<Box<dyn std::any::Any + Send>>> = Mutex::new(None);
-        let nthreads = threads.min(d).max(2);
-        let barrier = Barrier::new(nthreads);
-        let mut attempts = 0u64;
-        {
-            let eng: &Engine<'_> = &*self;
-            std::thread::scope(|s| {
-                for _ in 1..nthreads {
-                    s.spawn(|| loop {
-                        barrier.wait();
-                        if done.load(Ordering::SeqCst) {
-                            break;
-                        }
-                        let r = panic::catch_unwind(AssertUnwindSafe(|| {
-                            if let Some(hook) = eng.config.worker_hook {
-                                hook();
-                            }
-                            eng.drain_round(
-                                &work,
-                                &off,
-                                &next,
-                                &evals,
-                                &raws,
-                                temperature,
-                                window,
-                                &abort,
-                            );
-                        }));
-                        if let Err(p) = r {
-                            *panic_slot.lock().unwrap() = Some(p);
-                            abort.store(true, Ordering::SeqCst);
-                        }
-                        barrier.wait();
-                    });
-                }
-                // Coordinator: co-evaluates each round, then reconciles
-                // offsets while the workers wait at the round barrier.
-                let mut rounds = 0usize;
-                loop {
-                    barrier.wait();
-                    let r = panic::catch_unwind(AssertUnwindSafe(|| {
-                        eng.drain_round(
-                            &work,
-                            &off,
-                            &next,
-                            &evals,
-                            &raws,
-                            temperature,
-                            window,
-                            &abort,
-                        );
-                    }));
-                    if let Err(p) = r {
-                        *panic_slot.lock().unwrap() = Some(p);
-                        abort.store(true, Ordering::SeqCst);
-                    }
-                    barrier.wait();
-                    if abort.load(Ordering::SeqCst) {
-                        done.store(true, Ordering::SeqCst);
-                    } else {
-                        attempts += work.lock().unwrap().len() as u64;
-                        rounds += 1;
-                        // Recompute offsets from the consumed counts; the
-                        // correct prefix grows by at least one slot per
-                        // round. Rather than iterate to the full fixpoint
-                        // (worst case d rounds), stop after a fixed budget:
-                        // slots with stale offsets fall through to the
-                        // serial replay at commit.
-                        let mut offv = off.lock().unwrap();
-                        let mut changed: Vec<u32> = Vec::new();
-                        let mut acc = 0u32;
-                        for k in 0..d {
-                            if offv[k] != acc {
-                                offv[k] = acc;
-                                changed.push(k as u32);
-                            }
-                            acc += evals[k].lock().unwrap().as_ref().map_or(4, |e| e.consumed);
-                        }
-                        if changed.is_empty() || rounds >= SPEC_ROUNDS_MAX {
-                            done.store(true, Ordering::SeqCst);
-                        } else {
-                            *work.lock().unwrap() = changed;
-                            next.store(0, Ordering::SeqCst);
-                        }
-                    }
-                    if done.load(Ordering::SeqCst) {
-                        barrier.wait();
-                        break;
-                    }
-                }
-            });
-        }
-        if let Some(p) = panic_slot.into_inner().unwrap() {
-            panic::resume_unwind(p);
-        }
-        self.stats.spec_moves_attempted += attempts;
-        // Phase B: serial commit in slot order, tracking the true offset.
-        self.window_stamp += 1;
-        let stamp = self.window_stamp;
-        let mut o = 0usize;
-        let mut accepted = 0usize;
-        for slot in evals {
-            let ev = slot.into_inner().unwrap();
-            let valid = ev.as_ref().is_some_and(|e| {
-                e.used_offset as usize == o
-                    && self.site_of[e.cell as usize] == e.from
-                    && (e.to == e.from || self.cell_at[e.to as usize] == e.other)
-                    && e.nets
-                        .iter()
-                        .all(|(n, ..)| self.net_touched[n.net.index()] != stamp)
-            });
-            if valid {
-                let e = ev.expect("validated speculation present");
-                self.stats.spec_moves_committed += 1;
-                self.stats.moves_attempted += 1;
-                self.stats.bbox_incremental += e.bbox_incremental;
-                self.stats.bbox_full += e.bbox_full;
-                o += e.consumed as usize;
-                if e.accept && !e.noop {
-                    self.swap_sites(
-                        CellId::from_index(e.cell as usize),
-                        e.from as usize,
-                        e.other,
-                        e.to as usize,
-                    );
-                    for &(entry, cost, b, small, counts_valid) in &e.nets {
-                        let ni = entry.net.index();
-                        self.net_cw[ni].0 = cost;
-                        if !small {
-                            let mut b = b;
-                            if !counts_valid {
-                                let lo = entry.lo as usize;
-                                let hi = lo + entry.len as usize;
-                                fill_counts(&self.pin_cell[lo..hi], &self.pos, &mut b);
-                            }
-                            let (ext, cnt) = b.split();
-                            self.net_ext[ni] = ext;
-                            self.net_cnt[ni] = cnt;
-                        }
-                        self.net_touched[ni] = stamp;
-                    }
-                    self.stats.moves_accepted += 1;
-                    accepted += 1;
-                }
-            } else {
-                self.stats.spec_moves_aborted += 1;
-                let mut cur = RawCursor {
-                    raws: &raws,
-                    pos: o,
-                };
-                let r = self.try_move_with(temperature, window, &mut cur);
-                o = cur.pos;
-                if r.is_some() {
-                    accepted += 1;
-                    // Mark the nets this replayed accept touched (the
-                    // accept path leaves them in `scratch_costs`).
-                    let costs = std::mem::take(&mut self.scratch_costs);
-                    for &(ni, _) in &costs {
-                        self.net_touched[ni as usize] = stamp;
-                    }
-                    self.scratch_costs = costs;
-                }
-            }
-        }
-        // Advance the live RNG past exactly the draws the window consumed.
-        for _ in 0..o {
-            rng.next_u64();
-        }
-        // Adapt the next window's per-move draw prediction to whichever of
-        // 3 or 4 the realized mean was closer to.
-        self.spec_pred = if 2 * o >= 7 * d { 4 } else { 3 };
-        accepted
     }
 }
 
@@ -1843,8 +1291,7 @@ mod tests {
             // Hot moves (most accepted), then cold moves (most rejected).
             for temperature in [f64::INFINITY, 1000.0, 1.0, 1e-6] {
                 for _ in 0..200 {
-                    let _ =
-                        engine.try_move_with(temperature, engine.cols.max(engine.rows), &mut rng);
+                    let _ = engine.try_move(temperature, engine.cols.max(engine.rows), &mut rng);
                 }
                 engine.verify_cache_exact();
             }
@@ -1876,97 +1323,8 @@ mod tests {
         let mut rng = SmallRng::seed_from_u64(config.seed);
         engine.scatter_unplaced_only(&mut rng);
         for _ in 0..500 {
-            let _ = engine.try_move_with(10.0, engine.cols.max(engine.rows), &mut rng);
+            let _ = engine.try_move(10.0, engine.cols.max(engine.rows), &mut rng);
         }
         engine.verify_cache_exact();
-    }
-
-    /// The speculative window engine must replay any move sequence with
-    /// the exact serial outcome: same sites, same cached costs and boxes,
-    /// same RNG state afterwards, same move/bbox counters — at every
-    /// temperature regime and for several window sizes (forcing partial
-    /// windows and offset mispredictions).
-    #[test]
-    fn speculative_windows_match_serial_exactly() {
-        for seed in 0..6u64 {
-            let (nl, lib) = fanout_mesh(seed, 40);
-            let config = PlaceConfig {
-                seed: seed.wrapping_mul(0x9e37_79b9) + 1,
-                ..PlaceConfig::default()
-            };
-            for temperature in [f64::INFINITY, 100.0, 1.0, 1e-6] {
-                for moves in [1usize, 7, 64, 300] {
-                    // Serial reference.
-                    let mut p1 = Placement::initial(&nl, &lib, config.utilization);
-                    let mut e1 = Engine::new(&nl, &lib, &mut p1, &config);
-                    let mut r1 = SmallRng::seed_from_u64(config.seed);
-                    e1.scatter(&mut r1);
-                    let window = e1.cols.max(e1.rows);
-                    for _ in 0..moves {
-                        let _ = e1.try_move_with(temperature, window, &mut r1);
-                    }
-                    for threads in [2usize, 4] {
-                        let mut p2 = Placement::initial(&nl, &lib, config.utilization);
-                        let mut e2 = Engine::new(&nl, &lib, &mut p2, &config);
-                        let mut r2 = SmallRng::seed_from_u64(config.seed);
-                        e2.scatter(&mut r2);
-                        let mut left = moves;
-                        while left > 0 {
-                            let d = left.min(SPEC_WINDOW);
-                            e2.run_window(temperature, window, d, threads, &mut r2);
-                            left -= d;
-                        }
-                        assert_eq!(e1.site_of, e2.site_of, "seed {seed} t {temperature}");
-                        assert_eq!(r1, r2, "rng state diverged");
-                        for n in nl.nets() {
-                            assert_eq!(
-                                e1.net_cw[n.index()].0.to_bits(),
-                                e2.net_cw[n.index()].0.to_bits(),
-                                "net {n:?} cost"
-                            );
-                        }
-                        assert_eq!(e1.stats.moves_attempted, e2.stats.moves_attempted);
-                        assert_eq!(e1.stats.moves_accepted, e2.stats.moves_accepted);
-                        assert_eq!(e1.stats.bbox_incremental, e2.stats.bbox_incremental);
-                        assert_eq!(e1.stats.bbox_full, e2.stats.bbox_full);
-                        e2.verify_cache_exact();
-                    }
-                }
-            }
-        }
-    }
-
-    /// Full public-API equivalence: `place` at 2 and 4 threads reproduces
-    /// the single-thread placement and costs bit-for-bit, and the
-    /// speculation counters themselves are thread-count independent.
-    #[test]
-    fn parallel_place_is_bit_identical_to_serial() {
-        let (nl, lib) = fanout_mesh(11, 50);
-        let base = PlaceConfig::default();
-        let (p1, s1) = place_with_stats(&nl, &lib, &base);
-        let mut spec_counters = Vec::new();
-        for threads in [2usize, 4] {
-            let config = PlaceConfig {
-                threads,
-                ..base.clone()
-            };
-            let (p2, s2) = place_with_stats(&nl, &lib, &config);
-            for (id, _) in nl.cells() {
-                assert_eq!(p1.position(id), p2.position(id), "threads {threads}");
-            }
-            assert_eq!(s1.cost_final.to_bits(), s2.cost_final.to_bits());
-            assert_eq!(s1.moves_attempted, s2.moves_attempted);
-            assert_eq!(s1.moves_accepted, s2.moves_accepted);
-            assert_eq!(s1.bbox_incremental, s2.bbox_incremental);
-            assert_eq!(s1.bbox_full, s2.bbox_full);
-            assert!(s2.spec_moves_committed + s2.spec_moves_aborted > 0);
-            spec_counters.push((
-                s2.spec_moves_attempted,
-                s2.spec_moves_committed,
-                s2.spec_moves_aborted,
-            ));
-        }
-        assert_eq!(s1.spec_moves_attempted, 0, "serial runs never speculate");
-        assert_eq!(spec_counters[0], spec_counters[1]);
     }
 }

@@ -86,15 +86,6 @@ pub struct RouteConfig {
     /// `false` restores the textbook full rip-up of every net each
     /// iteration.
     pub incremental: bool,
-    /// Worker threads per negotiation iteration (1 = the serial engine).
-    /// Dirty nets are routed speculatively against a frozen congestion
-    /// snapshot and committed in ascending net order, so results are
-    /// bit-identical for any value; excluded from config fingerprints.
-    pub threads: usize,
-    /// Test hook run at the start of every routing worker thread (fault
-    /// injection); never called by the serial engine. Excluded from config
-    /// fingerprints like `threads`.
-    pub worker_hook: Option<fn()>,
 }
 
 impl Default for RouteConfig {
@@ -108,8 +99,6 @@ impl Default for RouteConfig {
             history_increment: 0.4,
             keep_routes: false,
             incremental: true,
-            threads: 1,
-            worker_hook: None,
         }
     }
 }
@@ -126,9 +115,6 @@ pub struct RoutingResult {
     grid_dims: (usize, usize),
     nets_routed: usize,
     reroutes_per_iter: Vec<usize>,
-    par_batches: usize,
-    par_nets_validated: usize,
-    par_nets_replayed: usize,
     routes: Option<std::collections::HashMap<NetId, Vec<RouteSegment>>>,
 }
 
@@ -195,25 +181,6 @@ impl RoutingResult {
     /// order; each is a pair of adjacent `(col, row)` tiles.
     pub fn net_route(&self, net: NetId) -> Option<&[RouteSegment]> {
         self.routes.as_ref()?.get(&net).map(Vec::as_slice)
-    }
-
-    /// Negotiation iterations that ran their dirty nets on worker threads
-    /// (0 in serial runs). Deterministic for any thread count ≥ 2.
-    pub fn parallel_batches(&self) -> usize {
-        self.par_batches
-    }
-
-    /// Speculatively routed nets whose frozen-snapshot search validated
-    /// against the live congestion state and committed as-is.
-    pub fn parallel_nets_validated(&self) -> usize {
-        self.par_nets_validated
-    }
-
-    /// Speculatively routed nets whose read set was invalidated by an
-    /// earlier commit (or whose worker search failed) and which were
-    /// re-routed serially against the live state.
-    pub fn parallel_nets_replayed(&self) -> usize {
-        self.par_nets_replayed
     }
 }
 
@@ -348,14 +315,6 @@ struct Scratch {
     net_epoch: u64,
     /// The search frontier, drained empty by every call.
     heap: BinaryHeap<HeapEntry>,
-    /// When set, every non-own edge whose congestion cost the search reads
-    /// is recorded (deduplicated per net via `read_mark`) — the read set a
-    /// speculative worker's result is validated against at commit time.
-    record_reads: bool,
-    /// Per-edge dedup stamp for `read_list`, keyed by `net_epoch`.
-    read_mark: Vec<u64>,
-    /// Edges read by the current net's searches (cleared by the caller).
-    read_list: Vec<u32>,
 }
 
 impl Scratch {
@@ -368,17 +327,7 @@ impl Scratch {
             epoch: 0,
             net_epoch: 0,
             heap: BinaryHeap::new(),
-            record_reads: false,
-            read_mark: Vec::new(),
-            read_list: Vec::new(),
         }
-    }
-
-    fn recording(n_tiles: usize, n_edges: usize) -> Scratch {
-        let mut s = Scratch::new(n_tiles, n_edges);
-        s.record_reads = true;
-        s.read_mark = vec![0; n_edges];
-        s
     }
 }
 
@@ -474,10 +423,6 @@ pub fn try_route(
     let mut dirty: Vec<usize> = (0..jobs.len()).collect();
     let mut reroutes_per_iter: Vec<usize> = Vec::new();
     let mut iterations_used = 0;
-    let mut par_batches = 0usize;
-    let mut par_nets_validated = 0usize;
-    let mut par_nets_replayed = 0usize;
-    let threads = config.threads.max(1);
     for iter in 0..config.max_iterations.max(1) {
         iterations_used = iter + 1;
         reroutes_per_iter.push(dirty.len());
@@ -489,171 +434,31 @@ pub fn try_route(
                 occupancy[e] -= 1;
             }
         }
-        if threads > 1 && dirty.len() > 1 {
-            // Speculative batch: every dirty net is routed on a worker
-            // thread against the post-rip-up congestion snapshot, with its
-            // read set recorded; the commit pass below replays job order.
-            par_batches += 1;
-            struct NetTry {
-                own: Vec<usize>,
-                reads: Vec<u32>,
-                failed: Option<(usize, usize)>,
-            }
-            let snapshot = occupancy.clone();
-            let results: Vec<std::sync::Mutex<Option<NetTry>>> =
-                dirty.iter().map(|_| std::sync::Mutex::new(None)).collect();
-            let next = std::sync::atomic::AtomicUsize::new(0);
-            let abort = std::sync::atomic::AtomicBool::new(false);
-            let panic_slot: std::sync::Mutex<Option<Box<dyn std::any::Any + Send>>> =
-                std::sync::Mutex::new(None);
-            {
-                let (jobs, dirty, snapshot, history, adj, grid) =
-                    (&jobs, &dirty, &snapshot, &history, &adj, &grid);
-                let results = &results;
-                let (next, abort, panic_slot) = (&next, &abort, &panic_slot);
-                std::thread::scope(|s| {
-                    for _ in 0..threads.min(dirty.len()) {
-                        s.spawn(move || {
-                            // A worker panic (the fault-injection hook, or a
-                            // real bug) is captured with its payload, stops
-                            // the other workers, and re-raises on the stage
-                            // thread after the scope joins — so the cell
-                            // fails closed with the original panic message
-                            // and correct stage attribution, never hangs.
-                            let r = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
-                                if let Some(hook) = config.worker_hook {
-                                    hook();
-                                }
-                                let mut scratch = Scratch::recording(n_tiles, n_edges);
-                                let mut own: Vec<usize> = Vec::new();
-                                loop {
-                                    if abort.load(std::sync::atomic::Ordering::SeqCst) {
-                                        break;
-                                    }
-                                    let i = next.fetch_add(1, std::sync::atomic::Ordering::SeqCst);
-                                    if i >= dirty.len() {
-                                        break;
-                                    }
-                                    let job = &jobs[dirty[i]];
-                                    scratch.net_epoch += 1;
-                                    own.clear();
-                                    scratch.read_list.clear();
-                                    let mut failed = None;
-                                    for &sink in &job.sinks {
-                                        if !astar(
-                                            grid,
-                                            adj,
-                                            job.source,
-                                            sink,
-                                            snapshot,
-                                            history,
-                                            &mut scratch,
-                                            &mut own,
-                                            config,
-                                        ) {
-                                            failed = Some(sink);
-                                            break;
-                                        }
-                                    }
-                                    *results[i].lock().unwrap() = Some(NetTry {
-                                        own: own.clone(),
-                                        reads: scratch.read_list.clone(),
-                                        failed,
-                                    });
-                                }
-                            }));
-                            if let Err(p) = r {
-                                *panic_slot.lock().unwrap() = Some(p);
-                                abort.store(true, std::sync::atomic::Ordering::SeqCst);
-                            }
-                        });
-                    }
-                });
-            }
-            if let Some(p) = panic_slot.into_inner().unwrap() {
-                std::panic::resume_unwind(p);
-            }
-            // Commit in ascending job order. A speculation is valid iff
-            // every edge its search read has the same overuse term under
-            // the live occupancy as under the snapshot (history is fixed
-            // within an iteration): identical costs ⇒ an identical search
-            // trace, so the snapshot result IS the serial result. Anything
-            // else — including worker-reported unroutability — replays
-            // serially against the live state, which by induction is
-            // exactly the serial engine's state for this net.
-            let cap = config.channel_capacity;
-            for (i, &ji) in dirty.iter().enumerate() {
-                let res = results[i].lock().unwrap().take();
-                let valid = res.as_ref().is_some_and(|r| {
-                    r.failed.is_none()
-                        && r.reads.iter().all(|&e| {
-                            let e = e as usize;
-                            (snapshot[e] + 1).saturating_sub(cap)
-                                == (occupancy[e] + 1).saturating_sub(cap)
-                        })
-                });
-                if valid {
-                    par_nets_validated += 1;
-                    let r = res.expect("validated speculation present");
-                    for &e in &r.own {
-                        occupancy[e] += 1;
-                    }
-                    net_edges[ji] = r.own;
-                } else {
-                    par_nets_replayed += 1;
-                    let job = &jobs[ji];
-                    scratch.net_epoch += 1;
-                    own.clear();
-                    for &sink in &job.sinks {
-                        let reached = astar(
-                            &grid,
-                            &adj,
-                            job.source,
-                            sink,
-                            &occupancy,
-                            &history,
-                            &mut scratch,
-                            &mut own,
-                            config,
-                        );
-                        if !reached {
-                            return Err(RouteError::Unroutable { net: job.net, sink });
-                        }
-                    }
-                    for &e in &own {
-                        occupancy[e] += 1;
-                    }
-                    net_edges[ji].clear();
-                    net_edges[ji].extend_from_slice(&own);
+        for &ji in &dirty {
+            let job = &jobs[ji];
+            scratch.net_epoch += 1;
+            own.clear();
+            for &sink in &job.sinks {
+                let reached = astar(
+                    &grid,
+                    &adj,
+                    job.source,
+                    sink,
+                    &occupancy,
+                    &history,
+                    &mut scratch,
+                    &mut own,
+                    config,
+                );
+                if !reached {
+                    return Err(RouteError::Unroutable { net: job.net, sink });
                 }
             }
-        } else {
-            for &ji in &dirty {
-                let job = &jobs[ji];
-                scratch.net_epoch += 1;
-                own.clear();
-                for &sink in &job.sinks {
-                    let reached = astar(
-                        &grid,
-                        &adj,
-                        job.source,
-                        sink,
-                        &occupancy,
-                        &history,
-                        &mut scratch,
-                        &mut own,
-                        config,
-                    );
-                    if !reached {
-                        return Err(RouteError::Unroutable { net: job.net, sink });
-                    }
-                }
-                for &e in &own {
-                    occupancy[e] += 1;
-                }
-                net_edges[ji].clear();
-                net_edges[ji].extend_from_slice(&own);
+            for &e in &own {
+                occupancy[e] += 1;
             }
+            net_edges[ji].clear();
+            net_edges[ji].extend_from_slice(&own);
         }
         // Overflow check and history update.
         let mut overflow = 0usize;
@@ -708,9 +513,6 @@ pub fn try_route(
         grid_dims: (grid.cols, grid.rows),
         nets_routed: jobs.len(),
         reroutes_per_iter,
-        par_batches,
-        par_nets_validated,
-        par_nets_replayed,
         routes,
     })
 }
@@ -720,7 +522,12 @@ pub fn try_route(
 /// All search state lives in `scratch`, invalidated by epoch bump —
 /// no per-call allocation. Returns `false` if the sink was unreachable
 /// (the net's tree is left unchanged in that case).
+///
+/// Kept out of line: with `try_route` as its only caller the compiler
+/// inlines it, and the inlined search routed the 8-port × 64-bit network
+/// switch about 5 % slower (median of nine alternating in-process runs).
 #[allow(clippy::too_many_arguments)]
+#[inline(never)]
 fn astar(
     grid: &Grid,
     adj: &Adjacency,
@@ -760,10 +567,6 @@ fn astar(
             let edge_cost = if scratch.own_mark[edge] == scratch.net_epoch {
                 0.0 // reuse of the net's own tree is free
             } else {
-                if scratch.record_reads && scratch.read_mark[edge] != scratch.net_epoch {
-                    scratch.read_mark[edge] = scratch.net_epoch;
-                    scratch.read_list.push(edge as u32);
-                }
                 let over = occupancy[edge] as f64 + 1.0 - config.channel_capacity as f64;
                 1.0 + config.present_factor * over.max(0.0) + history[edge]
             };
@@ -994,66 +797,6 @@ mod tests {
         assert_eq!(r1.reroutes_per_iteration(), r2.reroutes_per_iteration());
         for net in nl.nets() {
             assert_eq!(r1.net_length(net).to_bits(), r2.net_length(net).to_bits());
-        }
-    }
-
-    /// The speculative parallel negotiation must reproduce the serial
-    /// engine bit-for-bit at every thread count, on both an uncongested
-    /// design and the congested fixture (which forces multi-iteration
-    /// negotiation with real read-set invalidations), including the
-    /// per-iteration reroute accounting and kept routes.
-    #[test]
-    fn parallel_routing_is_bit_identical_to_serial() {
-        let lib = generic::library();
-        for fixture in 0..2 {
-            let (nl, p, mut cfg) = if fixture == 0 {
-                let mut nl = Netlist::new("chain");
-                let mut cur = nl.add_input("a");
-                for i in 0..30 {
-                    cur = nl
-                        .add_lib_cell(format!("i{i}"), &lib, "INV", &[cur])
-                        .unwrap();
-                }
-                nl.add_output("y", cur);
-                let p = vpga_place::place(&nl, &lib, &PlaceConfig::default());
-                (nl, p, RouteConfig::default())
-            } else {
-                congested()
-            };
-            cfg.keep_routes = true;
-            let serial = route(&nl, &p, &cfg);
-            for threads in [2usize, 4] {
-                let par_cfg = RouteConfig {
-                    threads,
-                    ..cfg.clone()
-                };
-                let par = route(&nl, &p, &par_cfg);
-                assert_eq!(
-                    serial.total_length().to_bits(),
-                    par.total_length().to_bits(),
-                    "fixture {fixture} threads {threads}"
-                );
-                assert_eq!(serial.overflow_edges(), par.overflow_edges());
-                assert_eq!(serial.max_edge_load(), par.max_edge_load());
-                assert_eq!(serial.iterations_used(), par.iterations_used());
-                assert_eq!(
-                    serial.reroutes_per_iteration(),
-                    par.reroutes_per_iteration()
-                );
-                for net in nl.nets() {
-                    assert_eq!(
-                        serial.net_length(net).to_bits(),
-                        par.net_length(net).to_bits()
-                    );
-                    assert_eq!(serial.net_route(net), par.net_route(net));
-                }
-                assert_eq!(serial.parallel_batches(), 0);
-                assert_eq!(par.parallel_batches(), par.iterations_used());
-                assert_eq!(
-                    par.parallel_nets_validated() + par.parallel_nets_replayed(),
-                    par.total_reroutes()
-                );
-            }
         }
     }
 }

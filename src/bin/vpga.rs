@@ -5,8 +5,7 @@
 //! vpga flow <design.v> [--arch granular|lut|homogeneous] [--no-compaction] [--stats]
 //!           [--audit] [--retries N] [--deadline SECS]
 //! vpga matrix [--size tiny|small|medium|paper] [--jobs N] [--stats]
-//!           [--stage-threads N] [--only DESIGN/ARCH]
-//!           [--arch-file FILE]...
+//!           [--only DESIGN/ARCH] [--arch-file FILE]...
 //!           [--audit] [--retries N] [--deadline SECS]
 //!           [--checkpoint-dir DIR] [--resume]
 //!           [--emit-sdf DIR] [--emit-xdl DIR]
@@ -31,7 +30,8 @@
 //! additionally emits the via program of the packed array; `arch` prints an
 //! architecture summary. `--stats` adds the per-stage instrumentation
 //! (wall time, netlist sizes, cost movement, mover/acceptance counters)
-//! and each flow's route legality.
+//! and each flow's route legality. `flow` and `matrix` reject any `--`
+//! flag they do not accept.
 //!
 //! `--emit-sdf` / `--emit-xdl` write one SDF 3.0 timing file and/or one
 //! `.vxdl` netlist/placement/routing file per back-end job after its
@@ -126,8 +126,6 @@ fn print_usage() {
          architectures A: granular | lut | homogeneous (default granular)\n\
          --jobs N: worker threads (0 = one per CPU; default 1) — results are\n\
          \x20         bit-identical for any N\n\
-         --stage-threads N: worker threads *inside* the place/route kernels\n\
-         \x20         (0 = one per CPU; default 1) — results are bit-identical for any N\n\
          --only F: (matrix) run only the cells whose design/arch contains F\n\
          --arch-file FILE: (matrix, repeatable) load a .varch architecture description\n\
          \x20         and sweep it through the matrix; a description named after a\n\
@@ -159,6 +157,26 @@ fn print_usage() {
          \x20                                                   load-test an in-process daemon against\n\
          \x20                                                   batch-mode reference fingerprints"
     );
+}
+
+/// Fails closed on any `--` argument `command` does not accept: `switches`
+/// stand alone, `valued` flags consume the next argument, so a value is
+/// never mistaken for a flag.
+fn check_flags(
+    command: &str,
+    args: &[String],
+    switches: &[&str],
+    valued: &[&str],
+) -> Result<(), Box<dyn Error>> {
+    let mut iter = args.iter();
+    while let Some(arg) = iter.next() {
+        if valued.contains(&arg.as_str()) {
+            iter.next();
+        } else if arg.starts_with("--") && !switches.contains(&arg.as_str()) {
+            return Err(format!("unknown flag {arg} for `vpga {command}`; try `vpga help`").into());
+        }
+    }
+    Ok(())
 }
 
 fn flag_value<'a>(args: &'a [String], flag: &str) -> Option<&'a str> {
@@ -196,19 +214,6 @@ fn apply_robustness_flags(
         config.deadline = Some(std::time::Duration::from_secs_f64(secs));
     } else if args.iter().any(|a| a == "--deadline") {
         return Err("--deadline needs a value".into());
-    }
-    if let Some(v) = flag_value(args, "--stage-threads") {
-        let n: usize = v
-            .parse()
-            .map_err(|_| format!("bad --stage-threads value {v:?}"))?;
-        // 0 = one worker per CPU, like --jobs.
-        config.stage_threads = if n == 0 {
-            std::thread::available_parallelism().map_or(1, std::num::NonZeroUsize::get)
-        } else {
-            n
-        };
-    } else if args.iter().any(|a| a == "--stage-threads") {
-        return Err("--stage-threads needs a value".into());
     }
     Ok(config)
 }
@@ -311,6 +316,12 @@ fn cmd_gen(args: &[String]) -> Result<(), Box<dyn Error>> {
 }
 
 fn cmd_flow(args: &[String]) -> Result<(), Box<dyn Error>> {
+    check_flags(
+        "flow",
+        args,
+        &["--no-compaction", "--stats", "--audit"],
+        &["--arch", "--retries", "--deadline"],
+    )?;
     let path = args.first().ok_or("flow requires a Verilog file")?;
     let design = load_design(path)?;
     let arch = parse_arch(args)?;
@@ -374,6 +385,22 @@ fn cmd_flow(args: &[String]) -> Result<(), Box<dyn Error>> {
 }
 
 fn cmd_matrix(args: &[String]) -> Result<(), Box<dyn Error>> {
+    check_flags(
+        "matrix",
+        args,
+        &["--no-compaction", "--stats", "--audit", "--resume"],
+        &[
+            "--size",
+            "--jobs",
+            "--only",
+            "--arch-file",
+            "--retries",
+            "--deadline",
+            "--checkpoint-dir",
+            "--emit-sdf",
+            "--emit-xdl",
+        ],
+    )?;
     let params = parse_size(args)?;
     let jobs: usize = match flag_value(args, "--jobs") {
         Some(v) => v.parse().map_err(|_| format!("bad --jobs value {v:?}"))?,

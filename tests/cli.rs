@@ -121,3 +121,41 @@ fn arch_lists_all_architectures() {
     }
     assert!(text.contains("full adder"));
 }
+
+#[test]
+fn matrix_rejects_unknown_flags_by_name() {
+    // A removed or misspelled option must not run the matrix as if it
+    // were absent.
+    let out = vpga()
+        .args(["matrix", "--size", "tiny", "--stage-threads", "2"])
+        .output()
+        .expect("binary runs");
+    assert!(!out.status.success());
+    let text = String::from_utf8_lossy(&out.stderr);
+    assert!(text.contains("unknown flag --stage-threads"), "{text}");
+    assert!(out.stdout.is_empty(), "nothing ran");
+}
+
+#[test]
+fn flow_rejects_unknown_flags_by_name() {
+    let dir = std::env::temp_dir().join(format!("vpga_cli_flags_{}", std::process::id()));
+    std::fs::create_dir_all(&dir).expect("temp dir");
+    let design = dir.join("alu.v");
+    let out = vpga()
+        .args(["gen", "alu", "--size", "tiny", "-o"])
+        .arg(&design)
+        .output()
+        .expect("binary runs");
+    assert!(out.status.success());
+    let out = vpga()
+        .args(["flow"])
+        .arg(&design)
+        .args(["--arch", "granular", "--bogus"])
+        .output()
+        .expect("binary runs");
+    assert!(!out.status.success());
+    let text = String::from_utf8_lossy(&out.stderr);
+    assert!(text.contains("unknown flag --bogus"), "{text}");
+    assert!(out.stdout.is_empty(), "nothing ran");
+    let _ = std::fs::remove_dir_all(&dir);
+}

@@ -286,103 +286,6 @@ fn back_end_panics_on_both_threads_return_a_stage_panic() {
     assert_eq!(rerun.fingerprint(), golden);
 }
 
-#[test]
-fn worker_thread_panic_fails_the_owning_stage_closed() {
-    let _guard = locked();
-    let params = DesignParams::tiny();
-    // Worker threads only exist with intra-stage parallelism on.
-    let config = FlowConfig {
-        stage_threads: 2,
-        ..FlowConfig::default()
-    };
-    let matrix = FlowMatrix::full();
-    let executor = Executor::new(1);
-
-    let golden = matrix.run_cells(&params, &config, &executor);
-    let golden_prints: Vec<u64> = golden
-        .iter()
-        .map(|c| {
-            c.as_ref()
-                .expect("clean parallel run has no failures")
-                .result
-                .fingerprint()
-        })
-        .collect();
-
-    // The worker hooks are bare `fn` pointers and see the fixed context
-    // `"worker"`, so an armed fault fires at the *first* parallel region
-    // of its kind the schedule reaches. Speculative-annealing workers run
-    // under place, physical synthesis, and pack; batched-negotiation
-    // workers only under route.
-    let cases: [(&str, &[Stage]); 2] = [
-        (
-            "place_worker",
-            &[Stage::Place, Stage::PhysSynth, Stage::Pack],
-        ),
-        ("route_worker", &[Stage::Route]),
-    ];
-    for (point, owners) in cases {
-        faultpoint::disarm_all();
-        faultpoint::arm(point, None, FaultKind::Panic);
-        let prev_hook = std::panic::take_hook();
-        std::panic::set_hook(Box::new(|_| {}));
-        // Must complete (fail closed), never deadlock on the round
-        // barriers: the panicking worker trips the abort flag, the scope
-        // joins, and the stage thread re-raises into the job boundary.
-        let injected = matrix.run_cells(&params, &config, &executor);
-        std::panic::set_hook(prev_hook);
-        assert!(
-            !faultpoint::any_armed(),
-            "{point}: worker fault never fired — no parallel region spawned"
-        );
-
-        let mut panicked = Vec::new();
-        for (i, cell) in injected.iter().enumerate() {
-            match cell {
-                Ok(result) => assert_eq!(
-                    result.result.fingerprint(),
-                    golden_prints[i],
-                    "{point}: healthy cell {i} diverged from the golden run"
-                ),
-                Err(FlowError::StagePanic { stage, payload, .. }) => {
-                    let stage = stage.unwrap_or_else(|| {
-                        panic!("{point}: worker panic lost its stage attribution")
-                    });
-                    assert!(
-                        owners.contains(&stage),
-                        "{point}: panic attributed to {stage:?}, not an owning stage"
-                    );
-                    assert!(
-                        payload.contains(&format!("injected fault at {point}")),
-                        "{point}: unexpected payload {payload:?}"
-                    );
-                    panicked.push(i);
-                }
-                // A front-stage panic poisons the pair: the sibling cell
-                // reports Skipped with the panic as its cause.
-                Err(FlowError::Skipped { cause, .. }) => {
-                    assert!(cause.contains("injected fault"), "{point}: {cause:?}");
-                }
-                Err(other) => panic!("{point}: cell {i} failed with {other:?}"),
-            }
-        }
-        assert_eq!(
-            panicked.len(),
-            1,
-            "{point}: the one-shot fault must poison exactly one cell"
-        );
-    }
-
-    // With the faults consumed, a rerun is clean and bit-identical.
-    let rerun = matrix.run_cells(&params, &config, &executor);
-    for (i, cell) in rerun.iter().enumerate() {
-        assert_eq!(
-            cell.as_ref().expect("rerun is clean").result.fingerprint(),
-            golden_prints[i]
-        );
-    }
-}
-
 fn tiny_service_job(variant: FlowVariant) -> ServiceJob {
     ServiceJob {
         design: NamedDesign::Alu,
