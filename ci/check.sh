@@ -15,7 +15,8 @@
 #  10. kill-and-resume smoke      (interrupted checkpointed matrix resumes bit-identical)
 #  11. interchange round-trip     (SDF/.vxdl emission verifies + checkpoints migrate)
 #  12. .varch round-trip          (reloaded builtins hit the golden; malformed fails closed)
-#  13. serve smoke                (cold/warm daemon matrix golden, SIGTERM drain)
+#  13. serve smoke                (cold/warm daemon matrix golden, SIGTERM drain,
+#      a misspelled flag fails closed before the daemon binds)
 #  14. serve load harness         (1000 mixed chaos jobs vs batch reference)
 #  15. cargo bench, smoke mode    (one sample per bench, catches bit-rot)
 #
@@ -159,6 +160,16 @@ step "serve smoke (cold/warm daemon matrix, golden fingerprint, SIGTERM drain)"
 VPGA_BIN=target/release/vpga
 SRV=$(mktemp -d)
 trap 'rm -rf "$CKPT" "$IVK" "$SRV"' EXIT
+# Fails closed: a misspelled flag is an error naming it, not a daemon
+# started with the default (exit 124 would mean timeout killed a daemon).
+rc=0
+timeout 10 "$VPGA_BIN" serve --listen 127.0.0.1:0 --wokers 2 \
+    >/dev/null 2>"$SRV/badflag.txt" || rc=$?
+if [ "$rc" = 0 ] || [ "$rc" = 124 ] || ! grep -q -- '--wokers' "$SRV/badflag.txt"; then
+    echo "error: serve with a misspelled flag exited $rc instead of naming it:" >&2
+    cat "$SRV/badflag.txt" >&2
+    exit 1
+fi
 PORT=$((20000 + RANDOM % 20000))
 "$VPGA_BIN" serve --listen "127.0.0.1:$PORT" --workers 2 \
     >"$SRV/summary.txt" 2>"$SRV/log.txt" &

@@ -5,9 +5,6 @@
 //! cargo run --release -p vpga-bench --bin table1 -- [tiny|small|medium|paper] [--jobs N] [--stats]
 //! ```
 
-use vpga_flow::report::Matrix;
-use vpga_flow::{Executor, FlowConfig};
-
 fn main() {
     let args = vpga_bench::bench_args();
     vpga_bench::banner(
@@ -15,9 +12,7 @@ fn main() {
         "Table 1; §3.2 area claims (32 % datapath, 40 % FPU, Firewire inversion, 48 %/88 % overhead gaps)",
     );
     let t0 = std::time::Instant::now();
-    eprintln!("workers: {}", Executor::new(args.jobs).workers());
-    let matrix = Matrix::run_parallel(&args.params, &FlowConfig::default(), args.jobs)
-        .expect("flow matrix runs");
+    let matrix = vpga_bench::paper_matrix(&args);
     println!("{}", matrix.table1());
     // Per-design overhead detail (the §3.2 packing-efficiency argument).
     println!("Flow a → flow b die-area overhead:");
@@ -32,7 +27,8 @@ fn main() {
         );
     }
     println!();
-    println!("{}", matrix.claims());
+    let claims = matrix.claims().expect("a healthy full matrix has claims");
+    println!("{claims}");
     if args.stats {
         println!();
         print!("{}", matrix.stats_report());

@@ -6,9 +6,6 @@
 //! cargo run --release -p vpga-bench --bin table2 -- [tiny|small|medium|paper] [--jobs N] [--stats]
 //! ```
 
-use vpga_flow::report::Matrix;
-use vpga_flow::{Executor, FlowConfig};
-
 fn main() {
     let args = vpga_bench::bench_args();
     vpga_bench::banner(
@@ -16,9 +13,7 @@ fn main() {
         "Table 2; §3.2 timing claims (18 % mean slack gain, 40 % FPU, 68 % less a→b degradation)",
     );
     let t0 = std::time::Instant::now();
-    eprintln!("workers: {}", Executor::new(args.jobs).workers());
-    let matrix = Matrix::run_parallel(&args.params, &FlowConfig::default(), args.jobs)
-        .expect("flow matrix runs");
+    let matrix = vpga_bench::paper_matrix(&args);
     println!("{}", matrix.table2());
     println!("Flow a → flow b slack degradation (ps):");
     for o in matrix.outcomes() {
@@ -32,7 +27,8 @@ fn main() {
         );
     }
     println!();
-    println!("{}", matrix.claims());
+    let claims = matrix.claims().expect("a healthy full matrix has claims");
+    println!("{claims}");
     println!(
         "note: the generated benchmark circuits are deeper than the paper's\n\
          pipelined originals, so absolute slacks are far more negative than\n\

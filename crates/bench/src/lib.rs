@@ -3,10 +3,10 @@
 //! EXPERIMENTS.md for recorded results).
 //!
 //! Every binary accepts an optional size argument (`tiny`, `small`,
-//! `medium`, or `paper`) controlling the generated design sizes; the
-//! default is `small`, which runs the full matrix in seconds. `paper`
-//! approximates the publication's 24 k/80 k gate counts and takes
-//! correspondingly longer.
+//! `medium`, or `paper`, resolved by [`DesignParams::by_name`]) controlling
+//! the generated design sizes; the default is `small`, which runs the full
+//! matrix in seconds. `paper` approximates the publication's 24 k/80 k gate
+//! counts and takes correspondingly longer. Any other argument is an error.
 //!
 //! The matrix-running binaries (`table1`, `table2`) additionally accept
 //! `--jobs N` (worker threads; `0` = one per CPU, default 1 — output
@@ -17,6 +17,7 @@
 #![warn(missing_docs)]
 
 use vpga_designs::DesignParams;
+use vpga_flow::{Executor, Matrix, MatrixRun};
 
 /// Parsed common benchmark-binary arguments.
 #[derive(Clone, Debug)]
@@ -32,65 +33,66 @@ pub struct BenchArgs {
 /// Parses `[size] [--jobs N] [--stats]` from the command line; exits with
 /// a usage message on bad input.
 pub fn bench_args() -> BenchArgs {
-    let args: Vec<String> = std::env::args().skip(1).collect();
+    const FORM: &str = "[tiny|small|medium|paper] [--jobs N] [--stats]";
     let mut parsed = BenchArgs {
-        params: params_by_name("small").expect("known size"),
+        params: DesignParams::default(),
         jobs: 1,
         stats: false,
     };
-    let mut i = 0;
-    while i < args.len() {
-        match args[i].as_str() {
+    let mut args = std::env::args().skip(1);
+    while let Some(arg) = args.next() {
+        match arg.as_str() {
             "--stats" => parsed.stats = true,
             "--jobs" => {
-                i += 1;
-                let v = args.get(i).unwrap_or_else(|| usage("--jobs needs a value"));
+                let v = args
+                    .next()
+                    .unwrap_or_else(|| usage("--jobs needs a value", FORM));
                 parsed.jobs = v
                     .parse()
-                    .unwrap_or_else(|_| usage(&format!("bad --jobs value {v:?}")));
+                    .unwrap_or_else(|_| usage(&format!("bad --jobs value {v:?}"), FORM));
             }
-            size => {
-                parsed.params = params_by_name(size)
-                    .unwrap_or_else(|| usage(&format!("unknown size {size:?}")));
-            }
+            size => parsed.params = preset(size, FORM),
         }
-        i += 1;
     }
     parsed
 }
 
-fn usage(msg: &str) -> ! {
-    eprintln!("{msg}\nusage: [tiny|small|medium|paper] [--jobs N] [--stats]");
+/// Parses the optional size argument (default `small`); exits with a
+/// usage message on an unknown size or on any argument after it.
+pub fn params_from_args() -> DesignParams {
+    const FORM: &str = "[tiny|small|medium|paper]";
+    let args: Vec<String> = std::env::args().skip(1).collect();
+    match args.as_slice() {
+        [] => DesignParams::default(),
+        [size] => preset(size, FORM),
+        [_, extra, ..] => usage(&format!("unexpected argument {extra:?}"), FORM),
+    }
+}
+
+fn preset(name: &str, form: &str) -> DesignParams {
+    DesignParams::by_name(name).unwrap_or_else(|| usage(&format!("unknown size {name:?}"), form))
+}
+
+fn usage(msg: &str, form: &str) -> ! {
+    eprintln!("{msg}\nusage: {form}");
     std::process::exit(2);
 }
 
-/// Parses the size argument from the command line (first free argument),
-/// defaulting to `small`.
-pub fn params_from_args() -> DesignParams {
-    let arg = std::env::args().nth(1).unwrap_or_else(|| "small".into());
-    params_by_name(&arg).unwrap_or_else(|| {
-        eprintln!("unknown size {arg:?}; expected tiny|small|medium|paper");
-        std::process::exit(2);
-    })
-}
-
-/// Looks up a named size.
-pub fn params_by_name(name: &str) -> Option<DesignParams> {
-    match name {
-        "tiny" => Some(DesignParams::tiny()),
-        "small" => Some(DesignParams::small()),
-        "medium" => Some(DesignParams {
-            alu_width: 24,
-            fpu_mantissa: 16,
-            fpu_exponent: 6,
-            fpu_lanes: 3,
-            switch_ports: 8,
-            switch_width: 16,
-            firewire_scale: 3,
-        }),
-        "paper" => Some(DesignParams::paper()),
-        _ => None,
+/// Runs the paper's 4 designs × {granular, lut} matrix at `args`,
+/// reporting the worker count on stderr. On a failed cell it prints the
+/// failures and exits non-zero, so a table is never printed with holes.
+pub fn paper_matrix(args: &BenchArgs) -> Matrix {
+    eprintln!("workers: {}", Executor::new(args.jobs).workers());
+    let matrix = Matrix::run(&MatrixRun {
+        params: args.params.clone(),
+        jobs: args.jobs,
+        ..MatrixRun::default()
+    });
+    if !matrix.failures().is_empty() {
+        eprint!("{}", matrix.failures_report());
+        std::process::exit(1);
     }
+    matrix
 }
 
 /// Prints a standard experiment header.
@@ -99,27 +101,4 @@ pub fn banner(experiment: &str, paper_ref: &str) {
     println!("{experiment}");
     println!("paper reference: {paper_ref}");
     println!("================================================================");
-}
-
-#[cfg(test)]
-mod tests {
-    use super::*;
-
-    #[test]
-    fn sizes_resolve() {
-        assert!(params_by_name("tiny").is_some());
-        assert!(params_by_name("small").is_some());
-        assert!(params_by_name("medium").is_some());
-        assert!(params_by_name("paper").is_some());
-        assert!(params_by_name("bogus").is_none());
-    }
-
-    #[test]
-    fn medium_sits_between_small_and_paper() {
-        let s = params_by_name("small").unwrap();
-        let m = params_by_name("medium").unwrap();
-        let p = params_by_name("paper").unwrap();
-        assert!(s.switch_ports <= m.switch_ports && m.switch_ports <= p.switch_ports);
-        assert!(s.fpu_mantissa <= m.fpu_mantissa && m.fpu_mantissa <= p.fpu_mantissa);
-    }
 }

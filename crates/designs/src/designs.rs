@@ -12,8 +12,9 @@ use crate::designer::Designer;
 ///
 /// The paper gives two absolute gate counts (FPU ≈ 24 k and Network switch
 /// ≈ 80 k NAND2-equivalents); [`DesignParams::paper`] approximates those,
-/// while [`DesignParams::tiny`]/[`DesignParams::small`] keep tests and quick
-/// experiments fast.
+/// while [`DesignParams::tiny`]/[`DesignParams::small`]/[`DesignParams::medium`]
+/// keep tests and quick experiments fast. [`DesignParams::by_name`] is the
+/// one lookup from a preset's name.
 #[derive(Clone, Debug, PartialEq, Eq)]
 pub struct DesignParams {
     /// ALU operand width in bits.
@@ -61,6 +62,20 @@ impl DesignParams {
         }
     }
 
+    /// Sizes between [`DesignParams::small`] and [`DesignParams::paper`]:
+    /// the largest matrix that still runs in seconds.
+    pub fn medium() -> DesignParams {
+        DesignParams {
+            alu_width: 24,
+            fpu_mantissa: 16,
+            fpu_exponent: 6,
+            fpu_lanes: 3,
+            switch_ports: 8,
+            switch_width: 16,
+            firewire_scale: 3,
+        }
+    }
+
     /// Paper-scale sizes: FPU ≈ 24 k and Network switch ≈ 80 k
     /// NAND2-equivalent gates.
     pub fn paper() -> DesignParams {
@@ -72,6 +87,20 @@ impl DesignParams {
             switch_ports: 16,
             switch_width: 64,
             firewire_scale: 4,
+        }
+    }
+
+    /// The names [`DesignParams::by_name`] accepts, smallest first.
+    pub const PRESETS: [&'static str; 4] = ["tiny", "small", "medium", "paper"];
+
+    /// The size preset called `name` (one of [`DesignParams::PRESETS`]).
+    pub fn by_name(name: &str) -> Option<DesignParams> {
+        match name {
+            "tiny" => Some(DesignParams::tiny()),
+            "small" => Some(DesignParams::small()),
+            "medium" => Some(DesignParams::medium()),
+            "paper" => Some(DesignParams::paper()),
+            _ => None,
         }
     }
 }
@@ -640,6 +669,18 @@ mod tests {
         let _ = sim.step(&win); // now in ARB, winning
         let out = sim.step(&win);
         assert!(out[tx_ix], "reaches TX after winning arbitration");
+    }
+
+    #[test]
+    fn by_name_resolves_every_preset_in_size_order() {
+        let p = DesignParams::PRESETS.map(|n| DesignParams::by_name(n).unwrap());
+        assert_eq!(p[0], DesignParams::tiny());
+        assert_eq!(p[3], DesignParams::paper());
+        for w in p.windows(2) {
+            assert!(w[0].switch_ports <= w[1].switch_ports, "{w:?}");
+            assert!(w[0].fpu_mantissa <= w[1].fpu_mantissa, "{w:?}");
+        }
+        assert!(DesignParams::by_name("bogus").is_none());
     }
 
     #[test]

@@ -332,6 +332,7 @@ pub(crate) fn decode_result(r: &mut Reader<'_>) -> Option<FlowResult> {
 }
 
 /// A directory of stage-graph checkpoints.
+#[derive(Debug)]
 pub struct CheckpointStore {
     dir: PathBuf,
     resume: bool,

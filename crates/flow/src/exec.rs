@@ -316,7 +316,7 @@ struct BackState<'f> {
 /// The flow's one scheduler: runs `cells` — (pair index, variant)
 /// back-ends over the front-ends of `pairs`, each a (source netlist,
 /// architecture) pair — on `executor` as a stage-level dependency DAG
-/// (see [`FlowMatrix::run_cells_checkpointed`] for the contract).
+/// (see [`FlowMatrix::run_cells`] for the contract).
 /// Checkpoints are keyed on the design parameters the sources were
 /// generated at. Returns each pair's sealed front-end (`None` where it
 /// failed) and one result per cell, in cell order.
@@ -535,31 +535,6 @@ pub struct FlowMatrix {
 }
 
 impl FlowMatrix {
-    /// The paper's full 4 designs × 2 architectures × 2 variants matrix,
-    /// in Table 1 row order.
-    pub fn full() -> FlowMatrix {
-        Self::full_with_archs(&[PlbArchitecture::granular(), PlbArchitecture::lut_based()])
-    }
-
-    /// The full matrix over an explicit architecture list: every design ×
-    /// every architecture × both variants, designs outermost (Table 1 row
-    /// order when `archs` is `[granular, lut]`).
-    pub fn full_with_archs(archs: &[PlbArchitecture]) -> FlowMatrix {
-        let mut jobs = Vec::new();
-        for design in NamedDesign::ALL {
-            for arch in archs {
-                for variant in [FlowVariant::A, FlowVariant::B] {
-                    jobs.push(FlowJob {
-                        design,
-                        arch: arch.clone(),
-                        variant,
-                    });
-                }
-            }
-        }
-        FlowMatrix { jobs }
-    }
-
     /// A matrix over an explicit job list (any subset, any order,
     /// duplicates allowed).
     pub fn from_jobs(jobs: Vec<FlowJob>) -> FlowMatrix {
@@ -569,19 +544,6 @@ impl FlowMatrix {
     /// The job list, in execution (= result) order.
     pub fn jobs(&self) -> &[FlowJob] {
         &self.jobs
-    }
-
-    /// Runs every job on `executor`, returning per-cell results in job
-    /// order — one `Result` per job, never fewer. See
-    /// [`FlowMatrix::run_cells_checkpointed`] for the scheduling and
-    /// isolation contract.
-    pub fn run_cells(
-        &self,
-        params: &DesignParams,
-        config: &FlowConfig,
-        executor: &Executor,
-    ) -> Vec<Result<JobResult, FlowError>> {
-        self.run_cells_checkpointed(params, config, executor, None)
     }
 
     /// Runs every job on `executor` at stage granularity, returning
@@ -605,7 +567,7 @@ impl FlowMatrix {
     /// With `checkpoints`, every completed stage is persisted; a resuming
     /// store restores the deepest valid checkpoint per cell and skips the
     /// completed stages, bit-identically.
-    pub fn run_cells_checkpointed(
+    pub fn run_cells(
         &self,
         params: &DesignParams,
         config: &FlowConfig,
@@ -655,24 +617,6 @@ impl FlowMatrix {
                     result,
                 })
             })
-            .collect()
-    }
-
-    /// Runs every job on `executor`, returning results in job order, or
-    /// the first failed cell's error. See [`FlowMatrix::run_cells`] for
-    /// the tolerant per-cell form.
-    ///
-    /// # Errors
-    ///
-    /// Returns the first error in job order, if any job fails.
-    pub fn run(
-        &self,
-        params: &DesignParams,
-        config: &FlowConfig,
-        executor: &Executor,
-    ) -> Result<Vec<JobResult>, FlowError> {
-        self.run_cells(params, config, executor)
-            .into_iter()
             .collect()
     }
 }
@@ -727,18 +671,6 @@ mod tests {
             order.lock().unwrap().push(t);
         });
         assert_eq!(order.into_inner().unwrap(), vec![0, 1, 2, 3, 4, 5]);
-    }
-
-    #[test]
-    fn full_matrix_has_sixteen_jobs() {
-        let m = FlowMatrix::full();
-        assert_eq!(m.jobs().len(), 16);
-        let b_granular = m
-            .jobs()
-            .iter()
-            .filter(|j| j.variant == FlowVariant::B && j.arch.name() == "granular")
-            .count();
-        assert_eq!(b_granular, 4);
     }
 
     #[test]

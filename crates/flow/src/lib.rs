@@ -61,10 +61,6 @@ pub use error::FlowError;
 pub use exec::{Executor, FlowJob, FlowMatrix, JobResult};
 pub use faultpoint::FaultKind;
 pub use pipeline::{run_design, DesignOutcome, FlowResult};
-pub use report::{CellFailure, Claims, Matrix};
+pub use report::{CellFailure, Claims, Matrix, MatrixRun};
 pub use service::{CachedFlow, JobEvent, JobOutcome, ServiceJob};
 pub use stats::{StageId, StageStats};
-
-/// Backwards-compatible alias: the stage enum was renamed to
-/// [`StageId`] when the `Stage` *trait* took the primary name.
-pub use stats::StageId as Stage;

@@ -1,11 +1,12 @@
 //! Table 1 / Table 2 assembly and the derived §3.2 claims.
 
+use vpga_core::PlbArchitecture;
 use vpga_designs::{DesignParams, NamedDesign};
 
-use crate::exec::{Executor, FlowMatrix};
+use crate::exec::{Executor, FlowJob, FlowMatrix};
 use crate::pipeline::DesignOutcome;
 use crate::stats::render_stages;
-use crate::{FlowConfig, FlowError, FlowVariant};
+use crate::{CheckpointStore, FlowConfig, FlowVariant};
 
 /// One failed cell of the evaluation matrix: which job died and why.
 /// The error is kept rendered so the matrix stays cheap to clone.
@@ -17,7 +18,7 @@ pub struct CellFailure {
     pub arch: String,
     /// Flow variant of the failed cell.
     pub variant: FlowVariant,
-    /// The rendered [`FlowError`].
+    /// The rendered [`crate::FlowError`].
     pub error: String,
 }
 
@@ -31,16 +32,71 @@ impl std::fmt::Display for CellFailure {
     }
 }
 
-/// The generated-netlist name a design's outcomes are keyed by (also the
-/// first path component of job context strings).
-fn design_key(design: NamedDesign) -> &'static str {
-    design.key()
+/// What [`Matrix::run`] runs: every design × every architecture in
+/// `archs` × both flow variants, at `params`, with `config`, on `jobs`
+/// workers (`0` = one per available CPU). The default is the paper's
+/// matrix: `[granular, lut]` at the default (`small`) sizes, on one
+/// worker, without checkpoints or a filter.
+#[derive(Debug)]
+pub struct MatrixRun {
+    /// Generated design sizes.
+    pub params: DesignParams,
+    /// Flow settings shared by every cell.
+    pub config: FlowConfig,
+    /// Worker threads; results are bit-identical for any count.
+    pub jobs: usize,
+    /// Persists every completed stage; a resuming store restores them
+    /// instead of recomputing, bit-identically.
+    pub checkpoints: Option<CheckpointStore>,
+    /// Runs only the pairs whose `design/arch` key (e.g. `alu/granular`)
+    /// contains this substring. A filtered matrix fingerprints over its
+    /// own outcomes only, so compare like against like.
+    pub only: Option<String>,
+    /// The architecture columns; `--arch-file` fabrics enter here.
+    pub archs: Vec<PlbArchitecture>,
 }
 
-/// All outcomes for the 4 designs × 2 architectures evaluation matrix,
-/// plus any cells that failed (a [`Matrix::run_resilient`] matrix keeps
-/// running when a cell panics or errors; the strict constructors return
-/// the first error instead).
+impl Default for MatrixRun {
+    fn default() -> MatrixRun {
+        MatrixRun {
+            params: DesignParams::default(),
+            config: FlowConfig::default(),
+            jobs: 1,
+            checkpoints: None,
+            only: None,
+            archs: vec![PlbArchitecture::granular(), PlbArchitecture::lut_based()],
+        }
+    }
+}
+
+impl MatrixRun {
+    /// The jobs this run covers, in Table 1 row order (designs outermost,
+    /// then `archs`), each (design, arch) pair's flow a immediately
+    /// followed by its flow b.
+    pub fn flow_matrix(&self) -> FlowMatrix {
+        let mut jobs = Vec::new();
+        for design in NamedDesign::ALL {
+            for arch in &self.archs {
+                // No filter is the empty substring, which every key contains.
+                let key = format!("{}/{}", design.key(), arch.name());
+                if !key.contains(self.only.as_deref().unwrap_or("")) {
+                    continue;
+                }
+                for variant in [FlowVariant::A, FlowVariant::B] {
+                    jobs.push(FlowJob {
+                        design,
+                        arch: arch.clone(),
+                        variant,
+                    });
+                }
+            }
+        }
+        FlowMatrix::from_jobs(jobs)
+    }
+}
+
+/// All outcomes of an evaluation matrix, plus any cells that failed: a
+/// panicking or erroring cell never stops the others.
 #[derive(Clone, Debug)]
 pub struct Matrix {
     outcomes: Vec<DesignOutcome>,
@@ -48,132 +104,19 @@ pub struct Matrix {
 }
 
 impl Matrix {
-    /// Runs the full evaluation matrix at the given design sizes,
-    /// serially. Identical (bit for bit) to [`Matrix::run_parallel`] with
-    /// any worker count.
-    ///
-    /// # Errors
-    ///
-    /// Propagates the first [`FlowError`].
-    pub fn run(params: &DesignParams, config: &FlowConfig) -> Result<Matrix, FlowError> {
-        Matrix::run_parallel(params, config, 1)
-    }
-
-    /// Runs the full evaluation matrix across `jobs` workers (`0` = one
-    /// per available CPU). Every flow job derives its randomness from the
-    /// seeds in `config` alone, so the outcomes are bit-identical to a
-    /// serial run — only the wall-time fields in the stage records differ.
-    ///
-    /// # Errors
-    ///
-    /// Propagates the first [`FlowError`] in job order.
-    pub fn run_parallel(
-        params: &DesignParams,
-        config: &FlowConfig,
-        jobs: usize,
-    ) -> Result<Matrix, FlowError> {
-        let executor = Executor::new(jobs);
-        let results = FlowMatrix::full().run(params, config, &executor)?;
-        // `FlowMatrix::full` lists each (design, arch) pair's variant A
-        // immediately followed by its variant B.
-        let mut outcomes = Vec::new();
-        let mut iter = results.into_iter();
-        while let Some(a) = iter.next() {
-            let b = iter.next().expect("full matrix pairs A with B");
-            debug_assert_eq!(a.job.variant, FlowVariant::A);
-            debug_assert_eq!(b.job.variant, FlowVariant::B);
-            outcomes.push(DesignOutcome {
-                design: a.design,
-                arch: a.job.arch.name().to_owned(),
-                gates_nand2: a.gates_nand2,
-                compaction: a.compaction,
-                front_stages: a.front_stages,
-                flow_a: a.result,
-                flow_b: b.result,
-            });
-        }
-        Ok(Matrix {
-            outcomes,
-            failures: Vec::new(),
-        })
-    }
-
-    /// Runs the full evaluation matrix across `jobs` workers, keeping
-    /// going when cells fail: a panicking or erroring job becomes a
-    /// [`CellFailure`] (and drops its (design, arch) pair from the
-    /// tables), while every healthy cell completes bit-identical to a
-    /// fully healthy run. This is the `matrix` command's default
-    /// constructor; [`Matrix::run_parallel`] is the strict form.
-    pub fn run_resilient(params: &DesignParams, config: &FlowConfig, jobs: usize) -> Matrix {
-        Matrix::run_resilient_checkpointed(params, config, jobs, None)
-    }
-
-    /// [`Matrix::run_resilient`] with optional disk checkpointing: with a
-    /// [`CheckpointStore`], every completed stage persists, and a
-    /// resuming store restores completed work instead of recomputing it —
-    /// bit-identical either way (a resumed matrix fingerprints the same
-    /// as an uninterrupted one).
-    pub fn run_resilient_checkpointed(
-        params: &DesignParams,
-        config: &FlowConfig,
-        jobs: usize,
-        checkpoints: Option<&crate::CheckpointStore>,
-    ) -> Matrix {
-        Matrix::run_resilient_filtered(params, config, jobs, checkpoints, None)
-    }
-
-    /// [`Matrix::run_resilient_checkpointed`] restricted to the cells
-    /// whose `design/arch` context contains the `only` substring (both
-    /// flow variants of a matching pair run, so outcomes stay pairable).
-    /// `None` runs the full matrix. A filtered matrix fingerprints over
-    /// its own outcomes only, so compare like against like.
-    pub fn run_resilient_filtered(
-        params: &DesignParams,
-        config: &FlowConfig,
-        jobs: usize,
-        checkpoints: Option<&crate::CheckpointStore>,
-        only: Option<&str>,
-    ) -> Matrix {
-        Matrix::run_resilient_with_archs(
-            params,
-            config,
-            jobs,
-            checkpoints,
-            only,
-            &[
-                vpga_core::PlbArchitecture::granular(),
-                vpga_core::PlbArchitecture::lut_based(),
-            ],
-        )
-    }
-
-    /// [`Matrix::run_resilient_filtered`] over an explicit architecture
-    /// list — how `--arch-file` fabrics enter the matrix. Every design
-    /// runs against every architecture; when `archs` is
-    /// `[granular, lut]`, this is exactly the paper's matrix.
-    pub fn run_resilient_with_archs(
-        params: &DesignParams,
-        config: &FlowConfig,
-        jobs: usize,
-        checkpoints: Option<&crate::CheckpointStore>,
-        only: Option<&str>,
-        archs: &[vpga_core::PlbArchitecture],
-    ) -> Matrix {
-        let executor = Executor::new(jobs);
-        let full = FlowMatrix::full_with_archs(archs);
-        let flow_matrix = match only {
-            Some(filter) => FlowMatrix::from_jobs(
-                full.jobs()
-                    .iter()
-                    .filter(|j| {
-                        format!("{}/{}", design_key(j.design), j.arch.name()).contains(filter)
-                    })
-                    .cloned()
-                    .collect(),
-            ),
-            None => full,
-        };
-        let cells = flow_matrix.run_cells_checkpointed(params, config, &executor, checkpoints);
+    /// Runs the matrix `run` describes. A failed cell becomes a
+    /// [`CellFailure`] and drops its (design, arch) pair from the tables,
+    /// while every healthy cell completes bit-identical to a fully healthy
+    /// run, with any worker count; a caller that wants strictness checks
+    /// [`Matrix::failures`].
+    pub fn run(run: &MatrixRun) -> Matrix {
+        let flow_matrix = run.flow_matrix();
+        let cells = flow_matrix.run_cells(
+            &run.params,
+            &run.config,
+            &Executor::new(run.jobs),
+            run.checkpoints.as_ref(),
+        );
         let mut outcomes = Vec::new();
         let mut failures = Vec::new();
         let mut pairs = flow_matrix.jobs().iter().zip(cells);
@@ -220,7 +163,7 @@ impl Matrix {
         &self.outcomes
     }
 
-    /// The cells that failed (empty for a strict or fully healthy run).
+    /// The cells that failed (empty for a fully healthy run).
     pub fn failures(&self) -> &[CellFailure] {
         &self.failures
     }
@@ -240,10 +183,16 @@ impl Matrix {
 
     /// The outcome for a design/architecture pair.
     pub fn get(&self, design: NamedDesign, arch: &str) -> Option<&DesignOutcome> {
-        let name = design_key(design);
+        let name = design.key();
         self.outcomes
             .iter()
             .find(|o| o.design == name && o.arch == arch)
+    }
+
+    /// A design's granular and LUT outcomes — the pair Tables 1–2 and the
+    /// §3.2 claims compare — if both ran.
+    pub fn paper_pair(&self, design: NamedDesign) -> Option<(&DesignOutcome, &DesignOutcome)> {
+        Some((self.get(design, "granular")?, self.get(design, "lut")?))
     }
 
     /// Formats Table 1: die area (µm²) per design × {granular, LUT} ×
@@ -256,7 +205,7 @@ impl Matrix {
             "Design", "gran flow a", "gran flow b", "lut flow a", "lut flow b"
         ));
         for design in NamedDesign::ALL {
-            let (Some(g), Some(l)) = (self.get(design, "granular"), self.get(design, "lut")) else {
+            let Some((g, l)) = self.paper_pair(design) else {
                 continue;
             };
             s.push_str(&format!(
@@ -281,7 +230,7 @@ impl Matrix {
             "Design", "gates", "gran flow a", "gran flow b", "lut flow a", "lut flow b"
         ));
         for design in NamedDesign::ALL {
-            let (Some(g), Some(l)) = (self.get(design, "granular"), self.get(design, "lut")) else {
+            let Some((g, l)) = self.paper_pair(design) else {
                 continue;
             };
             s.push_str(&format!(
@@ -357,28 +306,16 @@ impl Matrix {
         h
     }
 
-    /// The §3.2 derived claims, if every (design, arch) outcome the
-    /// formulas need is present; `None` when failed cells left holes.
-    pub fn try_claims(&self) -> Option<Claims> {
-        let complete = NamedDesign::ALL
+    /// The §3.2 derived claims, if every design's granular/LUT pair is
+    /// present; `None` when failed cells or a filter left holes.
+    pub fn claims(&self) -> Option<Claims> {
+        if NamedDesign::ALL
             .iter()
-            .all(|&d| self.get(d, "granular").is_some() && self.get(d, "lut").is_some());
-        complete.then(|| self.claims())
-    }
-
-    /// The §3.2 derived claims.
-    ///
-    /// # Panics
-    ///
-    /// If any (design, arch) outcome is missing — use
-    /// [`Matrix::try_claims`] on a resilient matrix.
-    pub fn claims(&self) -> Claims {
-        let pair = |d: NamedDesign| {
-            (
-                self.get(d, "granular").expect("granular outcome"),
-                self.get(d, "lut").expect("lut outcome"),
-            )
-        };
+            .any(|&d| self.paper_pair(d).is_none())
+        {
+            return None;
+        }
+        let pair = |d: NamedDesign| self.paper_pair(d).expect("checked above");
         let datapath = [
             NamedDesign::Alu,
             NamedDesign::Fpu,
@@ -450,7 +387,7 @@ impl Matrix {
                 vals.iter().sum::<f64>() / vals.len() as f64
             }
         };
-        Claims {
+        Some(Claims {
             datapath_area_reduction,
             fpu_area_reduction,
             firewire_area_change,
@@ -459,7 +396,7 @@ impl Matrix {
             mean_slack_gain,
             fpu_slack_gain,
             mean_degradation_gap,
-        }
+        })
     }
 }
 
@@ -540,16 +477,6 @@ impl std::fmt::Display for Claims {
 mod tests {
     use super::*;
 
-    #[test]
-    fn resilient_run_matches_strict_when_healthy() {
-        let strict = Matrix::run(&DesignParams::tiny(), &FlowConfig::default()).unwrap();
-        let resilient = Matrix::run_resilient(&DesignParams::tiny(), &FlowConfig::default(), 2);
-        assert!(resilient.failures().is_empty());
-        assert!(resilient.failures_report().is_empty());
-        assert_eq!(resilient.fingerprint(), strict.fingerprint());
-        assert!(resilient.try_claims().is_some());
-    }
-
     /// Satellite regression for uniform deadline enforcement: an already
     /// expired per-job budget must fail every cell cleanly through the
     /// stage runner (never a panic or a hang), and the resilient matrix
@@ -560,7 +487,12 @@ mod tests {
             deadline: Some(std::time::Duration::ZERO),
             ..FlowConfig::default()
         };
-        let matrix = Matrix::run_resilient(&DesignParams::tiny(), &config, 2);
+        let matrix = Matrix::run(&MatrixRun {
+            params: DesignParams::tiny(),
+            config,
+            jobs: 2,
+            ..MatrixRun::default()
+        });
         assert!(matrix.outcomes().is_empty());
         assert_eq!(matrix.failures().len(), 16, "{}", matrix.failures_report());
         for failure in matrix.failures() {
@@ -578,12 +510,29 @@ mod tests {
         }
         let _ = matrix.table1();
         let _ = matrix.table2();
-        assert!(matrix.try_claims().is_none());
+        assert!(matrix.claims().is_none());
+    }
+
+    #[test]
+    fn default_run_is_the_sixteen_job_paper_matrix() {
+        let m = MatrixRun::default().flow_matrix();
+        assert_eq!(m.jobs().len(), 16);
+        let b_granular = m
+            .jobs()
+            .iter()
+            .filter(|j| j.variant == FlowVariant::B && j.arch.name() == "granular")
+            .count();
+        assert_eq!(b_granular, 4);
     }
 
     #[test]
     fn matrix_runs_and_formats_at_tiny_scale() {
-        let matrix = Matrix::run(&DesignParams::tiny(), &FlowConfig::default()).unwrap();
+        let matrix = Matrix::run(&MatrixRun {
+            params: DesignParams::tiny(),
+            ..MatrixRun::default()
+        });
+        assert!(matrix.failures().is_empty());
+        assert!(matrix.failures_report().is_empty());
         assert_eq!(matrix.outcomes().len(), 8);
         let t1 = matrix.table1();
         let t2 = matrix.table2();
@@ -591,7 +540,7 @@ mod tests {
             assert!(t1.contains(design.name()), "{t1}");
             assert!(t2.contains(design.name()), "{t2}");
         }
-        let claims = matrix.claims();
+        let claims = matrix.claims().expect("a healthy full matrix has claims");
         let _ = claims.to_string();
         // Direction checks that should hold even at tiny scale: the
         // granular PLB wins area on the mux-rich FPU...

@@ -11,24 +11,23 @@
 //! delta-cost engine are therefore not comparable with later runs.
 //!
 //! Usage: `cargo run --release -p vpga-pack --example pack_profile [size]`
-//! (size = tiny | small | paper; default paper).
+//! (size = tiny | small | medium | paper; default paper).
 
 use std::time::Instant;
 
 use vpga_core::PlbArchitecture;
+use vpga_designs::DesignParams;
 use vpga_pack::{PackConfig, SwapConfig};
 use vpga_place::PlaceConfig;
 
 fn main() {
     let size = std::env::args().nth(1).unwrap_or_else(|| "paper".into());
-    let params = match size.as_str() {
-        "tiny" => vpga_designs::DesignParams::tiny(),
-        "small" => vpga_designs::DesignParams::small(),
-        "paper" => vpga_designs::DesignParams::paper(),
-        other => {
-            eprintln!("unknown size {other:?} (tiny|small|paper)");
-            std::process::exit(2);
-        }
+    let Some(params) = DesignParams::by_name(&size) else {
+        eprintln!(
+            "unknown size {size:?} ({})",
+            DesignParams::PRESETS.join("|")
+        );
+        std::process::exit(2);
     };
     let arch = PlbArchitecture::granular();
     let src = vpga_netlist::library::generic::library();

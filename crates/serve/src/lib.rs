@@ -31,6 +31,9 @@
 //! | `/matrix?params=tiny` | run the full 16-cell matrix, print its fingerprint |
 //! | `/shutdown` | begin graceful drain |
 //!
+//! `params` on `/job` and `/matrix` names a size preset: `tiny` (the
+//! default), `small`, `medium` or `paper`.
+//!
 //! `/job` also honours `deadline_ms=N`, and — only when the daemon runs
 //! with chaos enabled (`--chaos`) — `poison=STAGE|result` (panic when the
 //! named event arrives) and `stall_ms=N` (sleep in the first stage event;
@@ -60,7 +63,7 @@ use vpga_designs::{DesignParams, NamedDesign};
 use vpga_flow::service::{arch_by_name, pair_outcomes};
 use vpga_flow::{
     faultpoint, ArtifactCache, CacheStats, CachedFlow, CancelToken, CheckpointStore, FlowConfig,
-    FlowMatrix, FlowVariant, JobEvent, Matrix, ServiceJob,
+    FlowVariant, JobEvent, Matrix, MatrixRun, ServiceJob,
 };
 
 use http::{Query, Request};
@@ -415,12 +418,13 @@ fn handle_conn(shared: &Shared, stream: &mut TcpStream) -> Fate {
 }
 
 fn parse_params(q: &Query) -> Result<DesignParams, String> {
-    match q.get("params").unwrap_or("tiny") {
-        "tiny" => Ok(DesignParams::tiny()),
-        "small" => Ok(DesignParams::small()),
-        "paper" => Ok(DesignParams::paper()),
-        other => Err(format!("unknown params {other:?} (tiny|small|paper)")),
-    }
+    let name = q.get("params").unwrap_or("tiny");
+    DesignParams::by_name(name).ok_or_else(|| {
+        format!(
+            "unknown params {name:?} ({})",
+            DesignParams::PRESETS.join("|")
+        )
+    })
 }
 
 fn parse_job(shared: &Shared, q: &Query) -> Result<ServiceJob, String> {
@@ -539,7 +543,7 @@ fn handle_matrix(shared: &Shared, stream: &mut TcpStream, query: &str) -> Fate {
     http::head_200(stream);
     let mut outcomes = Vec::new();
     let mut hits = 0usize;
-    let jobs = FlowMatrix::full();
+    let jobs = MatrixRun::default().flow_matrix();
     let total = jobs.jobs().len() * 2;
     for job in jobs.jobs() {
         let job = ServiceJob {

@@ -57,6 +57,8 @@ fn bad_requests_are_rejected_not_crashed() {
         let (status, _) = get(daemon.addr(), path).unwrap();
         assert_eq!(status, 400, "{path} should be a 400");
     }
+    let (_, body) = get(daemon.addr(), "/matrix?params=huge").unwrap();
+    assert!(body.contains("tiny|small|medium|paper"), "{body}");
     let (status, _) = get(daemon.addr(), "/healthz").unwrap();
     assert_eq!(status, 200, "daemon must survive bad requests");
     daemon.shutdown();
@@ -116,19 +118,21 @@ fn zero_queue_depth_rejects_with_retry_after() {
 #[test]
 fn zero_deadline_fails_fast_without_running_stages() {
     let daemon = test_daemon(false);
-    let (status, body) = get(
-        daemon.addr(),
+    // Every size preset is accepted by name, `medium` included.
+    for path in [
         "/job?design=fpu&arch=lut&variant=b&params=tiny&deadline_ms=0",
-    )
-    .unwrap();
-    assert_eq!(status, 200);
-    assert!(body.contains("error "), "zero deadline must error: {body}");
-    assert!(!body.contains("stage "), "no stage may run: {body}");
-    assert!(fingerprint(&body).is_none());
+        "/job?design=alu&arch=granular&variant=a&params=medium&deadline_ms=0",
+    ] {
+        let (status, body) = get(daemon.addr(), path).unwrap();
+        assert_eq!(status, 200, "{path}: {body}");
+        assert!(body.contains("error "), "zero deadline must error: {body}");
+        assert!(!body.contains("stage "), "no stage may run: {body}");
+        assert!(fingerprint(&body).is_none());
+    }
     daemon.shutdown();
     let summary = daemon.join();
-    assert_eq!(summary.failed, 1);
-    assert_eq!(summary.cache.misses, 0, "cache untouched by rejected job");
+    assert_eq!(summary.failed, 2);
+    assert_eq!(summary.cache.misses, 0, "cache untouched by rejected jobs");
 }
 
 #[test]

@@ -2,15 +2,19 @@
 //! the baseline the checkpoint/resume goldens are pinned against.
 
 use vpga::designs::DesignParams;
-use vpga::flow::report::Matrix;
-use vpga::flow::FlowConfig;
+use vpga::flow::{Matrix, MatrixRun};
 
 fn main() {
     for (name, params) in [
         ("tiny", DesignParams::tiny()),
         ("small", DesignParams::small()),
     ] {
-        let matrix = Matrix::run_parallel(&params, &FlowConfig::default(), 0).expect("matrix");
+        let matrix = Matrix::run(&MatrixRun {
+            params,
+            jobs: 0,
+            ..MatrixRun::default()
+        });
+        assert!(matrix.failures().is_empty(), "{}", matrix.failures_report());
         println!("{name}: {:#018x}", matrix.fingerprint());
         for o in matrix.outcomes() {
             println!(

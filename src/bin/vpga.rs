@@ -1,25 +1,5 @@
 //! `vpga` — command-line front end to the VPGA implementation flow.
 //!
-//! ```text
-//! vpga gen <alu|fpu|switch|firewire> [--size tiny|small|medium|paper] [-o design.v]
-//! vpga flow <design.v> [--arch granular|lut|homogeneous] [--no-compaction] [--stats]
-//!           [--audit] [--retries N] [--deadline SECS]
-//! vpga matrix [--size tiny|small|medium|paper] [--jobs N] [--stats]
-//!           [--only DESIGN/ARCH] [--arch-file FILE]...
-//!           [--audit] [--retries N] [--deadline SECS]
-//!           [--checkpoint-dir DIR] [--resume]
-//!           [--emit-sdf DIR] [--emit-xdl DIR]
-//! vpga program <design.v> [--arch granular|lut] [-o design.fabric]
-//! vpga arch [granular|lut|homogeneous|FILE.varch]
-//! vpga export-arch <granular|lut|homogeneous> [-o FILE]
-//! vpga verify-interchange <DIR>
-//! vpga migrate-checkpoints <DIR> [--size S] [--no-compaction]
-//! vpga serve [--listen ADDR] [--workers N] [--queue N] [--cache-mb N]
-//!           [--checkpoint-dir DIR] [--chaos]
-//! vpga submit <HOST:PORT> <PATH>
-//! vpga serve-bench [--jobs N] [--clients N] [--cache-kb N] [--designs N]
-//! ```
-//!
 //! `gen` writes a generated benchmark as structural Verilog over the
 //! generic library; `flow` runs the full Figure 6 flow (both variants) on a
 //! structural-Verilog design and prints its fingerprint and the Table 1/2
@@ -30,8 +10,12 @@
 //! additionally emits the via program of the packed array; `arch` prints an
 //! architecture summary. `--stats` adds the per-stage instrumentation
 //! (wall time, netlist sizes, cost movement, mover/acceptance counters)
-//! and each flow's route legality. `flow` and `matrix` reject any `--`
-//! flag they do not accept.
+//! and each flow's route legality.
+//!
+//! `vpga help` prints the usage. Every command parses its arguments
+//! strictly against its row of [`COMMANDS`] (see [`Args`]): an unknown,
+//! repeated or value-less flag, or a surplus positional argument, is an
+//! error naming the argument and its position, and nothing runs.
 //!
 //! `--emit-sdf` / `--emit-xdl` write one SDF 3.0 timing file and/or one
 //! `.vxdl` netlist/placement/routing file per back-end job after its
@@ -43,11 +27,12 @@
 use std::error::Error;
 use std::fs;
 use std::process::ExitCode;
+use std::str::FromStr;
+use std::time::Duration;
 
 use vpga::core::PlbArchitecture;
 use vpga::designs::{DesignParams, NamedDesign};
-use vpga::flow::report::Matrix;
-use vpga::flow::{run_design, FlowConfig};
+use vpga::flow::{run_design, CheckpointStore, Executor, FlowConfig, Matrix, MatrixRun};
 use vpga::netlist::library::generic;
 use vpga::netlist::{io, Netlist};
 
@@ -85,29 +70,137 @@ fn arm_faults_from_env() -> Result<(), String> {
     Ok(())
 }
 
-fn run(args: &[String]) -> Result<(), Box<dyn Error>> {
-    let Some(command) = args.first() else {
+/// Every command: its name, its entry point, how many positional
+/// arguments it takes, and the flags it accepts — a trailing `=` marks a
+/// flag that takes the next argument as its value.
+type Command = (&'static str, fn(&Args) -> CmdResult, usize, &'static str);
+type CmdResult = Result<(), Box<dyn Error>>;
+
+#[rustfmt::skip]
+const COMMANDS: [Command; 11] = [
+    ("gen", cmd_gen, 1, "--size= -o="),
+    ("flow", cmd_flow, 1, "--no-compaction --stats --audit --arch= --retries= --deadline="),
+    ("matrix", cmd_matrix, 0, "--no-compaction --stats --audit --resume --size= --jobs= --only= \
+        --arch-file= --retries= --deadline= --checkpoint-dir= --emit-sdf= --emit-xdl="),
+    ("program", cmd_program, 1, "--arch= -o="),
+    ("arch", cmd_arch, 1, ""),
+    ("export-arch", cmd_export_arch, 1, "-o="),
+    ("verify-interchange", cmd_verify_interchange, 1, ""),
+    ("migrate-checkpoints", cmd_migrate_checkpoints, 1, "--no-compaction --size="),
+    ("serve", cmd_serve, 0, "--chaos --listen= --workers= --queue= --cache-mb= --checkpoint-dir="),
+    ("submit", cmd_submit, 2, ""),
+    ("serve-bench", cmd_serve_bench, 0, "--jobs= --clients= --cache-kb= --designs="),
+];
+
+/// The one flag that may be given more than once.
+const REPEATABLE: &str = "--arch-file";
+
+fn run(args: &[String]) -> CmdResult {
+    let name = args.first().map_or("help", String::as_str);
+    if matches!(name, "help" | "--help" | "-h") {
         print_usage();
         return Ok(());
-    };
-    let rest = &args[1..];
-    match command.as_str() {
-        "gen" => cmd_gen(rest),
-        "flow" => cmd_flow(rest),
-        "matrix" => cmd_matrix(rest),
-        "program" => cmd_program(rest),
-        "arch" => cmd_arch(rest),
-        "export-arch" => cmd_export_arch(rest),
-        "verify-interchange" => cmd_verify_interchange(rest),
-        "migrate-checkpoints" => cmd_migrate_checkpoints(rest),
-        "serve" => cmd_serve(rest),
-        "submit" => cmd_submit(rest),
-        "serve-bench" => cmd_serve_bench(rest),
-        "help" | "--help" | "-h" => {
-            print_usage();
-            Ok(())
+    }
+    let command = COMMANDS
+        .iter()
+        .find(|c| c.0 == name)
+        .ok_or_else(|| format!("unknown command {name:?}; try `vpga help`"))?;
+    (command.1)(&Args::parse(command, &args[1..])?)
+}
+
+/// One command's arguments, parsed strictly against its [`Command`] row.
+/// An argument starting with `-` is a flag; any other is positional,
+/// before or after the flags. Unknown and repeated flags (all but
+/// [`REPEATABLE`]), a valued flag with no value or followed by another
+/// `--` flag, and surplus positional arguments are errors naming the
+/// argument and its 1-based position, the command itself being
+/// argument 1.
+struct Args<'a> {
+    positional: Vec<&'a str>,
+    /// Each flag given, with its value (`None` for a switch) and position.
+    flags: Vec<(&'a str, Option<&'a str>, usize)>,
+}
+
+impl<'a> Args<'a> {
+    fn parse(
+        &(name, _, positional, flags): &Command,
+        args: &'a [String],
+    ) -> Result<Args<'a>, String> {
+        let mut parsed = Args {
+            positional: Vec::new(),
+            flags: Vec::new(),
+        };
+        let mut iter = args.iter().map(String::as_str).zip(2..).peekable();
+        while let Some((arg, at)) = iter.next() {
+            if !arg.starts_with('-') {
+                if parsed.positional.len() == positional {
+                    return Err(format!(
+                        "unexpected argument {arg:?} (argument {at}) for `vpga {name}`"
+                    ));
+                }
+                parsed.positional.push(arg);
+                continue;
+            }
+            let Some(takes_value) = flags
+                .split_whitespace()
+                .find_map(|f| (f.trim_end_matches('=') == arg).then(|| f.ends_with('=')))
+            else {
+                return Err(format!(
+                    "unknown flag {arg} (argument {at}) for `vpga {name}`; try `vpga help`"
+                ));
+            };
+            if let Some(first) = parsed
+                .flags
+                .iter()
+                .find(|f| f.0 == arg && arg != REPEATABLE)
+            {
+                return Err(format!(
+                    "repeated flag {arg} (argument {at}; first given as argument {})",
+                    first.2
+                ));
+            }
+            let value = match iter.next_if(|_| takes_value) {
+                Some((v, _)) if !v.starts_with("--") => Some(v),
+                None if !takes_value => None,
+                _ => return Err(format!("flag {arg} (argument {at}) needs a value")),
+            };
+            parsed.flags.push((arg, value, at));
         }
-        other => Err(format!("unknown command {other:?}; try `vpga help`").into()),
+        Ok(parsed)
+    }
+
+    /// The `i`-th positional argument.
+    fn positional(&self, i: usize) -> Option<&'a str> {
+        self.positional.get(i).copied()
+    }
+
+    /// Whether the switch `flag` was given.
+    fn switch(&self, flag: &str) -> bool {
+        self.flags.iter().any(|f| f.0 == flag)
+    }
+
+    /// The value of `flag`, if given.
+    fn value(&self, flag: &str) -> Option<&'a str> {
+        self.values(flag).next()
+    }
+
+    /// Every value of `flag`, in command-line order.
+    fn values<'s>(&'s self, flag: &'s str) -> impl Iterator<Item = &'a str> + 's {
+        self.flags
+            .iter()
+            .filter(move |f| f.0 == flag)
+            .filter_map(|f| f.1)
+    }
+
+    /// The value of `flag` parsed as a `T`, if given.
+    fn number<T: FromStr>(&self, flag: &str) -> Result<Option<T>, String> {
+        match self.flags.iter().find(|f| f.0 == flag) {
+            Some(&(_, Some(v), at)) => v
+                .parse()
+                .map(Some)
+                .map_err(|_| format!("bad {flag} value {v:?} (argument {})", at + 1)),
+            _ => Ok(None),
+        }
     }
 }
 
@@ -127,6 +220,7 @@ fn print_usage() {
          --jobs N: worker threads (0 = one per CPU; default 1) — results are\n\
          \x20         bit-identical for any N\n\
          --only F: (matrix) run only the cells whose design/arch contains F\n\
+         \x20         (e.g. alu/granular); each cell that ran shows in a table\n\
          --arch-file FILE: (matrix, repeatable) load a .varch architecture description\n\
          \x20         and sweep it through the matrix; a description named after a\n\
          \x20         built-in replaces that column, any other name adds one\n\
@@ -155,94 +249,45 @@ fn print_usage() {
          \x20                                                   (e.g. \"/job?design=alu&arch=granular&variant=a&params=tiny\")\n\
          \x20 vpga serve-bench [--jobs N] [--clients N] [--cache-kb N] [--designs N]\n\
          \x20                                                   load-test an in-process daemon against\n\
-         \x20                                                   batch-mode reference fingerprints"
+         \x20                                                   batch-mode reference fingerprints\n\n\
+         every command rejects unknown and repeated flags (only --arch-file repeats),\n\
+         flags missing their value and extra arguments, naming the argument's position"
     );
 }
 
-/// Fails closed on any `--` argument `command` does not accept: `switches`
-/// stand alone, `valued` flags consume the next argument, so a value is
-/// never mistaken for a flag.
-fn check_flags(
-    command: &str,
-    args: &[String],
-    switches: &[&str],
-    valued: &[&str],
-) -> Result<(), Box<dyn Error>> {
-    let mut iter = args.iter();
-    while let Some(arg) = iter.next() {
-        if valued.contains(&arg.as_str()) {
-            iter.next();
-        } else if arg.starts_with("--") && !switches.contains(&arg.as_str()) {
-            return Err(format!("unknown flag {arg} for `vpga {command}`; try `vpga help`").into());
-        }
-    }
-    Ok(())
-}
-
-fn flag_value<'a>(args: &'a [String], flag: &str) -> Option<&'a str> {
-    args.iter()
-        .position(|a| a == flag)
-        .and_then(|i| args.get(i + 1))
-        .map(String::as_str)
-}
-
-/// Applies the shared robustness flags (`--audit`, `--retries N`,
-/// `--deadline SECS`) on top of `config`.
-fn apply_robustness_flags(
-    mut config: FlowConfig,
-    args: &[String],
-) -> Result<FlowConfig, Box<dyn Error>> {
-    if args.iter().any(|a| a == "--audit") {
-        config.audit = true;
-    }
-    if let Some(v) = flag_value(args, "--retries") {
-        config.retries = v
-            .parse()
-            .map_err(|_| format!("bad --retries value {v:?}"))?;
-    } else if args.iter().any(|a| a == "--retries") {
-        return Err("--retries needs a value".into());
-    }
-    if let Some(v) = flag_value(args, "--deadline") {
-        let secs: f64 = v
-            .parse()
-            .map_err(|_| format!("bad --deadline value {v:?}"))?;
-        // 0 is legal and fails jobs fast before their first stage — the
-        // admission-style "reject everything" budget.
-        if !secs.is_finite() || secs < 0.0 {
-            return Err(format!("--deadline must be non-negative, got {v}").into());
-        }
-        config.deadline = Some(std::time::Duration::from_secs_f64(secs));
-    } else if args.iter().any(|a| a == "--deadline") {
-        return Err("--deadline needs a value".into());
-    }
+/// The flow settings `flow` and `matrix` share: `--no-compaction` and the
+/// robustness flags `--audit`, `--retries N` and `--deadline SECS`.
+fn flow_config(args: &Args) -> Result<FlowConfig, Box<dyn Error>> {
+    let mut config = FlowConfig {
+        compaction: !args.switch("--no-compaction"),
+        ..FlowConfig::default()
+    };
+    config.audit |= args.switch("--audit");
+    config.retries = args.number("--retries")?.unwrap_or(config.retries);
+    // 0 is legal and fails jobs fast before their first stage — the
+    // admission-style "reject everything" budget.
+    config.deadline = args
+        .number("--deadline")?
+        .map(|secs: f64| {
+            Duration::try_from_secs_f64(secs)
+                .map_err(|_| format!("--deadline must be non-negative, got {secs}"))
+        })
+        .transpose()?;
     Ok(config)
 }
 
-fn parse_size(args: &[String]) -> Result<DesignParams, Box<dyn Error>> {
-    let name = flag_value(args, "--size").unwrap_or("small");
-    match name {
-        "tiny" => Ok(DesignParams::tiny()),
-        "small" => Ok(DesignParams::small()),
-        "medium" => Ok(DesignParams {
-            alu_width: 24,
-            fpu_mantissa: 16,
-            fpu_exponent: 6,
-            fpu_lanes: 3,
-            switch_ports: 8,
-            switch_width: 16,
-            firewire_scale: 3,
-        }),
-        "paper" => Ok(DesignParams::paper()),
-        other => Err(format!("unknown size {other:?}").into()),
-    }
+fn parse_size(args: &Args) -> Result<DesignParams, String> {
+    let name = args.value("--size").unwrap_or("small");
+    let presets = DesignParams::PRESETS.join("|");
+    DesignParams::by_name(name).ok_or_else(|| format!("unknown size {name:?} ({presets})"))
 }
 
-fn parse_arch(args: &[String]) -> Result<PlbArchitecture, Box<dyn Error>> {
-    match flag_value(args, "--arch").unwrap_or("granular") {
+fn parse_arch(name: &str) -> Result<PlbArchitecture, String> {
+    match name {
         "granular" => Ok(PlbArchitecture::granular()),
         "lut" => Ok(PlbArchitecture::lut_based()),
         "homogeneous" => Ok(PlbArchitecture::homogeneous_lut()),
-        other => Err(format!("unknown architecture {other:?}").into()),
+        other => Err(format!("unknown architecture {other:?}")),
     }
 }
 
@@ -258,14 +303,9 @@ fn load_arch_file(path: &str) -> Result<PlbArchitecture, Box<dyn Error>> {
 /// Collects every `--arch-file FILE` into the matrix architecture list.
 /// Descriptions named after a built-in replace that column; any other name
 /// appends a new column.
-fn matrix_archs(args: &[String]) -> Result<Vec<PlbArchitecture>, Box<dyn Error>> {
-    let mut archs = vec![PlbArchitecture::granular(), PlbArchitecture::lut_based()];
-    let mut iter = args.iter().peekable();
-    while let Some(arg) = iter.next() {
-        if arg != "--arch-file" {
-            continue;
-        }
-        let path = iter.next().ok_or("--arch-file needs a path")?;
+fn matrix_archs(args: &Args) -> Result<Vec<PlbArchitecture>, Box<dyn Error>> {
+    let mut archs = MatrixRun::default().archs;
+    for path in args.values("--arch-file") {
         let arch = load_arch_file(path)?;
         match archs.iter().position(|a| a.name() == arch.name()) {
             Some(i) => archs[i] = arch,
@@ -286,21 +326,21 @@ fn parse_design(name: &str) -> Result<NamedDesign, Box<dyn Error>> {
 }
 
 fn load_design(path: &str) -> Result<Netlist, Box<dyn Error>> {
-    let text = fs::read_to_string(path)?;
+    let text = fs::read_to_string(path).map_err(|e| format!("cannot read {path}: {e}"))?;
     let lib = generic::library();
     Ok(io::read_verilog(&text, &lib)?)
 }
 
-fn cmd_gen(args: &[String]) -> Result<(), Box<dyn Error>> {
+fn cmd_gen(args: &Args) -> CmdResult {
     let name = args
-        .first()
+        .positional(0)
         .ok_or("gen requires a design name (alu|fpu|switch|firewire)")?;
     let design = parse_design(name)?;
     let params = parse_size(args)?;
     let netlist = design.generate(&params);
     let lib = generic::library();
     let text = io::write_verilog(&netlist, &lib)?;
-    match flag_value(args, "-o") {
+    match args.value("-o") {
         Some(path) => {
             fs::write(path, &text)?;
             eprintln!(
@@ -315,23 +355,11 @@ fn cmd_gen(args: &[String]) -> Result<(), Box<dyn Error>> {
     Ok(())
 }
 
-fn cmd_flow(args: &[String]) -> Result<(), Box<dyn Error>> {
-    check_flags(
-        "flow",
-        args,
-        &["--no-compaction", "--stats", "--audit"],
-        &["--arch", "--retries", "--deadline"],
-    )?;
-    let path = args.first().ok_or("flow requires a Verilog file")?;
+fn cmd_flow(args: &Args) -> CmdResult {
+    let path = args.positional(0).ok_or("flow requires a Verilog file")?;
+    let arch = parse_arch(args.value("--arch").unwrap_or("granular"))?;
+    let config = flow_config(args)?;
     let design = load_design(path)?;
-    let arch = parse_arch(args)?;
-    let config = apply_robustness_flags(
-        FlowConfig {
-            compaction: !args.iter().any(|a| a == "--no-compaction"),
-            ..FlowConfig::default()
-        },
-        args,
-    )?;
     eprintln!(
         "running flows a and b on {:?} for {arch} ...",
         design.name()
@@ -368,7 +396,7 @@ fn cmd_flow(args: &[String]) -> Result<(), Box<dyn Error>> {
         100.0 * out.area_overhead(),
         out.slack_degradation()
     );
-    if args.iter().any(|a| a == "--stats") {
+    if args.switch("--stats") {
         println!("\nPer-stage statistics");
         println!("front-end");
         print!(
@@ -384,103 +412,83 @@ fn cmd_flow(args: &[String]) -> Result<(), Box<dyn Error>> {
     Ok(())
 }
 
-fn cmd_matrix(args: &[String]) -> Result<(), Box<dyn Error>> {
-    check_flags(
-        "matrix",
-        args,
-        &["--no-compaction", "--stats", "--audit", "--resume"],
-        &[
-            "--size",
-            "--jobs",
-            "--only",
-            "--arch-file",
-            "--retries",
-            "--deadline",
-            "--checkpoint-dir",
-            "--emit-sdf",
-            "--emit-xdl",
-        ],
-    )?;
-    let params = parse_size(args)?;
-    let jobs: usize = match flag_value(args, "--jobs") {
-        Some(v) => v.parse().map_err(|_| format!("bad --jobs value {v:?}"))?,
-        None if args.iter().any(|a| a == "--jobs") => return Err("--jobs needs a value".into()),
-        None => 1,
-    };
-    let mut config = apply_robustness_flags(
-        FlowConfig {
-            compaction: !args.iter().any(|a| a == "--no-compaction"),
-            ..FlowConfig::default()
-        },
-        args,
-    )?;
-    for (flag, slot) in [
-        ("--emit-sdf", &mut config.emit.sdf_dir),
-        ("--emit-xdl", &mut config.emit.xdl_dir),
-    ] {
-        match flag_value(args, flag) {
-            Some(dir) => *slot = Some(dir.into()),
-            None if args.iter().any(|a| a == flag) => {
-                return Err(format!("{flag} needs a directory").into())
-            }
-            None => {}
-        }
+fn cmd_matrix(args: &Args) -> CmdResult {
+    let mut config = flow_config(args)?;
+    config.emit.sdf_dir = args.value("--emit-sdf").map(Into::into);
+    config.emit.xdl_dir = args.value("--emit-xdl").map(Into::into);
+    let resume = args.switch("--resume");
+    if resume && args.value("--checkpoint-dir").is_none() {
+        return Err("--resume needs --checkpoint-dir".into());
     }
-    let only = match flag_value(args, "--only") {
-        Some(f) => Some(f),
-        None if args.iter().any(|a| a == "--only") => {
-            return Err("--only needs a design/arch substring".into())
-        }
-        None => None,
+    let run = MatrixRun {
+        params: parse_size(args)?,
+        config,
+        jobs: args.number("--jobs")?.unwrap_or(1),
+        only: args.value("--only").map(str::to_owned),
+        archs: matrix_archs(args)?,
+        checkpoints: args
+            .value("--checkpoint-dir")
+            .map(|dir| CheckpointStore::new(dir, resume))
+            .transpose()?,
     };
-    let resume = args.iter().any(|a| a == "--resume");
-    let checkpoints = match flag_value(args, "--checkpoint-dir") {
-        Some(dir) => Some(vpga::flow::CheckpointStore::new(dir, resume)?),
-        None if args.iter().any(|a| a == "--checkpoint-dir") => {
-            return Err("--checkpoint-dir needs a value".into())
-        }
-        None if resume => return Err("--resume needs --checkpoint-dir".into()),
-        None => None,
-    };
-    let archs = matrix_archs(args)?;
+    let cells = run.flow_matrix().jobs().len();
+    let filter = run
+        .only
+        .as_ref()
+        .map_or(String::new(), |f| format!(" (--only {f})"));
+    if cells == 0 {
+        return Err(format!(
+            "no matrix cell matches{filter}; cells are DESIGN/ARCH, e.g. alu/granular"
+        )
+        .into());
+    }
     eprintln!(
-        "running the 4 designs × {} architectures matrix on {} worker(s) ...",
-        archs.len(),
-        vpga::flow::Executor::new(jobs).workers()
+        "running {cells} cells of the 4 designs × {} architectures matrix{filter} on {} worker(s) ...",
+        run.archs.len(),
+        Executor::new(run.jobs).workers()
     );
-    // Resilient by default: a failed cell is reported (and drops its pair
-    // from the tables) while every other cell completes bit-identically.
-    let matrix = Matrix::run_resilient_with_archs(
-        &params,
-        &config,
-        jobs,
-        checkpoints.as_ref(),
-        only,
-        &archs,
-    );
+    // Resilient: a failed cell is reported (and drops its pair from the
+    // tables) while every other cell completes bit-identically.
+    let matrix = Matrix::run(&run);
     println!("matrix fingerprint: {:#018x}", matrix.fingerprint());
     println!();
-    print!("{}", matrix.table1());
-    println!();
-    print!("{}", matrix.table2());
-    println!();
-    // Architectures beyond the paper's two have no column in Tables 1-2;
-    // give each its own block.
-    for arch in &archs {
-        if arch.name() != "granular" && arch.name() != "lut" {
-            print!("{}", matrix.arch_table(arch.name()));
-            println!();
+    // Tables 1–2 show each design whose granular and LUT pairs both ran;
+    // every other cell that ran shows in its architecture's own table.
+    let paired = NamedDesign::ALL
+        .iter()
+        .filter(|&&d| matrix.paper_pair(d).is_some())
+        .count();
+    let mut tables = Vec::new();
+    if paired > 0 {
+        tables.extend([matrix.table1(), matrix.table2()]);
+    }
+    for arch in run.archs.iter().map(PlbArchitecture::name) {
+        let in_tables = if matches!(arch, "granular" | "lut") {
+            paired
+        } else {
+            0
+        };
+        if matrix.outcomes().iter().filter(|o| o.arch == arch).count() > in_tables {
+            tables.push(matrix.arch_table(arch));
         }
     }
-    match matrix.try_claims() {
+    for table in tables {
+        println!("{table}");
+    }
+    match matrix.claims() {
         Some(claims) => print!("{claims}"),
-        None => println!("§3.2 claims unavailable: failed cells left holes in the matrix"),
+        None if !matrix.failures().is_empty() => {
+            println!("§3.2 claims unavailable: failed cells left holes in the matrix")
+        }
+        None => {
+            println!("§3.2 claims unavailable: they need the full 4 × {{granular, lut}} matrix")
+        }
     }
     if !matrix.failures().is_empty() {
         println!();
         print!("{}", matrix.failures_report());
     }
-    if args.iter().any(|a| a == "--stats") {
+    if args.switch("--stats") {
         println!();
         print!("{}", matrix.stats_report());
     }
@@ -491,10 +499,12 @@ fn cmd_matrix(args: &[String]) -> Result<(), Box<dyn Error>> {
     }
 }
 
-fn cmd_program(args: &[String]) -> Result<(), Box<dyn Error>> {
-    let path = args.first().ok_or("program requires a Verilog file")?;
+fn cmd_program(args: &Args) -> CmdResult {
+    let path = args
+        .positional(0)
+        .ok_or("program requires a Verilog file")?;
+    let arch = parse_arch(args.value("--arch").unwrap_or("granular"))?;
     let design = load_design(path)?;
-    let arch = parse_arch(args)?;
     let src = generic::library();
     let mut mapped = vpga::synth::map_netlist_fast(&design, &src, &arch)?;
     vpga::compact::compact(&mut mapped, &arch)?;
@@ -526,7 +536,7 @@ fn cmd_program(args: &[String]) -> Result<(), Box<dyn Error>> {
             );
         }
     }
-    match flag_value(args, "-o") {
+    match args.value("-o") {
         Some(out_path) => {
             fs::write(out_path, &text)?;
             eprintln!("wrote {out_path}");
@@ -541,10 +551,10 @@ fn cmd_program(args: &[String]) -> Result<(), Box<dyn Error>> {
 /// the round-trip fixpoints: a re-emitted artifact must be byte-identical
 /// to the file on disk, and `.vxdl` parse-backs print their snapshot
 /// fingerprints so they can be compared across runs.
-fn cmd_verify_interchange(args: &[String]) -> Result<(), Box<dyn Error>> {
+fn cmd_verify_interchange(args: &Args) -> CmdResult {
     use vpga::interchange::{sdf, snapshot_fingerprint, vxdl};
     let dir = args
-        .first()
+        .positional(0)
         .ok_or("verify-interchange requires a directory")?;
     let mut entries: Vec<_> = fs::read_dir(dir)?
         .filter_map(|e| e.ok().map(|e| e.path()))
@@ -602,19 +612,19 @@ fn cmd_verify_interchange(args: &[String]) -> Result<(), Box<dyn Error>> {
 /// text twin and verifies the text parses back to the same snapshot
 /// fingerprint — the migration path from the binary checkpoint format to
 /// the interchange text format.
-fn cmd_migrate_checkpoints(args: &[String]) -> Result<(), Box<dyn Error>> {
+fn cmd_migrate_checkpoints(args: &Args) -> CmdResult {
     let dir = args
-        .first()
+        .positional(0)
         .ok_or("migrate-checkpoints requires a checkpoint directory")?;
     let params = parse_size(args)?;
     let config = FlowConfig {
-        compaction: !args.iter().any(|a| a == "--no-compaction"),
+        compaction: !args.switch("--no-compaction"),
         ..FlowConfig::default()
     };
-    let store = vpga::flow::CheckpointStore::new(dir, true)?;
+    let store = CheckpointStore::new(dir, true)?;
     let mut migrated = 0usize;
-    for design in ["alu", "firewire", "fpu", "network_switch"] {
-        for arch in [PlbArchitecture::granular(), PlbArchitecture::lut_based()] {
+    for design in NamedDesign::ALL.map(NamedDesign::key) {
+        for arch in MatrixRun::default().archs {
             let arch_name = arch.name();
             if !store
                 .dir()
@@ -644,33 +654,19 @@ fn cmd_migrate_checkpoints(args: &[String]) -> Result<(), Box<dyn Error>> {
     Ok(())
 }
 
-/// Parses `--flag N` as a number, with a default when the flag is absent.
-fn numeric_flag<T: std::str::FromStr>(
-    args: &[String],
-    flag: &str,
-    default: T,
-) -> Result<T, Box<dyn Error>> {
-    match flag_value(args, flag) {
-        Some(v) => v
-            .parse()
-            .map_err(|_| format!("bad {flag} value {v:?}").into()),
-        None if args.iter().any(|a| a == flag) => Err(format!("{flag} needs a value").into()),
-        None => Ok(default),
-    }
-}
-
 /// `vpga serve` — run the flow daemon until SIGTERM or `/shutdown`, then
 /// drain gracefully and report.
-fn cmd_serve(args: &[String]) -> Result<(), Box<dyn Error>> {
+fn cmd_serve(args: &Args) -> CmdResult {
     let config = vpga::serve::DaemonConfig {
-        listen: flag_value(args, "--listen")
+        listen: args
+            .value("--listen")
             .unwrap_or("127.0.0.1:8787")
             .to_owned(),
-        workers: numeric_flag(args, "--workers", 4usize)?,
-        queue_depth: numeric_flag(args, "--queue", 64usize)?,
-        cache_budget: numeric_flag(args, "--cache-mb", 64usize)? << 20,
-        checkpoint_dir: flag_value(args, "--checkpoint-dir").map(Into::into),
-        chaos: args.iter().any(|a| a == "--chaos"),
+        workers: args.number("--workers")?.unwrap_or(4),
+        queue_depth: args.number("--queue")?.unwrap_or(64),
+        cache_budget: args.number::<usize>("--cache-mb")?.unwrap_or(64) << 20,
+        checkpoint_dir: args.value("--checkpoint-dir").map(Into::into),
+        chaos: args.switch("--chaos"),
     };
     vpga::serve::install_sigterm_handler();
     let handle = vpga::serve::spawn(config.clone())?;
@@ -696,10 +692,10 @@ fn cmd_serve(args: &[String]) -> Result<(), Box<dyn Error>> {
 }
 
 /// `vpga submit` — one GET against a running daemon, body to stdout.
-fn cmd_submit(args: &[String]) -> Result<(), Box<dyn Error>> {
+fn cmd_submit(args: &Args) -> CmdResult {
     use std::net::ToSocketAddrs as _;
-    let host = args.first().ok_or("submit requires HOST:PORT")?;
-    let path = args.get(1).ok_or(
+    let host = args.positional(0).ok_or("submit requires HOST:PORT")?;
+    let path = args.positional(1).ok_or(
         "submit requires a request path, e.g. \"/job?design=alu&arch=granular&variant=a&params=tiny\"",
     )?;
     let addr = host
@@ -718,12 +714,12 @@ fn cmd_submit(args: &[String]) -> Result<(), Box<dyn Error>> {
 /// `vpga serve-bench` — the load harness: an in-process daemon hammered
 /// with mixed hit/miss/zero-deadline/poisoned jobs, every published
 /// fingerprint checked against the batch-mode reference.
-fn cmd_serve_bench(args: &[String]) -> Result<(), Box<dyn Error>> {
+fn cmd_serve_bench(args: &Args) -> CmdResult {
     let config = vpga::serve::BenchConfig {
-        jobs: numeric_flag(args, "--jobs", 1000usize)?,
-        clients: numeric_flag(args, "--clients", 8usize)?,
-        cache_budget: numeric_flag(args, "--cache-kb", 512usize)? << 10,
-        designs: numeric_flag(args, "--designs", 4usize)?,
+        jobs: args.number("--jobs")?.unwrap_or(1000),
+        clients: args.number("--clients")?.unwrap_or(8),
+        cache_budget: args.number::<usize>("--cache-kb")?.unwrap_or(512) << 10,
+        designs: args.number("--designs")?.unwrap_or(4),
     };
     eprintln!(
         "serve-bench: {} jobs across {} clients, cache budget {} KiB ...",
@@ -738,17 +734,15 @@ fn cmd_serve_bench(args: &[String]) -> Result<(), Box<dyn Error>> {
     Ok(())
 }
 
-fn cmd_arch(args: &[String]) -> Result<(), Box<dyn Error>> {
-    let archs: Vec<PlbArchitecture> = if args.is_empty() {
-        vec![
+fn cmd_arch(args: &Args) -> CmdResult {
+    let archs: Vec<PlbArchitecture> = match args.positional(0) {
+        None => vec![
             PlbArchitecture::granular(),
             PlbArchitecture::lut_based(),
             PlbArchitecture::homogeneous_lut(),
-        ]
-    } else if args[0].ends_with(".varch") {
-        vec![load_arch_file(&args[0])?]
-    } else {
-        vec![parse_arch(["--arch".to_owned(), args[0].clone()].as_ref())?]
+        ],
+        Some(path) if path.ends_with(".varch") => vec![load_arch_file(path)?],
+        Some(name) => vec![parse_arch(name)?],
     };
     for arch in archs {
         println!("{arch}");
@@ -766,13 +760,13 @@ fn cmd_arch(args: &[String]) -> Result<(), Box<dyn Error>> {
 
 /// `vpga export-arch` — write a built-in architecture's canonical `.varch`
 /// description, the data-migration path out of the embedded definitions.
-fn cmd_export_arch(args: &[String]) -> Result<(), Box<dyn Error>> {
+fn cmd_export_arch(args: &Args) -> CmdResult {
     let name = args
-        .first()
+        .positional(0)
         .ok_or("export-arch requires an architecture name (granular|lut|homogeneous)")?;
-    let arch = parse_arch(["--arch".to_owned(), name.clone()].as_ref())?;
+    let arch = parse_arch(name)?;
     let text = arch.describe().encode();
-    match flag_value(args, "-o") {
+    match args.value("-o") {
         Some(path) => {
             fs::write(path, &text)?;
             eprintln!(
@@ -783,4 +777,53 @@ fn cmd_export_arch(args: &[String]) -> Result<(), Box<dyn Error>> {
         None => print!("{text}"),
     }
     Ok(())
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    /// Parses `argv`, the command first, against that command's row.
+    fn parse<'a>(argv: &'a [String]) -> Result<Args<'a>, String> {
+        let command = COMMANDS.iter().find(|c| c.0 == argv[0]).unwrap();
+        Args::parse(command, &argv[1..])
+    }
+
+    fn argv(line: &str) -> Vec<String> {
+        line.split(' ').map(str::to_owned).collect()
+    }
+
+    #[test]
+    fn errors_name_the_flag_and_its_argument_position() {
+        for case in [
+            "gen alu --ouput x.v => unknown flag --ouput (argument 3)",
+            "arch -x => unknown flag -x (argument 2)",
+            "matrix --size tiny --size paper => repeated flag --size (argument 4; first given as argument 2)",
+            "matrix --stats --stats => repeated flag --stats (argument 3",
+            "matrix --stats --jobs => flag --jobs (argument 3) needs a value",
+            "matrix --only --stats => flag --only (argument 2) needs a value",
+            "submit 127.0.0.1:1 /healthz extra => \"extra\" (argument 4)",
+        ] {
+            let (line, expected) = case.split_once(" => ").unwrap();
+            let e = parse(&argv(line)).err().expect(line);
+            assert!(e.contains(expected), "{line}: {e}");
+        }
+        let line = argv("serve-bench --jobs ten");
+        let e = parse(&line).unwrap().number::<usize>("--jobs").unwrap_err();
+        assert!(e.contains("bad --jobs value \"ten\" (argument 3)"), "{e}");
+    }
+
+    #[test]
+    fn accepts_repeated_arch_files_and_dash_values() {
+        let line = argv("matrix --arch-file a.varch --jobs 2 --arch-file b.varch");
+        let args = parse(&line).unwrap();
+        assert_eq!(
+            args.values("--arch-file").collect::<Vec<_>>(),
+            ["a.varch", "b.varch"]
+        );
+        // A single-dash value is a value: `--deadline -1` fails on its
+        // sign, not as a missing value.
+        let line = argv("flow alu.v --deadline -1");
+        assert_eq!(parse(&line).unwrap().value("--deadline"), Some("-1"));
+    }
 }

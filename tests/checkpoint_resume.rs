@@ -18,8 +18,7 @@ use std::sync::Mutex;
 
 use vpga::designs::DesignParams;
 use vpga::flow::faultpoint::{self, FaultKind};
-use vpga::flow::report::Matrix;
-use vpga::flow::{CheckpointStore, FlowConfig};
+use vpga::flow::{CheckpointStore, Matrix, MatrixRun};
 
 static LOCK: Mutex<()> = Mutex::new(());
 
@@ -38,11 +37,19 @@ fn scratch_dir(tag: &str) -> PathBuf {
     std::env::temp_dir().join(format!("vpga-resume-{tag}-{}", std::process::id()))
 }
 
+/// The tiny matrix on `jobs` workers, checkpointed to `store`.
+fn checkpointed(store: CheckpointStore, jobs: usize) -> Matrix {
+    Matrix::run(&MatrixRun {
+        params: DesignParams::tiny(),
+        jobs,
+        checkpoints: Some(store),
+        ..MatrixRun::default()
+    })
+}
+
 #[test]
 fn interrupt_at_each_stage_then_resume_is_bit_identical() {
     let _guard = locked();
-    let params = DesignParams::tiny();
-    let config = FlowConfig::default();
     // One fault point per stage of the flow: the four front-end stages
     // fire in the shared front context; pack/swap only exist in the
     // flow-b back-end, route/sta are exercised in flow a.
@@ -68,7 +75,7 @@ fn interrupt_at_each_stage_then_resume_is_bit_identical() {
         let store = CheckpointStore::new(&dir, false).unwrap();
         let prev_hook = std::panic::take_hook();
         std::panic::set_hook(Box::new(|_| {}));
-        let interrupted = Matrix::run_resilient_checkpointed(&params, &config, 2, Some(&store));
+        let interrupted = checkpointed(store, 2);
         std::panic::set_hook(prev_hook);
         // A front-end fault fails both variants of the pair (the second
         // as Skipped); a back-end fault poisons only its own cell.
@@ -90,7 +97,7 @@ fn interrupt_at_each_stage_then_resume_is_bit_identical() {
         // only the interrupted tail recomputes, and the matrix
         // fingerprint is byte-identical to the uninterrupted golden.
         let store = CheckpointStore::new(&dir, true).unwrap();
-        let resumed = Matrix::run_resilient_checkpointed(&params, &config, 2, Some(&store));
+        let resumed = checkpointed(store, 2);
         assert!(
             resumed.failures().is_empty(),
             "{point}: {}",
@@ -109,21 +116,19 @@ fn interrupt_at_each_stage_then_resume_is_bit_identical() {
 #[test]
 fn resume_from_a_complete_checkpoint_recomputes_nothing_and_matches() {
     let _guard = locked();
-    let params = DesignParams::tiny();
-    let config = FlowConfig::default();
     let dir = scratch_dir("complete");
     let _ = std::fs::remove_dir_all(&dir);
 
     // A fully healthy checkpointed run...
     let store = CheckpointStore::new(&dir, false).unwrap();
-    let first = Matrix::run_resilient_checkpointed(&params, &config, 2, Some(&store));
+    let first = checkpointed(store, 2);
     assert!(first.failures().is_empty());
     assert_eq!(first.fingerprint(), TINY_MATRIX_FINGERPRINT);
 
     // ...resumes entirely from disk: every back-end result loads from
     // its checkpoint, and the fingerprint still matches the golden.
     let store = CheckpointStore::new(&dir, true).unwrap();
-    let resumed = Matrix::run_resilient_checkpointed(&params, &config, 1, Some(&store));
+    let resumed = checkpointed(store, 1);
     assert!(resumed.failures().is_empty());
     assert_eq!(resumed.fingerprint(), TINY_MATRIX_FINGERPRINT);
 

@@ -47,6 +47,18 @@ fn matrix_stats_show_route_legality() {
         .filter(|l| l.trim_start().starts_with("route: "))
         .collect();
     assert_eq!(legality, ["  route: legal", "  route: legal"], "{text}");
+    // The filtered run reports the one pair that ran, in its
+    // architecture's table, and withholds the claims without blaming
+    // failed cells.
+    assert!(
+        text.starts_with("matrix fingerprint: 0xbe5e8d0f5aca9632\n"),
+        "{text}"
+    );
+    assert!(text.lines().any(|l| l.starts_with("ALU ")), "{text}");
+    assert!(!text.contains("failed cells"), "{text}");
+    let banner = String::from_utf8_lossy(&out.stderr);
+    assert!(banner.contains("running 2 cells"), "{banner}");
+    assert!(banner.contains("--only alu/granular"), "{banner}");
 }
 
 #[test]
@@ -132,7 +144,10 @@ fn matrix_rejects_unknown_flags_by_name() {
         .expect("binary runs");
     assert!(!out.status.success());
     let text = String::from_utf8_lossy(&out.stderr);
-    assert!(text.contains("unknown flag --stage-threads"), "{text}");
+    assert!(
+        text.contains("unknown flag --stage-threads (argument 4)"),
+        "{text}"
+    );
     assert!(out.stdout.is_empty(), "nothing ran");
 }
 
@@ -153,9 +168,35 @@ fn flow_rejects_unknown_flags_by_name() {
         .args(["--arch", "granular", "--bogus"])
         .output()
         .expect("binary runs");
+    // Flags may come before the positional argument.
+    let flow = vpga().args(["flow", "--arch", "lut"]).arg(&design).output();
+    let _ = std::fs::remove_dir_all(&dir);
     assert!(!out.status.success());
     let text = String::from_utf8_lossy(&out.stderr);
-    assert!(text.contains("unknown flag --bogus"), "{text}");
+    assert!(text.contains("unknown flag --bogus (argument 5)"), "{text}");
     assert!(out.stdout.is_empty(), "nothing ran");
-    let _ = std::fs::remove_dir_all(&dir);
+    let flow = flow.expect("binary runs");
+    let stderr = String::from_utf8_lossy(&flow.stderr);
+    assert!(flow.status.success(), "{stderr}");
+    assert!(String::from_utf8_lossy(&flow.stdout).starts_with("design fingerprint: 0x"));
+}
+
+#[test]
+fn other_commands_reject_bad_arguments_by_name() {
+    // A misspelled, removed or repeated option must never run a command
+    // as if it were absent: nothing reaches stdout, and the error names
+    // the flag and its position (the command is argument 1).
+    for case in [
+        "gen alu --size tiny --ouput x.v => unknown flag --ouput (argument 5)",
+        "export-arch lut --out f => unknown flag --out (argument 3)",
+        "matrix --size tiny --size paper => repeated flag --size (argument 4",
+        "submit 127.0.0.1:1 /healthz --bogus => unknown flag --bogus (argument 4)",
+    ] {
+        let (line, expected) = case.split_once(" => ").unwrap();
+        let out = vpga().args(line.split(' ')).output().expect("binary runs");
+        let stderr = String::from_utf8_lossy(&out.stderr);
+        assert!(!out.status.success(), "{line} succeeded");
+        assert!(stderr.contains(expected), "{line}: {stderr}");
+        assert!(out.stdout.is_empty(), "{line} printed output");
+    }
 }

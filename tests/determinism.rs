@@ -6,17 +6,39 @@
 
 use vpga::core::PlbArchitecture;
 use vpga::designs::{DesignParams, NamedDesign};
-use vpga::flow::report::Matrix;
 use vpga::flow::{
-    run_design, DesignOutcome, Executor, FlowConfig, FlowJob, FlowMatrix, FlowVariant,
+    run_design, DesignOutcome, Executor, FlowConfig, FlowError, FlowJob, FlowMatrix, FlowVariant,
+    JobResult, Matrix, MatrixRun,
 };
+
+/// Runs `jobs` at tiny size on `workers`, failing on the first failed cell.
+fn run_jobs(jobs: Vec<FlowJob>, workers: usize) -> Result<Vec<JobResult>, FlowError> {
+    FlowMatrix::from_jobs(jobs)
+        .run_cells(
+            &DesignParams::tiny(),
+            &FlowConfig::default(),
+            &Executor::new(workers),
+            None,
+        )
+        .into_iter()
+        .collect()
+}
 
 #[test]
 fn full_matrix_is_bit_identical_for_any_worker_count() {
-    let params = DesignParams::tiny();
-    let config = FlowConfig::default();
-    let serial = Matrix::run_parallel(&params, &config, 1).expect("serial matrix");
-    let parallel = Matrix::run_parallel(&params, &config, 4).expect("parallel matrix");
+    let [serial, parallel] = [1, 4].map(|jobs| {
+        Matrix::run(&MatrixRun {
+            params: DesignParams::tiny(),
+            jobs,
+            ..MatrixRun::default()
+        })
+    });
+    assert!(serial.failures().is_empty(), "{}", serial.failures_report());
+    assert!(
+        parallel.failures().is_empty(),
+        "{}",
+        parallel.failures_report()
+    );
     assert_eq!(
         serial.fingerprint(),
         parallel.fingerprint(),
@@ -53,8 +75,6 @@ fn full_matrix_is_bit_identical_for_any_worker_count() {
 
 #[test]
 fn repeated_runs_are_bit_identical() {
-    let params = DesignParams::tiny();
-    let config = FlowConfig::default();
     let jobs = vec![
         FlowJob {
             design: NamedDesign::Alu,
@@ -72,13 +92,8 @@ fn repeated_runs_are_bit_identical() {
             variant: FlowVariant::B,
         },
     ];
-    let matrix = FlowMatrix::from_jobs(jobs);
-    let first = matrix
-        .run(&params, &config, &Executor::new(2))
-        .expect("first run");
-    let second = matrix
-        .run(&params, &config, &Executor::new(2))
-        .expect("second run");
+    let first = run_jobs(jobs.clone(), 2).expect("first run");
+    let second = run_jobs(jobs, 2).expect("second run");
     assert_eq!(first.len(), second.len());
     for (a, b) in first.iter().zip(&second) {
         assert_eq!(a.result.fingerprint(), b.result.fingerprint());
@@ -103,9 +118,7 @@ fn executor_subset_matches_run_design() {
                     variant,
                 })
                 .to_vec();
-            let out = FlowMatrix::from_jobs(jobs)
-                .run(&params, &config, &Executor::new(1))
-                .unwrap_or_else(|e| panic!("{name}: subset run: {e}"));
+            let out = run_jobs(jobs, 1).unwrap_or_else(|e| panic!("{name}: subset run: {e}"));
             let whole = run_design(&design.generate(&params), &arch, &config)
                 .unwrap_or_else(|e| panic!("{name}: run_design: {e}"));
             assert_eq!(

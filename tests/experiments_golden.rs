@@ -8,16 +8,18 @@
 //! facts.
 
 use vpga::designs::NamedDesign;
-use vpga::flow::report::Matrix;
-use vpga::flow::FlowConfig;
+use vpga::flow::{Matrix, MatrixRun};
 use vpga::logic::s3;
 
 /// Runs the full 4×2 matrix once at the `small` size and checks every
 /// Table 1/2 direction claim against it.
 #[test]
 fn table_direction_claims_hold_at_small_scale() {
-    let params = vpga::designs::DesignParams::small();
-    let matrix = Matrix::run(&params, &FlowConfig::default()).expect("matrix runs");
+    let matrix = Matrix::run(&MatrixRun {
+        params: vpga::designs::DesignParams::small(),
+        ..MatrixRun::default()
+    });
+    assert!(matrix.failures().is_empty(), "{}", matrix.failures_report());
     let pair = |d: NamedDesign| {
         (
             matrix.get(d, "granular").expect("granular outcome"),
@@ -51,7 +53,7 @@ fn table_direction_claims_hold_at_small_scale() {
         gw.flow_b.die_area,
         lw.flow_b.die_area
     );
-    let claims = matrix.claims();
+    let claims = matrix.claims().expect("a healthy full matrix has claims");
     assert!(
         claims.firewire_area_change < 0.0,
         "Firewire area change should be negative: {:.3}",

@@ -19,8 +19,8 @@ use vpga::core::PlbArchitecture;
 use vpga::designs::{DesignParams, NamedDesign};
 use vpga::flow::faultpoint::{self, FaultKind};
 use vpga::flow::{
-    run_design, CachedFlow, CheckpointStore, Executor, FlowConfig, FlowError, FlowMatrix,
-    FlowVariant, JobEvent, ServiceJob, Stage,
+    run_design, CachedFlow, CheckpointStore, Executor, FlowConfig, FlowError, FlowVariant,
+    JobEvent, Matrix, MatrixRun, ServiceJob, StageId,
 };
 use vpga::serve::{get, spawn, DaemonConfig};
 
@@ -43,14 +43,14 @@ fn every_armed_error_point_surfaces_its_stage_taxonomy() {
     let arch = PlbArchitecture::granular();
     let config = FlowConfig::default();
     let expectations = [
-        ("synth", Stage::Synth),
-        ("compact", Stage::Compact),
-        ("place", Stage::Place),
-        ("physsynth", Stage::PhysSynth),
-        ("pack", Stage::Pack),
-        ("swap", Stage::Swap),
-        ("route", Stage::Route),
-        ("sta", Stage::Timing),
+        ("synth", StageId::Synth),
+        ("compact", StageId::Compact),
+        ("place", StageId::Place),
+        ("physsynth", StageId::PhysSynth),
+        ("pack", StageId::Pack),
+        ("swap", StageId::Swap),
+        ("route", StageId::Route),
+        ("sta", StageId::Timing),
     ];
     for (point, stage) in expectations {
         faultpoint::disarm_all();
@@ -61,12 +61,12 @@ fn every_armed_error_point_surfaces_its_stage_taxonomy() {
         assert_eq!(err.stage(), Some(stage), "{point}: {err}");
         let root = err.root();
         let variant_ok = match stage {
-            Stage::Synth => matches!(root, FlowError::Synth(_)),
-            Stage::Compact => matches!(root, FlowError::Netlist(_)),
-            Stage::Place | Stage::PhysSynth => matches!(root, FlowError::Place(_)),
-            Stage::Pack | Stage::Swap => matches!(root, FlowError::Pack(_)),
-            Stage::Route => matches!(root, FlowError::Route(_)),
-            Stage::Timing => matches!(root, FlowError::Timing(_)),
+            StageId::Synth => matches!(root, FlowError::Synth(_)),
+            StageId::Compact => matches!(root, FlowError::Netlist(_)),
+            StageId::Place | StageId::PhysSynth => matches!(root, FlowError::Place(_)),
+            StageId::Pack | StageId::Swap => matches!(root, FlowError::Pack(_)),
+            StageId::Route => matches!(root, FlowError::Route(_)),
+            StageId::Timing => matches!(root, FlowError::Timing(_)),
             _ => false,
         };
         assert!(variant_ok, "{point} produced the wrong variant: {root:?}");
@@ -88,7 +88,7 @@ fn incremental_sta_fault_surfaces_as_a_physsynth_timing_error() {
         &FlowConfig::default(),
     )
     .expect_err("armed sta_incremental fault must fail the flow");
-    assert_eq!(err.stage(), Some(Stage::PhysSynth), "{err}");
+    assert_eq!(err.stage(), Some(StageId::PhysSynth), "{err}");
     assert!(
         matches!(err.root(), FlowError::Timing(_)),
         "wrong variant: {:?}",
@@ -111,7 +111,7 @@ fn timeout_fault_reports_deadline_exceeded() {
         matches!(
             err,
             FlowError::DeadlineExceeded {
-                stage: Stage::Route,
+                stage: StageId::Route,
                 ..
             }
         ),
@@ -124,11 +124,14 @@ fn mid_matrix_deadline_poisons_one_cell_and_reports_partial_results() {
     let _guard = locked();
     // A deadline blown in the middle of the matrix (route of the FPU /
     // granular / flow-a cell) must surface as exactly one
-    // DeadlineExceeded cell failure through `run_resilient`, while the
+    // DeadlineExceeded cell failure through `Matrix::run`, while the
     // other seven pairs complete and the tables still render.
     faultpoint::arm("route", Some("fpu/granular/a"), FaultKind::Timeout);
-    let matrix =
-        vpga::flow::report::Matrix::run_resilient(&DesignParams::tiny(), &FlowConfig::default(), 2);
+    let matrix = Matrix::run(&MatrixRun {
+        params: DesignParams::tiny(),
+        jobs: 2,
+        ..MatrixRun::default()
+    });
     assert_eq!(matrix.outcomes().len(), 7, "{}", matrix.failures_report());
     assert_eq!(matrix.failures().len(), 1, "{}", matrix.failures_report());
     let failure = &matrix.failures()[0];
@@ -140,7 +143,7 @@ fn mid_matrix_deadline_poisons_one_cell_and_reports_partial_results() {
     // poisoned pair, and the aggregate claims are withheld, not wrong.
     assert!(matrix.table1().contains(NamedDesign::Alu.name()));
     assert!(!matrix.failures_report().is_empty());
-    assert!(matrix.try_claims().is_none());
+    assert!(matrix.claims().is_none());
     assert!(!faultpoint::any_armed(), "timeout fault should be one-shot");
 }
 
@@ -155,7 +158,7 @@ fn retries_recover_from_one_shot_stage_errors() {
     };
     // The injected error consumes the first attempt; the reseeded retry
     // succeeds and the consumed retry is recorded in the stage stats.
-    for (point, stage) in [("place", Stage::Place), ("pack", Stage::Pack)] {
+    for (point, stage) in [("place", StageId::Place), ("pack", StageId::Pack)] {
         faultpoint::disarm_all();
         faultpoint::arm(point, None, FaultKind::Error);
         let out = run_design(&design, &arch, &config)
@@ -181,10 +184,10 @@ fn injected_panic_poisons_one_cell_and_leaves_the_rest_bit_identical() {
     let _guard = locked();
     let params = DesignParams::tiny();
     let config = FlowConfig::default();
-    let matrix = FlowMatrix::full();
+    let matrix = MatrixRun::default().flow_matrix();
     let executor = Executor::new(4);
 
-    let golden = matrix.run_cells(&params, &config, &executor);
+    let golden = matrix.run_cells(&params, &config, &executor, None);
     let golden_prints: Vec<u64> = golden
         .iter()
         .map(|c| {
@@ -200,7 +203,7 @@ fn injected_panic_poisons_one_cell_and_leaves_the_rest_bit_identical() {
     faultpoint::arm("pack", Some("alu/granular/b"), FaultKind::Panic);
     let prev_hook = std::panic::take_hook();
     std::panic::set_hook(Box::new(|_| {}));
-    let injected = matrix.run_cells(&params, &config, &executor);
+    let injected = matrix.run_cells(&params, &config, &executor, None);
     std::panic::set_hook(prev_hook);
 
     assert_eq!(injected.len(), golden.len());
@@ -214,7 +217,7 @@ fn injected_panic_poisons_one_cell_and_leaves_the_rest_bit_identical() {
                     matches!(
                         e,
                         FlowError::StagePanic {
-                            stage: Some(Stage::Pack),
+                            stage: Some(StageId::Pack),
                             ..
                         }
                     ),
@@ -234,7 +237,7 @@ fn injected_panic_poisons_one_cell_and_leaves_the_rest_bit_identical() {
     // With the one-shot fault consumed, a rerun is fully healthy and
     // bit-identical to the golden run.
     assert!(!faultpoint::any_armed());
-    let rerun = matrix.run_cells(&params, &config, &executor);
+    let rerun = matrix.run_cells(&params, &config, &executor, None);
     for (i, cell) in rerun.iter().enumerate() {
         assert_eq!(
             cell.as_ref().expect("rerun is clean").result.fingerprint(),
@@ -274,7 +277,7 @@ fn back_end_panics_on_both_threads_return_a_stage_panic() {
             design,
             payload,
         }) => {
-            assert_eq!(stage, Some(Stage::Route));
+            assert_eq!(stage, Some(StageId::Route));
             assert_eq!(design, "alu/granular/a");
             assert!(payload.contains("injected fault at route"), "{payload}");
         }
@@ -326,7 +329,7 @@ fn checkpoint_rename_fault_loses_the_update_never_a_torn_artifact() {
     let err = flow
         .run_job(&tiny_service_job(FlowVariant::A), &mut |_| {})
         .unwrap_err();
-    assert_eq!(err.stage(), Some(Stage::Compact), "{err}");
+    assert_eq!(err.stage(), Some(StageId::Compact), "{err}");
     assert!(!faultpoint::any_armed(), "both faults must have fired");
     drop(flow);
 

@@ -318,20 +318,31 @@ mod executor_properties {
     use proptest::prelude::*;
     use vpga::core::PlbArchitecture;
     use vpga::designs::{DesignParams, NamedDesign};
-    use vpga::flow::{Executor, FlowConfig, FlowJob, FlowMatrix, FlowVariant, JobResult, Stage};
+    use vpga::flow::{
+        Executor, FlowConfig, FlowError, FlowJob, FlowMatrix, FlowVariant, JobResult, MatrixRun,
+        StageId,
+    };
+
+    /// Runs `matrix` at tiny size on `workers`, failing on the first
+    /// failed cell.
+    fn run_tiny(matrix: &FlowMatrix, workers: usize) -> Result<Vec<JobResult>, FlowError> {
+        matrix
+            .run_cells(
+                &DesignParams::tiny(),
+                &FlowConfig::default(),
+                &Executor::new(workers),
+                None,
+            )
+            .into_iter()
+            .collect()
+    }
 
     /// The full tiny-size matrix, computed once and shared across cases
     /// (each case below only *reads* stage records, which is cheap).
     fn tiny_matrix_results() -> &'static [JobResult] {
         static CACHE: OnceLock<Vec<JobResult>> = OnceLock::new();
         CACHE.get_or_init(|| {
-            FlowMatrix::full()
-                .run(
-                    &DesignParams::tiny(),
-                    &FlowConfig::default(),
-                    &Executor::new(2),
-                )
-                .expect("tiny matrix runs")
+            run_tiny(&MatrixRun::default().flow_matrix(), 2).expect("tiny matrix runs")
         })
     }
 
@@ -388,7 +399,7 @@ mod executor_properties {
                 }
                 if let (Some(before), Some(after)) = (s.cost_before, s.cost_after) {
                     prop_assert!(before.is_finite() && after.is_finite());
-                    if matches!(s.stage, Stage::Place | Stage::PhysSynth | Stage::Swap) {
+                    if matches!(s.stage, StageId::Place | StageId::PhysSynth | StageId::Swap) {
                         prop_assert!(
                             after <= before + 1e-9,
                             "{}: cost worsened {} -> {}", s.stage, before, after
@@ -430,9 +441,7 @@ mod executor_properties {
                         .fingerprint()
                 })
                 .collect();
-            let out = FlowMatrix::from_jobs(jobs)
-                .run(&DesignParams::tiny(), &FlowConfig::default(), &Executor::new(workers))
-                .expect("subset runs");
+            let out = run_tiny(&FlowMatrix::from_jobs(jobs), workers).expect("subset runs");
             prop_assert_eq!(out.len(), expect.len());
             for (r, want) in out.iter().zip(&expect) {
                 prop_assert_eq!(r.result.fingerprint(), *want);
