@@ -4,12 +4,12 @@
 //! into an in-memory, byte-budgeted store keyed by strings that embed the
 //! normalized config⊕params fingerprint (see
 //! `checkpoint::config_fingerprint` and
-//! `checkpoint::front_config_fingerprint`). Deduplication is
-//! stage-granular *including in-flight work*: [`ArtifactCache::acquire`]
-//! on a key someone else is currently computing blocks on a condvar until
-//! the computation publishes or abandons, so two jobs that differ only in
-//! back-end parameters share one front-end computation, not just one
-//! cached copy.
+//! `checkpoint::front_config_fingerprint`). Deduplication is per
+//! front-end and per result, *including in-flight work*:
+//! [`ArtifactCache::acquire`] on a key someone else is currently
+//! computing blocks on a condvar until the computation publishes or
+//! abandons, so two jobs that differ only in back-end parameters share one
+//! front-end computation, not just one cached copy.
 //!
 //! Robustness properties:
 //!

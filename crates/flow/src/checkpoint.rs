@@ -217,7 +217,7 @@ pub(crate) fn encode_front(w: &mut Writer, store: &FrontArtifacts, stages: &[Sta
     encode_stats_list(w, stages);
 }
 
-pub(crate) fn decode_front(r: &mut Reader<'_>) -> Option<(FrontArtifacts, Vec<StageStats>)> {
+fn decode_front(r: &mut Reader<'_>) -> Option<(FrontArtifacts, Vec<StageStats>)> {
     let design = r.str()?;
     let mut store = FrontArtifacts::new(&design);
     store.gates_nand2 = r.f64()?;
@@ -310,7 +310,42 @@ pub(crate) fn encode_result(w: &mut Writer, result: &FlowResult) {
     encode_stats_list(w, &result.stages);
 }
 
-pub(crate) fn decode_result(r: &mut Reader<'_>) -> Option<FlowResult> {
+/// The one front-end payload decoder, shared by the disk tier
+/// ([`CheckpointStore::load_front`]) and the serve cache's hit path:
+/// decodes a payload recorded after `completed` plan steps of `design`
+/// and rebuilds the incremental timer from the restored netlist and
+/// placement (bit-identical to the recorded state by the flow's audited
+/// STA-equivalence invariant). `None` = fail closed.
+pub(crate) fn decode_front_payload(
+    payload: &[u8],
+    design: &str,
+    arch: &PlbArchitecture,
+    config: &FlowConfig,
+    completed: usize,
+) -> Option<(FrontArtifacts, Vec<StageStats>)> {
+    let mut r = Reader::new(payload);
+    let (mut store, stages) = decode_front(&mut r)?;
+    if !r.done() || store.design != design || stages.len() != completed {
+        return None;
+    }
+    if let (Some(netlist), Some(placement)) = (&store.netlist, &store.placement) {
+        let mut sta = IncrementalSta::new(netlist, arch.library(), &config.timing).ok()?;
+        sta.full_analyze(netlist, placement, None);
+        store.sta = Some(sta);
+    }
+    Some((store, stages))
+}
+
+/// The one result payload decoder, shared by the disk tier
+/// ([`CheckpointStore::load_result`]) and the serve cache's hit path.
+/// `None` = fail closed, including a valid result of another variant.
+pub(crate) fn decode_result_payload(payload: &[u8], variant: FlowVariant) -> Option<FlowResult> {
+    let mut r = Reader::new(payload);
+    let result = decode_result(&mut r)?;
+    (r.done() && result.variant == variant).then_some(result)
+}
+
+fn decode_result(r: &mut Reader<'_>) -> Option<FlowResult> {
     let variant = match r.u8()? {
         0 => FlowVariant::A,
         1 => FlowVariant::B,
@@ -480,9 +515,8 @@ impl CheckpointStore {
     /// returning the restored artifact store, its stage records, and the
     /// number of completed plan steps. `None` (recompute from scratch)
     /// unless resuming, the file validates, and the config fingerprint
-    /// matches. The incremental-STA state is rebuilt from the restored
-    /// netlist and placement — bit-identical to the checkpointed state by
-    /// the flow's audited STA-equivalence invariant.
+    /// matches. The payload goes through [`decode_front_payload`], which
+    /// rebuilds the incremental-STA state.
     pub(crate) fn load_front(
         &self,
         design: &str,
@@ -501,16 +535,7 @@ impl CheckpointStore {
         if completed == 0 || completed > plan_len {
             return None;
         }
-        let mut r = Reader::new(&payload);
-        let (mut store, stages) = decode_front(&mut r)?;
-        if !r.done() || store.design != design || stages.len() != completed {
-            return None;
-        }
-        if let (Some(netlist), Some(placement)) = (&store.netlist, &store.placement) {
-            let mut sta = IncrementalSta::new(netlist, arch.library(), &config.timing).ok()?;
-            sta.full_analyze(netlist, placement, None);
-            store.sta = Some(sta);
-        }
+        let (store, stages) = decode_front_payload(&payload, design, arch, config, completed)?;
         Some((store, stages, completed))
     }
 
@@ -553,12 +578,7 @@ impl CheckpointStore {
         let fp = config_fingerprint(config, params, arch);
         let path = self.result_path(design, arch.name(), variant);
         let (_, payload) = self.read_file(&path, KIND_RESULT, fp)?;
-        let mut r = Reader::new(&payload);
-        let result = decode_result(&mut r)?;
-        if !r.done() || result.variant != variant {
-            return None;
-        }
-        Some(result)
+        decode_result_payload(&payload, variant)
     }
 
     /// Persists a completed back-end result. Best-effort.
@@ -586,6 +606,37 @@ impl CheckpointStore {
         self.dir.join(format!("front-{design}-{arch}.vxdl"))
     }
 
+    /// Reads the binary front-end checkpoint for `(design, arch)` strictly
+    /// and returns its snapshotted netlist and placement — the state both
+    /// `.vxdl` migration steps work from. `action` names the step in the
+    /// error for a checkpoint that predates placement.
+    fn read_front_snapshot(
+        &self,
+        design: &str,
+        arch: &PlbArchitecture,
+        config: &FlowConfig,
+        params: &DesignParams,
+        action: &str,
+    ) -> Result<(Netlist, Placement), FlowError> {
+        let bin_path = self.front_path(design, arch.name());
+        let fp = config_fingerprint(config, params, arch);
+        let (_, payload) = self.read_file_strict(&bin_path, KIND_FRONT, fp)?;
+        let mut r = Reader::new(&payload);
+        let (store, _stages) = decode_front(&mut r).ok_or_else(|| FlowError::Checkpoint {
+            path: bin_path.clone(),
+            offset: HEADER_LEN + r.pos(),
+            detail: "front-end payload failed to decode".to_owned(),
+        })?;
+        match (store.netlist, store.placement) {
+            (Some(netlist), Some(placement)) => Ok((netlist, placement)),
+            _ => Err(FlowError::Checkpoint {
+                path: bin_path,
+                offset: HEADER_LEN,
+                detail: format!("checkpoint predates placement; nothing to {action}"),
+            }),
+        }
+    }
+
     /// Migrates the binary front-end checkpoint for `(design, arch)` to
     /// its `.vxdl` text twin, returning the written path and the snapshot
     /// fingerprint of the exported state.
@@ -603,26 +654,11 @@ impl CheckpointStore {
         config: &FlowConfig,
         params: &DesignParams,
     ) -> Result<(PathBuf, u64), FlowError> {
-        let arch_name = arch.name();
-        let bin_path = self.front_path(design, arch_name);
-        let fp = config_fingerprint(config, params, arch);
-        let (_, payload) = self.read_file_strict(&bin_path, KIND_FRONT, fp)?;
-        let mut r = Reader::new(&payload);
-        let (store, _stages) = decode_front(&mut r).ok_or_else(|| FlowError::Checkpoint {
-            path: bin_path.clone(),
-            offset: HEADER_LEN + r.pos(),
-            detail: "front-end payload failed to decode".to_owned(),
-        })?;
-        let (Some(netlist), Some(placement)) = (&store.netlist, &store.placement) else {
-            return Err(FlowError::Checkpoint {
-                path: bin_path,
-                offset: HEADER_LEN,
-                detail: "checkpoint predates placement; nothing to export".to_owned(),
-            });
-        };
-        let text = vpga_interchange::vxdl::encode(netlist, placement, &[]);
-        let fingerprint = vpga_interchange::snapshot_fingerprint(netlist, placement);
-        let path = self.front_text_path(design, arch_name);
+        let (netlist, placement) =
+            self.read_front_snapshot(design, arch, config, params, "export")?;
+        let text = vpga_interchange::vxdl::encode(&netlist, &placement, &[]);
+        let fingerprint = vpga_interchange::snapshot_fingerprint(&netlist, &placement);
+        let path = self.front_text_path(design, arch.name());
         let tmp = path.with_extension("vxdl.tmp");
         std::fs::write(&tmp, text.as_bytes())
             .and_then(|()| std::fs::rename(&tmp, &path))
@@ -651,8 +687,7 @@ impl CheckpointStore {
         config: &FlowConfig,
         params: &DesignParams,
     ) -> Result<u64, FlowError> {
-        let arch_name = arch.name();
-        let path = self.front_text_path(design, arch_name);
+        let path = self.front_text_path(design, arch.name());
         let text = std::fs::read_to_string(&path).map_err(|e| FlowError::Checkpoint {
             path: path.clone(),
             offset: 0,
@@ -665,23 +700,9 @@ impl CheckpointStore {
         })?;
         let text_fp = vpga_interchange::snapshot_fingerprint(&doc.netlist, &doc.placement);
         // Compare against the binary checkpoint's state.
-        let bin_path = self.front_path(design, arch_name);
-        let fp = config_fingerprint(config, params, arch);
-        let (_, payload) = self.read_file_strict(&bin_path, KIND_FRONT, fp)?;
-        let mut r = Reader::new(&payload);
-        let (store, _stages) = decode_front(&mut r).ok_or_else(|| FlowError::Checkpoint {
-            path: bin_path.clone(),
-            offset: HEADER_LEN + r.pos(),
-            detail: "front-end payload failed to decode".to_owned(),
-        })?;
-        let (Some(netlist), Some(placement)) = (&store.netlist, &store.placement) else {
-            return Err(FlowError::Checkpoint {
-                path: bin_path,
-                offset: HEADER_LEN,
-                detail: "checkpoint predates placement; nothing to verify".to_owned(),
-            });
-        };
-        let bin_fp = vpga_interchange::snapshot_fingerprint(netlist, placement);
+        let (netlist, placement) =
+            self.read_front_snapshot(design, arch, config, params, "verify")?;
+        let bin_fp = vpga_interchange::snapshot_fingerprint(&netlist, &placement);
         if text_fp != bin_fp {
             return Err(FlowError::Checkpoint {
                 path,

@@ -11,27 +11,33 @@
 //! produces bit-identical results whether run on 1 worker or 16 (the
 //! determinism tests pin this via [`crate::FlowResult::fingerprint`]).
 //!
+//! The flow runs in *legs*: `run_front` is the shared front-end of one
+//! (design, arch) pair, `run_back` the back-end of one variant over it.
+//! Each leg restores what its checkpoint holds, runs the rest of its
+//! stage plan as a strict chain, and checkpoints as it goes. Both the
+//! scheduler here and the daemon's [`crate::CachedFlow`] call these two
+//! functions, so there is one stage loop.
+//!
 //! [`FlowMatrix`] names the (design, architecture, flow-variant) jobs of
-//! the paper's evaluation matrix and schedules them at *stage*
-//! granularity: every stage of every cell is one DAG task, chained per
-//! cell, with each shared front-end's last stage fanning out to both
-//! variant back-ends by reference. Independent stages of different cells
-//! interleave freely across the pool; the per-cell chains keep every
+//! the paper's evaluation matrix and schedules them as a DAG with one
+//! task per leg: each pair's front-end fans out to its variant back-ends,
+//! which read it by reference. Legs of different pairs and cells
+//! interleave freely across the pool; each leg's own chain keeps every
 //! result bit-identical to a serial run. The same scheduler runs
 //! [`crate::run_design`]: one pair from the caller's netlist, whose two
 //! back-ends overlap once the shared front-end is done.
 //!
-//! Jobs are panic-isolated: each stage task runs under
-//! [`std::panic::catch_unwind`], so a poisoned job yields a failed matrix
-//! cell ([`FlowError::StagePanic`], attributed to the stage the worker
-//! had reached) instead of a dead process, and every other cell still
-//! completes — bit-identical to an uninjured run. Back-ends whose shared
-//! front-end failed are never run; the first such cell (in job order)
-//! carries the front-end error itself and the rest are marked
+//! Legs are panic-isolated: each runs under one
+//! [`std::panic::catch_unwind`] guard, so a poisoned job yields a failed
+//! matrix cell ([`FlowError::StagePanic`], attributed to the stage the
+//! worker had reached) instead of a dead process, and every other cell
+//! still completes — bit-identical to an uninjured run. Back-ends whose
+//! shared front-end failed are never run; the first such cell (in job
+//! order) carries the front-end error itself and the rest are marked
 //! [`FlowError::Skipped`] with the cause.
 //!
 //! With a [`CheckpointStore`], each completed stage is persisted and a
-//! resumed run restores the deepest valid checkpoint per cell, skipping
+//! resumed run restores the deepest valid checkpoint per leg, skipping
 //! completed work; resumed results are bit-identical to uninterrupted
 //! ones.
 
@@ -57,7 +63,7 @@ use crate::{FlowConfig, FlowError, FlowResult, FlowVariant};
 
 /// Renders a trapped panic payload (almost always a `String` or `&str`
 /// from `panic!`/`assert!`) for [`FlowError::StagePanic`].
-pub(crate) fn panic_message(payload: Box<dyn std::any::Any + Send>) -> String {
+fn panic_message(payload: Box<dyn std::any::Any + Send>) -> String {
     match payload.downcast::<String>() {
         Ok(s) => *s,
         Err(payload) => match payload.downcast::<&'static str>() {
@@ -289,37 +295,105 @@ pub struct JobResult {
     pub result: FlowResult,
 }
 
-/// Per-pair scheduler state while the shared front-end's stage chain is
-/// in flight. Sealed into an immutable [`FrontEnd`] when the last stage
-/// completes.
-#[derive(Default)]
-struct PairState {
-    store: FrontArtifacts,
-    stages: Vec<StageStats>,
-    clock: Option<JobClock>,
-    /// Plan steps restored from a checkpoint (skipped, not re-run).
-    restored: usize,
-    error: Option<FlowError>,
+/// Runs one leg under the flow's one panic guard: clears the thread's
+/// stage note, then turns a panic into [`FlowError::StagePanic`]
+/// attributed to the stage the leg had reached, so a poisoned leg fails
+/// its own cells (or its own daemon job) and nothing else.
+fn guarded<T>(ctx: &str, leg: impl FnOnce() -> Result<T, FlowError>) -> Result<T, FlowError> {
+    clear_stage();
+    catch_unwind(AssertUnwindSafe(leg)).unwrap_or_else(|payload| {
+        Err(FlowError::StagePanic {
+            stage: current_stage(),
+            design: ctx.to_owned(),
+            payload: panic_message(payload),
+        })
+    })
 }
 
-/// Per-job scheduler state while a variant back-end's stage chain is in
-/// flight.
-#[derive(Default)]
-struct BackState<'f> {
-    store: Option<BackArtifacts<'f>>,
-    stages: Vec<StageStats>,
-    clock: Option<JobClock>,
-    result: Option<FlowResult>,
-    error: Option<FlowError>,
+/// The shared front-end leg of one (design, arch) pair, panic-guarded:
+/// restores the deepest valid checkpoint, runs the rest of the front
+/// plan on `source`, checkpoints after each stage, and hands each new
+/// stage record to `on_stage`. Returns the completed store, its stage
+/// records, and how many plan steps the checkpoint supplied.
+pub(crate) fn run_front(
+    source: &Netlist,
+    arch: &PlbArchitecture,
+    config: &FlowConfig,
+    clock: &JobClock,
+    checkpoints: Option<(&CheckpointStore, &DesignParams)>,
+    on_stage: &mut dyn FnMut(&StageStats),
+) -> Result<(FrontArtifacts, Vec<StageStats>, usize), FlowError> {
+    let design = source.name();
+    let ctx = front_ctx(design, arch);
+    guarded(&ctx, || {
+        let plan = front_plan(config);
+        let (mut store, mut stages, restored) = checkpoints
+            .and_then(|(ck, params)| ck.load_front(design, arch, config, params, plan.len()))
+            .unwrap_or_else(|| (FrontArtifacts::new(design), Vec::new(), 0));
+        let env = StageEnv {
+            config,
+            arch,
+            job: &ctx,
+            clock,
+        };
+        for (done, &id) in plan.iter().enumerate().skip(restored) {
+            run_front_stage(id, source, &env, &mut store, &mut stages)?;
+            if let Some((ck, params)) = checkpoints {
+                ck.save_front(arch, config, params, &store, &stages, done + 1);
+            }
+            on_stage(stages.last().expect("stage just ran"));
+        }
+        Ok((store, stages, restored))
+    })
+}
+
+/// The back-end leg of one variant over a completed front-end,
+/// panic-guarded: loads a checkpointed result, or runs the variant plan
+/// (handing each stage record to `on_stage`) and checkpoints the result.
+/// The flag says whether the result came from the checkpoint.
+pub(crate) fn run_back(
+    front: &FrontEnd,
+    arch: &PlbArchitecture,
+    variant: FlowVariant,
+    config: &FlowConfig,
+    clock: &JobClock,
+    checkpoints: Option<(&CheckpointStore, &DesignParams)>,
+    on_stage: &mut dyn FnMut(&StageStats),
+) -> Result<(FlowResult, bool), FlowError> {
+    let ctx = job_ctx(&front.design, arch, variant);
+    guarded(&ctx, || {
+        if let Some(result) = checkpoints
+            .and_then(|(ck, params)| ck.load_result(&front.design, arch, variant, config, params))
+        {
+            return Ok((result, true));
+        }
+        let env = StageEnv {
+            config,
+            arch,
+            job: &ctx,
+            clock,
+        };
+        let mut store = BackArtifacts::new(front);
+        let mut stages = Vec::new();
+        for &id in back_plan(variant) {
+            run_back_stage(id, variant, &env, &mut store, &mut stages)?;
+            on_stage(stages.last().expect("stage just ran"));
+        }
+        let result = store.into_result(variant, stages);
+        if let Some((ck, params)) = checkpoints {
+            ck.save_result(&front.design, arch, config, params, &result);
+        }
+        Ok((result, false))
+    })
 }
 
 /// The flow's one scheduler: runs `cells` — (pair index, variant)
 /// back-ends over the front-ends of `pairs`, each a (source netlist,
-/// architecture) pair — on `executor` as a stage-level dependency DAG
-/// (see [`FlowMatrix::run_cells`] for the contract).
-/// Checkpoints are keyed on the design parameters the sources were
-/// generated at. Returns each pair's sealed front-end (`None` where it
-/// failed) and one result per cell, in cell order.
+/// architecture) pair — on `executor` as a dependency DAG of legs (see
+/// [`FlowMatrix::run_cells`] for the contract), each leg on its own
+/// [`JobClock`]. Checkpoints are keyed on the design parameters the
+/// sources were generated at. Returns each pair's sealed front-end
+/// (`None` where it failed) and one result per cell, in cell order.
 pub(crate) fn run_stages(
     pairs: &[(&Netlist, &PlbArchitecture)],
     cells: &[(usize, FlowVariant)],
@@ -327,205 +401,77 @@ pub(crate) fn run_stages(
     executor: &Executor,
     checkpoints: Option<(&CheckpointStore, &DesignParams)>,
 ) -> (Vec<Option<FrontEnd>>, Vec<Result<FlowResult, FlowError>>) {
-    // Task numbering: front tasks first (pair-major, then plan step),
-    // back tasks after (cell-major, then plan step) — so the serial
+    // Task numbering: one front task per pair, then one back task per
+    // cell, each back task waiting on its pair's front — so the serial
     // lowest-index-first dispatch runs every front-end, then each cell's
     // back-end, in order.
-    let plan = front_plan(config);
-    let f = plan.len();
     let npairs = pairs.len();
-    let mut cell_base: Vec<usize> = Vec::with_capacity(cells.len());
-    let mut total = npairs * f;
-    for &(_, variant) in cells {
-        cell_base.push(total);
-        total += back_plan(variant).len();
-    }
-    let mut dependents: Vec<Vec<usize>> = vec![Vec::new(); total];
-    let mut indegree: Vec<usize> = vec![0; total];
-    for p in 0..npairs {
-        for s in 1..f {
-            dependents[p * f + s - 1].push(p * f + s);
-            indegree[p * f + s] = 1;
-        }
-    }
-    for (j, &(p, variant)) in cells.iter().enumerate() {
-        let first = cell_base[j];
-        dependents[p * f + f - 1].push(first);
-        indegree[first] = 1;
-        for s in 1..back_plan(variant).len() {
-            dependents[first + s - 1].push(first + s);
-            indegree[first + s] = 1;
-        }
+    let mut dependents: Vec<Vec<usize>> = vec![Vec::new(); npairs + cells.len()];
+    let mut indegree: Vec<usize> = vec![0; npairs + cells.len()];
+    for (j, &(p, _)) in cells.iter().enumerate() {
+        dependents[p].push(npairs + j);
+        indegree[npairs + j] = 1;
     }
 
-    let fronts: Vec<OnceLock<FrontEnd>> = (0..npairs).map(|_| OnceLock::new()).collect();
-    let pair_states: Vec<Mutex<PairState>> = (0..npairs).map(|_| Mutex::default()).collect();
-    let back_states: Vec<Mutex<BackState<'_>>> =
-        (0..cells.len()).map(|_| Mutex::default()).collect();
-
-    let front_task = |p: usize, s: usize| {
-        let mut guard = pair_states[p].lock().unwrap_or_else(|e| e.into_inner());
-        let st = &mut *guard;
-        if st.error.is_some() {
-            return;
-        }
-        let (source, arch) = pairs[p];
-        let ctx = front_ctx(source.name(), arch);
-        clear_stage();
-        let outcome = catch_unwind(AssertUnwindSafe(|| -> Result<(), FlowError> {
-            if s == 0 {
-                st.clock = Some(JobClock::new(config.deadline, config.cancel.clone()));
-                st.store = FrontArtifacts::new(source.name());
-                if let Some((ck, params)) = checkpoints {
-                    if let Some((store, stages, completed)) =
-                        ck.load_front(source.name(), arch, config, params, f)
-                    {
-                        st.store = store;
-                        st.stages = stages;
-                        st.restored = completed;
-                    }
-                }
-            }
-            if s < st.restored {
-                return Ok(());
-            }
-            let env = StageEnv {
-                config,
-                arch,
-                job: &ctx,
-                clock: st.clock.as_ref().expect("step 0 started the clock"),
-            };
-            run_front_stage(plan[s], Some(source), &env, &mut st.store, &mut st.stages)?;
-            if let Some((ck, params)) = checkpoints {
-                ck.save_front(arch, config, params, &st.store, &st.stages, s + 1);
-            }
-            Ok(())
-        }));
-        match outcome {
-            Ok(Ok(())) => {
-                if s + 1 == f {
-                    let store = std::mem::take(&mut st.store);
-                    let stages = std::mem::take(&mut st.stages);
-                    let _ = fronts[p].set(store.into_front_end(stages));
-                }
-            }
-            Ok(Err(e)) => st.error = Some(e),
-            Err(payload) => {
-                st.error = Some(FlowError::StagePanic {
-                    stage: current_stage(),
-                    design: ctx,
-                    payload: panic_message(payload),
-                });
-            }
-        }
-    };
-
-    let back_task = |j: usize, s: usize| {
-        let (p, variant) = cells[j];
-        let (source, arch) = pairs[p];
-        let bplan = back_plan(variant);
-        let mut guard = back_states[j].lock().unwrap_or_else(|e| e.into_inner());
-        let st = &mut *guard;
-        if st.error.is_some() || st.result.is_some() {
-            return;
-        }
-        clear_stage();
-        if s == 0 {
-            let Some(front) = fronts[p].get() else {
-                // Front-end failed; the collection pass attributes it.
-                return;
-            };
-            st.clock = Some(JobClock::new(config.deadline, config.cancel.clone()));
-            if let Some((ck, params)) = checkpoints {
-                if let Some(result) = ck.load_result(&front.design, arch, variant, config, params) {
-                    st.result = Some(result);
-                    return;
-                }
-            }
-            st.store = Some(BackArtifacts::new(front));
-        }
-        let Some(store) = st.store.as_mut() else {
-            // Front-end failed at step 0; later steps stay inert.
-            return;
-        };
-        let ctx = job_ctx(source.name(), arch, variant);
-        let outcome = catch_unwind(AssertUnwindSafe(|| {
-            let env = StageEnv {
-                config,
-                arch,
-                job: &ctx,
-                clock: st.clock.as_ref().expect("step 0 started the clock"),
-            };
-            run_back_stage(bplan[s], variant, &env, store, &mut st.stages)
-        }));
-        match outcome {
-            Ok(Ok(())) => {
-                if s + 1 == bplan.len() {
-                    let store = st.store.take().expect("checked above");
-                    let stages = std::mem::take(&mut st.stages);
-                    let design = store.front.design.clone();
-                    let result = store.into_result(variant, stages);
-                    if let Some((ck, params)) = checkpoints {
-                        ck.save_result(&design, arch, config, params, &result);
-                    }
-                    st.result = Some(result);
-                }
-            }
-            Ok(Err(e)) => st.error = Some(e),
-            Err(payload) => {
-                st.error = Some(FlowError::StagePanic {
-                    stage: current_stage(),
-                    design: ctx,
-                    payload: panic_message(payload),
-                });
-            }
-        }
-    };
-
+    let fronts: Vec<OnceLock<Result<FrontEnd, FlowError>>> =
+        (0..npairs).map(|_| OnceLock::new()).collect();
+    let backs: Vec<OnceLock<Result<FlowResult, FlowError>>> =
+        (0..cells.len()).map(|_| OnceLock::new()).collect();
+    let clock = || JobClock::new(config.deadline, config.cancel.clone());
     executor.run_dag(&dependents, indegree, |t| {
-        if t < npairs * f {
-            front_task(t / f, t % f);
+        if let Some(&(source, arch)) = pairs.get(t) {
+            let front = run_front(source, arch, config, &clock(), checkpoints, &mut |_| {})
+                .map(|(store, stages, _)| store.into_front_end(stages));
+            let _ = fronts[t].set(front);
         } else {
-            let j = cell_base.partition_point(|&base| base <= t) - 1;
-            back_task(j, t - cell_base[j]);
+            let j = t - npairs;
+            let (p, variant) = cells[j];
+            // A failed front-end leaves its cells to the collection pass.
+            if let Some(Ok(front)) = fronts[p].get() {
+                let result = run_back(
+                    front,
+                    pairs[p].1,
+                    variant,
+                    config,
+                    &clock(),
+                    checkpoints,
+                    &mut |_| {},
+                );
+                let _ = backs[j].set(result.map(|(result, _)| result));
+            }
         }
     });
 
     // A failed front-end poisons its dependents: the pair's first cell
     // carries the error itself, later cells are marked skipped with the
     // cause so nothing silently vanishes from the result vector.
-    let mut front_errors: Vec<Option<FlowError>> = pair_states
+    let (fronts, mut front_errors): (Vec<_>, Vec<_>) = fronts
         .into_iter()
-        .map(|m| m.into_inner().unwrap_or_else(|e| e.into_inner()).error)
-        .collect();
+        .map(|front| front.into_inner().expect("every front task ran"))
+        .map(|front| match front {
+            Ok(front) => (Some(front), None),
+            Err(e) => (None, Some(e)),
+        })
+        .unzip();
     let causes: Vec<Option<String>> = front_errors
         .iter()
         .map(|e| e.as_ref().map(ToString::to_string))
         .collect();
     let results = cells
         .iter()
-        .zip(back_states)
-        .map(|(&(p, variant), state)| {
-            let st = state.into_inner().unwrap_or_else(|e| e.into_inner());
-            if let Some(result) = st.result {
-                return Ok(result);
-            }
-            if let Some(e) = st.error {
-                return Err(e);
-            }
-            match front_errors[p].take() {
-                Some(e) => Err(e),
-                None => Err(FlowError::Skipped {
-                    design: job_ctx(pairs[p].0.name(), pairs[p].1, variant),
-                    cause: causes[p].clone().unwrap_or_default(),
-                }),
-            }
+        .zip(backs)
+        .map(|(&(p, variant), back)| {
+            back.into_inner()
+                .unwrap_or_else(|| match front_errors[p].take() {
+                    Some(e) => Err(e),
+                    None => Err(FlowError::Skipped {
+                        design: job_ctx(pairs[p].0.name(), pairs[p].1, variant),
+                        cause: causes[p].clone().unwrap_or_default(),
+                    }),
+                })
         })
         .collect();
-    (
-        fronts.into_iter().map(OnceLock::into_inner).collect(),
-        results,
-    )
+    (fronts, results)
 }
 
 /// A set of (design, architecture, flow-variant) jobs.
@@ -546,26 +492,25 @@ impl FlowMatrix {
         &self.jobs
     }
 
-    /// Runs every job on `executor` at stage granularity, returning
+    /// Runs every job on `executor`, one task per leg, returning
     /// per-cell results in job order — one `Result` per job, never
     /// fewer.
     ///
-    /// Work is scheduled as a stage-level dependency DAG: each front-end
-    /// stage of each distinct (design, arch) pair and each back-end stage
-    /// of each job is one task, chained in plan order, with the last
-    /// front-end stage fanning out to every dependent back-end. A
-    /// front-end shared by both variants of a pair is computed once and
-    /// read by reference. Ready tasks dispatch lowest-index-first, so the
-    /// result vector — and every bit inside it — is independent of the
-    /// worker count.
+    /// Work is scheduled as a dependency DAG of legs: the front-end of
+    /// each distinct (design, arch) pair is one task (`run_front`), and
+    /// the back-end of each job is one task (`run_back`) waiting on its
+    /// pair's front-end. A front-end shared by both variants of a pair is
+    /// computed once and read by reference. Ready tasks dispatch
+    /// lowest-index-first, so the result vector — and every bit inside
+    /// it — is independent of the worker count.
     ///
-    /// Each stage task runs under `catch_unwind`: a panic (or error) in
-    /// one cell never stops the others. A pair whose front-end failed
-    /// contributes the front-end error to its first job (in job order)
-    /// and [`FlowError::Skipped`] to the rest.
+    /// Each leg runs under `catch_unwind`: a panic (or error) in one cell
+    /// never stops the others. A pair whose front-end failed contributes
+    /// the front-end error to its first job (in job order) and
+    /// [`FlowError::Skipped`] to the rest.
     ///
     /// With `checkpoints`, every completed stage is persisted; a resuming
-    /// store restores the deepest valid checkpoint per cell and skips the
+    /// store restores the deepest valid checkpoint per leg and skips the
     /// completed stages, bit-identically.
     pub fn run_cells(
         &self,

@@ -19,9 +19,11 @@
 //!
 //! The [`exec`] module is the one scheduler: it runs a single design
 //! (overlapping the flow-a and flow-b back-ends) or many (design,
-//! architecture, flow-variant) jobs as a stage-level dependency DAG on a
+//! architecture, flow-variant) jobs as a dependency DAG with one task per
+//! leg — a pair's shared front-end, or one variant's back-end — on a
 //! bounded [`Executor`], deterministically: results are bit-identical to
-//! a serial run (pinned by [`FlowResult::fingerprint`]). The [`checkpoint`]
+//! a serial run (pinned by [`FlowResult::fingerprint`]). The serve
+//! daemon's [`CachedFlow`] runs the same two leg functions. The [`checkpoint`]
 //! module persists completed stages to disk so a killed matrix run can
 //! resume bit-identically. The [`stats`] module carries per-stage
 //! instrumentation — wall time, netlist sizes, optimizer cost movement,

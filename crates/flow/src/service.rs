@@ -1,8 +1,8 @@
 //! Cache-backed flow execution for the serve daemon.
 //!
 //! [`CachedFlow`] runs one flow job — a (design, arch, variant, params,
-//! config) tuple — against the shared [`ArtifactCache`], deduplicating at
-//! *stage-plan* granularity:
+//! config) tuple — against the shared [`ArtifactCache`], deduplicating
+//! per front-end and per result:
 //!
 //! - The **front-end** (synth → compact → place → physsynth) is keyed by
 //!   `front/{design}/{arch}/{front_fingerprint}` where the fingerprint
@@ -15,44 +15,43 @@
 //!   `result/{design}/{arch}/{variant}/{full_fingerprint}` with the full
 //!   normalized config⊕params fingerprint.
 //!
-//! Cache payloads reuse the checkpoint codecs byte-for-byte, and a hit is
-//! rebuilt exactly like a disk resume (`CheckpointStore::load_front`):
-//! decode, then reconstruct the incremental timer from the restored
-//! netlist and placement. By the flow's audited STA-equivalence
-//! invariant, a job served from cache is bit-identical to a cold batch
-//! run — the load harness asserts fingerprint equality over thousands of
-//! mixed jobs.
+//! A miss runs the same leg functions as batch mode, `exec::run_front`
+//! and `exec::run_back`, with the optional disk checkpoint tier
+//! underneath them. Cache payloads reuse the checkpoint codecs
+//! byte-for-byte, and a hit goes through the same decoders as a disk
+//! resume (`checkpoint::decode_front_payload`, which rebuilds the
+//! incremental timer from the restored netlist and placement, and
+//! `checkpoint::decode_result_payload`). By the flow's audited
+//! STA-equivalence invariant, a job served from cache is bit-identical to
+//! a cold batch run — the load harness asserts fingerprint equality over
+//! thousands of mixed jobs.
 //!
-//! Robustness: each compute leg runs under `catch_unwind`, so a panic
-//! (including one injected through the event callback) surfaces as
+//! Robustness: each leg runs under the leg functions' panic guard, so a
+//! panic (including one injected through the event callback) surfaces as
 //! [`FlowError::StagePanic`], the claim guard drops, waiters recompute,
 //! and the cache stays valid. Cancellation and deadlines are checked
 //! before the first stage (a zero deadline never runs a free stage) and
 //! between stages by the standard stage runner.
 
-use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::sync::Arc;
 use std::time::Duration;
 
 use vpga_core::PlbArchitecture;
 use vpga_designs::{DesignParams, NamedDesign};
-use vpga_netlist::wire::{Reader, Writer};
-use vpga_timing::IncrementalSta;
+use vpga_netlist::wire::Writer;
 
 use crate::cache::{ArtifactCache, CacheOutcome};
 use crate::checkpoint::{
-    config_fingerprint, decode_front, decode_result, encode_front, encode_result,
+    config_fingerprint, decode_front_payload, decode_result_payload, encode_front, encode_result,
     front_config_fingerprint,
 };
 use crate::clock::JobClock;
 use crate::config::{FlowConfig, FlowVariant};
 use crate::error::FlowError;
-use crate::exec::panic_message;
+use crate::exec::{run_back, run_front};
 use crate::pipeline::{front_ctx, job_ctx, DesignOutcome, FlowResult, FrontEnd};
-use crate::stages::{
-    back_plan, front_plan, run_back_stage, run_front_stage, BackArtifacts, FrontArtifacts, StageEnv,
-};
-use crate::stats::{clear_stage, current_stage, StageId, StageStats};
+use crate::stages::{back_plan, front_plan};
+use crate::stats::{StageId, StageStats};
 use crate::CheckpointStore;
 
 /// One flow job as submitted to the daemon.
@@ -274,7 +273,8 @@ impl CachedFlow {
         })
     }
 
-    /// Resolves the shared front-end: cache hit, disk resume, or compute.
+    /// Resolves the shared front-end: a cache hit, or a claim that runs
+    /// the front-end leg (disk resume included) and publishes it.
     fn front(
         &self,
         job: &ServiceJob,
@@ -283,7 +283,7 @@ impl CachedFlow {
     ) -> Result<(FrontEnd, LegMeta), FlowError> {
         let dkey = job.design.key();
         let fctx = front_ctx(dkey, &job.arch);
-        let plan = front_plan(&job.config);
+        let plan_len = front_plan(&job.config).len();
         let key = format!(
             "front/{dkey}/{}/{:016x}",
             job.arch.name(),
@@ -292,48 +292,45 @@ impl CachedFlow {
         loop {
             match self.cache.acquire(&key, &fctx) {
                 CacheOutcome::Hit(bytes) => {
-                    match decode_front_entry(&bytes, dkey, &job.arch, &job.config, plan.len()) {
-                        Some((store, stages)) => {
+                    match decode_front_payload(&bytes, dkey, &job.arch, &job.config, plan_len) {
+                        Some((store, stages))
+                            if store.netlist.is_some() && store.placement.is_some() =>
+                        {
                             let meta = LegMeta {
                                 hit: true,
-                                stages_restored: plan.len() as u64,
+                                stages_restored: plan_len as u64,
                                 stages_computed: 0,
                                 evicted: 0,
                             };
                             return Ok((store.into_front_end(stages), meta));
                         }
-                        // Fail closed: an undecodable payload is evicted
-                        // and recomputed, never trusted.
-                        None => {
+                        // Fail closed: an undecodable payload, or one
+                        // without a netlist and placement, is evicted and
+                        // recomputed, never trusted.
+                        _ => {
                             self.cache.evict_key(&key);
                         }
                     }
                 }
                 CacheOutcome::Miss(claim) => {
-                    let computed = catch_unwind(AssertUnwindSafe(|| {
-                        self.compute_front(job, clock, &fctx, &plan, on_event)
-                    }));
-                    let (store, stages, restored) = match computed {
-                        Ok(Ok(parts)) => parts,
-                        // The claim guard drops here: waiters recompute.
-                        Ok(Err(e)) => return Err(e),
-                        Err(payload) => {
-                            return Err(FlowError::StagePanic {
-                                stage: current_stage(),
-                                design: fctx,
-                                payload: panic_message(payload),
-                            })
-                        }
-                    };
+                    let source = job.design.generate(&job.params);
+                    let disk = self.disk.as_ref().map(|ck| (ck, &job.params));
+                    // On error the claim guard drops: waiters recompute.
+                    let (store, stages, restored) =
+                        run_front(&source, &job.arch, &job.config, clock, disk, &mut |rec| {
+                            on_event(&stage_event(rec));
+                        })?;
                     let mut w = Writer::new();
                     encode_front(&mut w, &store, &stages);
                     // An injected cache_write fault abandons the publish;
                     // the job still has its in-memory artifacts.
                     let evicted = claim.publish(w.into_bytes(), &fctx).unwrap_or(0);
                     let meta = LegMeta {
-                        hit: false,
+                        // A front-end wholly restored from disk ran no
+                        // stage: that is a hit, as for the result leg.
+                        hit: restored == plan_len,
                         stages_restored: restored as u64,
-                        stages_computed: (plan.len() - restored) as u64,
+                        stages_computed: (plan_len - restored) as u64,
                         evicted,
                     };
                     return Ok((store.into_front_end(stages), meta));
@@ -342,63 +339,8 @@ impl CachedFlow {
         }
     }
 
-    /// Computes (or disk-resumes) the front-end stage plan.
-    fn compute_front(
-        &self,
-        job: &ServiceJob,
-        clock: &JobClock,
-        fctx: &str,
-        plan: &[StageId],
-        on_event: &mut dyn FnMut(&JobEvent),
-    ) -> Result<(FrontArtifacts, Vec<StageStats>, usize), FlowError> {
-        clear_stage();
-        let source = job.design.generate(&job.params);
-        let mut store = FrontArtifacts::new(source.name());
-        let mut stages = Vec::new();
-        let mut restored = 0usize;
-        if let Some(ck) = &self.disk {
-            if let Some((s, st, done)) = ck.load_front(
-                source.name(),
-                &job.arch,
-                &job.config,
-                &job.params,
-                plan.len(),
-            ) {
-                store = s;
-                stages = st;
-                restored = done;
-            }
-        }
-        let env = StageEnv {
-            config: &job.config,
-            arch: &job.arch,
-            job: fctx,
-            clock,
-        };
-        for (done, &id) in plan.iter().enumerate().skip(restored) {
-            run_front_stage(id, Some(&source), &env, &mut store, &mut stages)?;
-            if let Some(ck) = &self.disk {
-                ck.save_front(
-                    &job.arch,
-                    &job.config,
-                    &job.params,
-                    &store,
-                    &stages,
-                    done + 1,
-                );
-            }
-            let rec = stages.last().expect("stage just ran");
-            on_event(&JobEvent::Stage {
-                stage: rec.stage,
-                wall: rec.wall,
-                cells: rec.cells,
-                nets: rec.nets,
-            });
-        }
-        Ok((store, stages, restored))
-    }
-
-    /// Resolves the variant back-end: cache hit, disk resume, or compute.
+    /// Resolves the variant back-end: a cache hit, or a claim that runs
+    /// the back-end leg (disk resume included) and publishes it.
     fn back(
         &self,
         job: &ServiceJob,
@@ -406,22 +348,22 @@ impl CachedFlow {
         clock: &JobClock,
         on_event: &mut dyn FnMut(&JobEvent),
     ) -> Result<(FlowResult, LegMeta), FlowError> {
-        let dkey = job.design.key();
         let ctx = job.ctx();
-        let plan = back_plan(job.variant);
+        let plan_len = back_plan(job.variant).len() as u64;
         let key = format!(
-            "result/{dkey}/{}/{}/{:016x}",
+            "result/{}/{}/{}/{:016x}",
+            job.design.key(),
             job.arch.name(),
             job.variant.key(),
             config_fingerprint(&job.config, &job.params, &job.arch)
         );
         loop {
             match self.cache.acquire(&key, &ctx) {
-                CacheOutcome::Hit(bytes) => match decode_result_entry(&bytes, job.variant) {
+                CacheOutcome::Hit(bytes) => match decode_result_payload(&bytes, job.variant) {
                     Some(result) => {
                         let meta = LegMeta {
                             hit: true,
-                            stages_restored: plan.len() as u64,
+                            stages_restored: plan_len,
                             stages_computed: 0,
                             evicted: 0,
                         };
@@ -432,39 +374,25 @@ impl CachedFlow {
                     }
                 },
                 CacheOutcome::Miss(claim) => {
-                    let (result, from_disk) = match self.disk.as_ref().and_then(|ck| {
-                        ck.load_result(dkey, &job.arch, job.variant, &job.config, &job.params)
-                    }) {
-                        Some(result) => (result, true),
-                        None => {
-                            let computed = catch_unwind(AssertUnwindSafe(|| {
-                                self.compute_back(job, front, clock, &ctx, plan, on_event)
-                            }));
-                            match computed {
-                                Ok(Ok(result)) => (result, false),
-                                Ok(Err(e)) => return Err(e),
-                                Err(payload) => {
-                                    return Err(FlowError::StagePanic {
-                                        stage: current_stage(),
-                                        design: ctx,
-                                        payload: panic_message(payload),
-                                    })
-                                }
-                            }
-                        }
-                    };
+                    let disk = self.disk.as_ref().map(|ck| (ck, &job.params));
+                    let (result, from_disk) = run_back(
+                        front,
+                        &job.arch,
+                        job.variant,
+                        &job.config,
+                        clock,
+                        disk,
+                        &mut |rec| {
+                            on_event(&stage_event(rec));
+                        },
+                    )?;
                     let mut w = Writer::new();
                     encode_result(&mut w, &result);
                     let evicted = claim.publish(w.into_bytes(), &ctx).unwrap_or(0);
-                    if !from_disk {
-                        if let Some(ck) = &self.disk {
-                            ck.save_result(dkey, &job.arch, &job.config, &job.params, &result);
-                        }
-                    }
                     let meta = LegMeta {
                         hit: from_disk,
-                        stages_restored: if from_disk { plan.len() as u64 } else { 0 },
-                        stages_computed: if from_disk { 0 } else { plan.len() as u64 },
+                        stages_restored: if from_disk { plan_len } else { 0 },
+                        stages_computed: if from_disk { 0 } else { plan_len },
                         evicted,
                     };
                     return Ok((result, meta));
@@ -472,66 +400,16 @@ impl CachedFlow {
             }
         }
     }
-
-    /// Computes the back-end stage plan over the shared front-end.
-    fn compute_back(
-        &self,
-        job: &ServiceJob,
-        front: &FrontEnd,
-        clock: &JobClock,
-        ctx: &str,
-        plan: &[StageId],
-        on_event: &mut dyn FnMut(&JobEvent),
-    ) -> Result<FlowResult, FlowError> {
-        clear_stage();
-        let env = StageEnv {
-            config: &job.config,
-            arch: &job.arch,
-            job: ctx,
-            clock,
-        };
-        let mut store = BackArtifacts::new(front);
-        let mut stages = Vec::new();
-        for &id in plan {
-            run_back_stage(id, job.variant, &env, &mut store, &mut stages)?;
-            let rec = stages.last().expect("stage just ran");
-            on_event(&JobEvent::Stage {
-                stage: rec.stage,
-                wall: rec.wall,
-                cells: rec.cells,
-                nets: rec.nets,
-            });
-        }
-        Ok(store.into_result(job.variant, stages))
-    }
 }
 
-/// Decodes a cached front-end payload, rebuilding the incremental timer
-/// exactly like `CheckpointStore::load_front`. `None` = fail closed.
-fn decode_front_entry(
-    bytes: &[u8],
-    design: &str,
-    arch: &PlbArchitecture,
-    config: &FlowConfig,
-    plan_len: usize,
-) -> Option<(FrontArtifacts, Vec<StageStats>)> {
-    let mut r = Reader::new(bytes);
-    let (mut store, stages) = decode_front(&mut r)?;
-    if !r.done() || store.design != design || stages.len() != plan_len {
-        return None;
+/// The [`JobEvent::Stage`] streamed for one computed stage record.
+fn stage_event(rec: &StageStats) -> JobEvent {
+    JobEvent::Stage {
+        stage: rec.stage,
+        wall: rec.wall,
+        cells: rec.cells,
+        nets: rec.nets,
     }
-    let (netlist, placement) = (store.netlist.as_ref()?, store.placement.as_ref()?);
-    let mut sta = IncrementalSta::new(netlist, arch.library(), &config.timing).ok()?;
-    sta.full_analyze(netlist, placement, None);
-    store.sta = Some(sta);
-    Some((store, stages))
-}
-
-/// Decodes a cached back-end payload. `None` = fail closed.
-fn decode_result_entry(bytes: &[u8], variant: FlowVariant) -> Option<FlowResult> {
-    let mut r = Reader::new(bytes);
-    let result = decode_result(&mut r)?;
-    (r.done() && result.variant == variant).then_some(result)
 }
 
 #[cfg(test)]
@@ -685,19 +563,25 @@ mod tests {
             flow.run_job(&tiny_job(FlowVariant::A), &mut |_| {})
                 .unwrap();
         }
-        // A fresh daemon (cold memory cache) restores from disk: no
-        // front stages recompute, and the result loads outright.
+        // A fresh daemon (cold memory cache) restores from disk: no stage
+        // recomputes, and both legs report the disk restore as a hit.
         let flow =
             CachedFlow::new(64 << 20).with_checkpoints(CheckpointStore::new(&dir, true).unwrap());
-        let mut computed = 0usize;
+        let mut events = Vec::new();
         let out = flow
-            .run_job(&tiny_job(FlowVariant::A), &mut |e| {
-                if matches!(e, JobEvent::Stage { .. }) {
-                    computed += 1;
-                }
-            })
+            .run_job(&tiny_job(FlowVariant::A), &mut |e| events.push(e.clone()))
             .unwrap();
-        assert_eq!(computed, 0, "disk tier should supply every stage");
+        assert!(
+            matches!(
+                events[..],
+                [
+                    JobEvent::Front { hit: true },
+                    JobEvent::Result { hit: true }
+                ]
+            ),
+            "disk tier should supply every stage: {events:?}"
+        );
+        assert!(out.front_cache_hit, "front-end restored from disk");
         assert!(out.result_cache_hit, "result restored from disk");
         let batch = run_design(
             &NamedDesign::Alu.generate(&DesignParams::tiny()),

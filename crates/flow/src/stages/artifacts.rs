@@ -17,7 +17,6 @@ use crate::stats::StageStats;
 /// graph + weighted config, physsynth → buffer trace) and read by the
 /// stages downstream of it. A checkpoint serializes the filled slots; a
 /// resumed run restores them and re-enters the graph mid-plan.
-#[derive(Default)]
 pub(crate) struct FrontArtifacts {
     pub(crate) design: String,
     pub(crate) gates_nand2: f64,

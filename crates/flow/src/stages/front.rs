@@ -29,20 +29,16 @@ pub(crate) fn front_plan(config: &FlowConfig) -> Vec<StageId> {
 }
 
 /// Runs one front-end stage by id. `source` is the generated design
-/// netlist — only synthesis reads it, so a resumed run that restored a
-/// post-synthesis checkpoint may pass `None`.
+/// netlist; only synthesis reads it.
 pub(crate) fn run_front_stage(
     id: StageId,
-    source: Option<&Netlist>,
+    source: &Netlist,
     env: &StageEnv<'_>,
     store: &mut FrontArtifacts,
     stages: &mut Vec<StageStats>,
 ) -> Result<(), FlowError> {
     match id {
-        StageId::Synth => {
-            let design = source.expect("synthesis needs the generated source design");
-            run_stage(&SynthStage { design }, env, store, stages)
-        }
+        StageId::Synth => run_stage(&SynthStage { design: source }, env, store, stages),
         StageId::Compact => run_stage(&CompactStage, env, store, stages),
         StageId::Place => run_stage(&PlaceStage, env, store, stages),
         StageId::PhysSynth => run_stage(&PhysSynthStage, env, store, stages),

@@ -10,12 +10,13 @@
 //! [`crate::derive_seed`] reseeds, and the [`StageStats`] record — lives
 //! in exactly one place, the [`run_stage`] runner.
 //!
-//! The stage-DAG scheduler of [`crate::exec`] (behind both
+//! Both callers of the graph — the scheduler of [`crate::exec`] (behind
 //! [`crate::run_design`] and the matrix) and the service's
-//! [`crate::CachedFlow`] drive the graph through the stage plans
-//! ([`front_plan`] / [`back_plan`]) and the per-stage dispatchers, so a
-//! stage executes identically whether it runs on one thread, interleaved
-//! across workers, or replayed after a checkpoint resume.
+//! [`crate::CachedFlow`] — go through the two leg functions
+//! `exec::run_front` and `exec::run_back`, which walk the stage plans
+//! ([`front_plan`] / [`back_plan`]) through the per-stage dispatchers, so
+//! a stage executes identically whether it runs on one thread, in a
+//! daemon job, or after a checkpoint resume.
 
 mod artifacts;
 mod back;

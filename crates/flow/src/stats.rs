@@ -16,7 +16,7 @@ use std::time::Duration;
 thread_local! {
     /// The stage the current worker thread is executing, for panic
     /// attribution: the pipeline notes each stage as it starts, and the
-    /// executor reads the note when `catch_unwind` traps a worker panic.
+    /// leg guard reads the note when `catch_unwind` traps a leg's panic.
     static CURRENT_STAGE: Cell<Option<StageId>> = const { Cell::new(None) };
 }
 

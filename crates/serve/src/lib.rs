@@ -8,8 +8,8 @@
 //! - **Admission control.** Accepted connections enter a bounded queue; a
 //!   full queue answers `503` with `Retry-After` instead of growing
 //!   without bound. A fixed worker pool drains the queue.
-//! - **Stage-granular dedup.** Jobs share front-ends and results through
-//!   one content-addressed [`vpga_flow::ArtifactCache`] keyed by the
+//! - **Per-leg dedup.** Jobs share front-ends and results through one
+//!   content-addressed [`vpga_flow::ArtifactCache`] keyed by the
 //!   normalized config⊕params fingerprint — including in-flight work.
 //! - **Per-job deadlines and isolation.** `deadline_ms=0` fails before
 //!   stage 1; worker panics are trapped per job; a poisoned job abandons

@@ -73,6 +73,53 @@ fn evicting_any_artifact_subset_changes_recomputes_never_fingerprints() {
     }
 }
 
+/// Fail-closed reads past the digest check: a payload whose digest is
+/// valid but whose bytes are wrong for its key — a front-end with one
+/// trailing byte, a front-end one byte short, flow b's result under flow
+/// a's key — must not serve. The next job misses that leg only,
+/// recomputes it to the golden fingerprint, and leaves the cache valid.
+#[test]
+fn wrong_payloads_under_valid_digests_fail_closed() {
+    let flow = CachedFlow::new(64 << 20);
+    let golden = flow
+        .run_job(&tiny_job(FlowVariant::A), &mut |_| {})
+        .unwrap()
+        .fingerprint();
+    flow.run_job(&tiny_job(FlowVariant::B), &mut |_| {})
+        .unwrap();
+    let keys = flow.cache().keys();
+    let find = |pat: &str| keys.iter().find(|k| k.contains(pat)).unwrap().as_str();
+    let (front, result_a, result_b) = (find("front/"), find("/a/"), find("/b/"));
+    let bytes = |key: &str| match flow.cache().acquire(key, "test") {
+        CacheOutcome::Hit(bytes) => bytes.to_vec(),
+        CacheOutcome::Miss(_) => panic!("{key} is not cached"),
+    };
+    let front_bytes = bytes(front);
+    let cases = [
+        ("front + 1 byte", front, [&front_bytes[..], &[0]].concat()),
+        (
+            "front - 1 byte",
+            front,
+            front_bytes[..front_bytes.len() - 1].to_vec(),
+        ),
+        ("flow b's result as a's", result_a, bytes(result_b)),
+    ];
+    for (case, key, payload) in cases {
+        assert!(flow.cache().evict_key(key), "{case}");
+        let CacheOutcome::Miss(claim) = flow.cache().acquire(key, "test") else {
+            panic!("{case}: {key} still cached");
+        };
+        claim.publish(payload, "test").unwrap();
+        let out = flow
+            .run_job(&tiny_job(FlowVariant::A), &mut |_| {})
+            .unwrap();
+        assert_eq!(out.front_cache_hit, key != front, "{case}");
+        assert_eq!(out.result_cache_hit, key == front, "{case}");
+        assert_eq!(out.fingerprint(), golden, "{case}");
+        flow.cache().validate_all().unwrap();
+    }
+}
+
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(64))]
 
