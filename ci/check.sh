@@ -10,11 +10,16 @@
 #   5. cargo test                 (whole workspace)
 #   6. cargo test --features fault-inject   (fault-injection harness)
 #   7. perfbench self-test        (Verilog write/read round trip == direct run)
-#   8. audited tiny matrix        (debug assertions + inter-stage auditors)
+#   8. audited tiny matrix        (debug assertions + inter-stage auditors),
+#      and route legality: the tiny and small matrices (small in release)
+#      must print 16 `route: legal` lines and no overflow. Medium stays
+#      ungated: its network switch overflows until routing capacity is
+#      sized to the design.
 #   9. single-design flow golden  (vpga flow design fingerprint, tiny ALU)
 #  10. kill-and-resume smoke      (interrupted checkpointed matrix resumes bit-identical)
 #  11. interchange round-trip     (SDF/.vxdl emission verifies + checkpoints migrate)
-#  12. .varch round-trip          (reloaded builtins hit the golden; malformed fails closed)
+#  12. .varch round-trip          (reloaded builtins hit the golden; malformed
+#      and zero-area descriptions fail closed)
 #  13. serve smoke                (cold/warm daemon matrix golden, SIGTERM drain,
 #      a misspelled flag fails closed before the daemon binds, a daemon
 #      restarted over the same --checkpoint-dir answers fully warm)
@@ -66,16 +71,30 @@ step "perfbench self-test (cargo test --manifest-path perfbench/Cargo.toml)"
 # of its own (its own workspace and lock file), hence the manifest path.
 cargo test --offline --manifest-path perfbench/Cargo.toml
 
-step "audited matrix run (debug assertions + inter-stage auditors)"
+step "audited matrix run (debug assertions + inter-stage auditors, legal routes)"
 # The fingerprint folds the pack/swap mover counters, so this also pins
 # the packer and the PLB swap to the published golden bit-for-bit.
-golden="matrix fingerprint: 0xd516b48daf413258"
-audited=$(cargo run -q --bin vpga -- matrix --size tiny --jobs 2 --audit \
-    | grep '^matrix fingerprint:')
+golden="matrix fingerprint: 0x01b3533959a44418"
+# Fails unless a `--stats` matrix run ($2) printed one `route: legal` line
+# for each of its 16 flows and no `route: overflow` line.
+check_routes_legal() {
+    legal=$(printf '%s\n' "$2" | grep -c '^ *route: legal$' || true)
+    overflow=$(printf '%s\n' "$2" | grep -c '^ *route: overflow' || true)
+    if [ "$legal" != 16 ] || [ "$overflow" != 0 ]; then
+        echo "error: $1 matrix routes: $legal of 16 flows legal, $overflow overflowed" >&2
+        printf '%s\n' "$2" | grep 'route: ' >&2
+        exit 1
+    fi
+}
+tiny=$(cargo run -q --bin vpga -- matrix --size tiny --jobs 2 --audit --stats)
+audited=$(printf '%s\n' "$tiny" | grep '^matrix fingerprint:')
 if [ "$audited" != "$golden" ]; then
     echo "error: audited matrix diverged from the golden: '$audited' != '$golden'" >&2
     exit 1
 fi
+check_routes_legal tiny "$tiny"
+small=$(cargo run -q --release --bin vpga -- matrix --size small --jobs 2 --stats)
+check_routes_legal small "$small"
 
 step "single-design flow golden (vpga flow, tiny ALU on granular)"
 # `vpga flow` runs one design through run_design, which overlaps the
@@ -84,7 +103,7 @@ step "single-design flow golden (vpga flow, tiny ALU on granular)"
 FLW=$(mktemp -d)
 trap 'rm -rf "$FLW"' EXIT
 cargo run -q --bin vpga -- gen alu --size tiny -o "$FLW/alu.v" 2>/dev/null
-flow_golden="design fingerprint: 0x399c806b8eef6723"
+flow_golden="design fingerprint: 0x1dfd59794de56c2a"
 flow_fp=$(cargo run -q --bin vpga -- flow "$FLW/alu.v" --arch granular \
     | grep '^design fingerprint:')
 if [ "$flow_fp" != "$flow_golden" ]; then
@@ -144,16 +163,20 @@ if [ "$reloaded" != "$golden" ]; then
     exit 1
 fi
 # Malformed descriptions must fail closed with a positioned error, never
-# run a matrix.
+# run a matrix. A zero-area PLB is one: flow b would collapse onto one
+# point and publish a die area of 0.
 printf 'varch 1 broken\ncell oops\n' > "$ARCH/broken.varch"
-if out=$(cargo run -q --bin vpga -- matrix --size tiny \
-    --arch-file "$ARCH/broken.varch" 2>&1); then
-    echo "error: malformed .varch unexpectedly accepted" >&2
-    exit 1
-elif ! printf '%s\n' "$out" | grep -q 'line [0-9]*, col [0-9]*'; then
-    echo "error: malformed .varch rejection lacks a positioned error: $out" >&2
-    exit 1
-fi
+sed 's/^area .*/area 0 0/' "$ARCH/granular.varch" > "$ARCH/zero-area.varch"
+for bad in broken zero-area; do
+    if out=$(cargo run -q --bin vpga -- matrix --size tiny \
+        --arch-file "$ARCH/$bad.varch" 2>&1); then
+        echo "error: malformed .varch ($bad) unexpectedly accepted" >&2
+        exit 1
+    elif ! printf '%s\n' "$out" | grep -q 'line [0-9]*, col [0-9]*'; then
+        echo "error: malformed .varch ($bad) rejection lacks a positioned error: $out" >&2
+        exit 1
+    fi
+done
 
 step "serve smoke (cold/warm daemon matrix, golden fingerprint, SIGTERM drain)"
 # The release binary is invoked directly (not through `cargo run`) so the
@@ -171,7 +194,7 @@ if [ "$rc" = 0 ] || [ "$rc" = 124 ] || ! grep -q -- '--wokers' "$SRV/badflag.txt
     cat "$SRV/badflag.txt" >&2
     exit 1
 fi
-golden="matrix fingerprint: 0xd516b48daf413258"
+golden="matrix fingerprint: 0x01b3533959a44418"
 # The first daemon answers cold, then warm from its memory cache. A daemon
 # restarted over the same checkpoint directory starts with a cold memory
 # cache, but every front-end and result restores from the disk tier: no

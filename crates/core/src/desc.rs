@@ -522,9 +522,20 @@ impl ArchDescription {
                     configs.push(config);
                 }
                 "area" => {
-                    comb_area = Some(rec.f64("combinational area")?);
-                    seq_area = Some(rec.f64("sequential area")?);
+                    let comb = rec.f64("combinational area")?;
+                    let seq = rec.f64("sequential area")?;
                     rec.finish()?;
+                    // A zero-area PLB would collapse flow b's whole array
+                    // onto one point and publish a die area of 0.
+                    if comb + seq <= 0.0 {
+                        return Err(err(
+                            rec.line_no,
+                            col,
+                            format!("PLB area must be positive, got {comb} + {seq}"),
+                        ));
+                    }
+                    comb_area = Some(comb);
+                    seq_area = Some(seq);
                 }
                 "vias" => {
                     via_sites = Some(rec.u32("via-site count")?);
@@ -854,6 +865,15 @@ mod tests {
             assert_eq!(e.line, *line, "{text:?}: {e}");
             assert!(e.col >= 1);
         }
+    }
+
+    #[test]
+    fn zero_area_plb_is_rejected_at_its_line() {
+        let e = ArchDescription::parse(&tiny_text().replace("area 25 20", "area 0 0")).unwrap_err();
+        assert_eq!((e.line, e.col), (7, 1), "{e}");
+        assert!(e.to_string().contains("area must be positive"), "{e}");
+        // One zero component is fine: the PLB's total area is positive.
+        assert!(ArchDescription::parse(&tiny_text().replace("area 25 20", "area 0 20")).is_ok());
     }
 
     #[test]

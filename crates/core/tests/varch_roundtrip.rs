@@ -107,13 +107,20 @@ fn random_description(seed: u64) -> ArchDescription {
             delay_ps: random_real(rng),
         });
     }
+    // The reader rejects a PLB whose total area is not positive.
+    let (comb_area, seq_area) = loop {
+        let (comb, seq) = (random_real(rng), random_real(rng));
+        if comb + seq > 0.0 {
+            break (comb, seq);
+        }
+    };
     ArchDescription {
         name: random_name(rng, "arch", 0),
         cells,
         slots,
         configs,
-        comb_area: random_real(rng),
-        seq_area: random_real(rng),
+        comb_area,
+        seq_area,
         via_sites: rng.gen::<u32>(),
     }
 }
@@ -130,6 +137,26 @@ proptest! {
         prop_assert_eq!(&back, &desc);
         prop_assert_eq!(back.encode(), text);
         prop_assert_eq!(back.fingerprint(), desc.fingerprint());
+    }
+
+    /// A description whose PLB area is zero fails closed, positioned at
+    /// its `area` line.
+    #[test]
+    fn zero_area_fails_closed(seed in any::<u64>()) {
+        let text = random_description(seed).encode();
+        let area_line = text
+            .lines()
+            .position(|l| l.starts_with("area "))
+            .expect("canonical text has an area line");
+        let zeroed: Vec<&str> = text
+            .lines()
+            .enumerate()
+            .map(|(i, l)| if i == area_line { "area 0 0" } else { l })
+            .collect();
+        let e = ArchDescription::parse(&format!("{}\n", zeroed.join("\n")))
+            .expect_err("zero-area PLB accepted");
+        prop_assert_eq!(e.line, area_line + 1, "{}", e);
+        prop_assert!(e.col >= 1, "unpositioned error: {}", e);
     }
 
     /// Corrupted text never panics the parser. Truncations, line drops,

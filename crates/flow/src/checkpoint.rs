@@ -43,7 +43,7 @@ use crate::stats::{StageId, StageStats};
 /// completed count, config fingerprint, payload length.
 const HEADER_LEN: usize = 8 + 1 + 1 + 8 + 8;
 
-const MAGIC: &[u8; 8] = b"VPGACKP2";
+const MAGIC: &[u8; 8] = b"VPGACKP3";
 const KIND_FRONT: u8 = 0;
 const KIND_RESULT: u8 = 1;
 
@@ -125,6 +125,7 @@ fn encode_stats(w: &mut Writer, s: &StageStats) {
     w.opt(s.bbox_full, Writer::u64);
     w.opt(s.nets_rerouted, Writer::u64);
     w.opt(s.nets_total, Writer::u64);
+    w.opt(s.route_iterations, Writer::u64);
     w.opt(s.retries, Writer::u32);
     w.opt(s.sta_full, Writer::u64);
     w.opt(s.sta_incremental, Writer::u64);
@@ -148,6 +149,7 @@ fn decode_stats(r: &mut Reader<'_>) -> Option<StageStats> {
     s.bbox_full = r.opt(Reader::u64)?;
     s.nets_rerouted = r.opt(Reader::u64)?;
     s.nets_total = r.opt(Reader::u64)?;
+    s.route_iterations = r.opt(Reader::u64)?;
     s.retries = r.opt(Reader::u32)?;
     s.sta_full = r.opt(Reader::u64)?;
     s.sta_incremental = r.opt(Reader::u64)?;
@@ -726,7 +728,7 @@ mod tests {
             .with_cost(3.5, 1.25)
             .with_moves(100, 40)
             .with_bbox_updates(880, 17)
-            .with_reroutes(36, 30)
+            .with_reroutes(36, 30, 4)
             .with_retries(2)
             .with_sta(1, 9, 123)
             .with_cache(4, 1, 2);
@@ -817,7 +819,7 @@ mod tests {
         let path = store.result_path("alu", "granular", FlowVariant::A);
         let valid = std::fs::read(&path).unwrap();
         let mut old = valid.clone();
-        old[..8].copy_from_slice(b"VPGACKP1");
+        old[..8].copy_from_slice(b"VPGACKP2");
         std::fs::write(&path, &old).unwrap();
         assert!(store
             .load_result("alu", &arch, FlowVariant::A, &config, &params)

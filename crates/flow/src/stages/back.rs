@@ -246,6 +246,7 @@ impl Stage<BackArtifacts<'_>> for RouteStage {
             .with_reroutes(
                 routing.total_reroutes() as u64,
                 routing.nets_routed() as u64,
+                routing.iterations_used() as u64,
             );
         store.routing = Some(routing);
         Ok(stats)

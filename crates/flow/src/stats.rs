@@ -120,6 +120,8 @@ pub struct StageStats {
     pub nets_rerouted: Option<u64>,
     /// Routable nets the stage handled (routing stages).
     pub nets_total: Option<u64>,
+    /// Negotiation iterations the router ran (routing stages).
+    pub route_iterations: Option<u64>,
     /// Recovery retries the stage consumed before succeeding (stochastic
     /// stages under `--retries`; recorded so reseeded runs fingerprint
     /// differently from first-try runs).
@@ -158,6 +160,7 @@ impl StageStats {
             bbox_full: None,
             nets_rerouted: None,
             nets_total: None,
+            route_iterations: None,
             retries: None,
             sta_full: None,
             sta_incremental: None,
@@ -193,11 +196,14 @@ impl StageStats {
         self
     }
 
-    /// Attaches the re-route work counters of a routing stage.
+    /// Attaches the re-route work counters of a routing stage: net
+    /// routings summed over all iterations, routable nets, and negotiation
+    /// iterations.
     #[must_use]
-    pub fn with_reroutes(mut self, rerouted: u64, total: u64) -> StageStats {
+    pub fn with_reroutes(mut self, rerouted: u64, total: u64, iterations: u64) -> StageStats {
         self.nets_rerouted = Some(rerouted);
         self.nets_total = Some(total);
+        self.route_iterations = Some(iterations);
         self
     }
 
@@ -256,6 +262,7 @@ impl StageStats {
         mix(self.bbox_full.unwrap_or(0));
         mix(self.nets_rerouted.unwrap_or(0));
         mix(self.nets_total.unwrap_or(0));
+        mix(self.route_iterations.unwrap_or(0));
         mix(u64::from(self.retries.unwrap_or(0)));
         // The STA work counters are deliberately NOT folded in: they are
         // implementation metrics of the timer (how the numbers were
@@ -289,8 +296,11 @@ impl fmt::Display for StageStats {
         if let (Some(incr), Some(full)) = (self.bbox_incremental, self.bbox_full) {
             write!(f, "  bbox {incr}i/{full}f")?;
         }
-        if let (Some(rr), Some(total)) = (self.nets_rerouted, self.nets_total) {
-            write!(f, "  reroutes {rr}/{total} nets")?;
+        if let (Some(rr), Some(total), Some(it)) =
+            (self.nets_rerouted, self.nets_total, self.route_iterations)
+        {
+            let s = if it == 1 { "" } else { "s" };
+            write!(f, "  reroutes {rr}/{total} nets in {it} iteration{s}")?;
         }
         if let (Some(full), Some(incr)) = (self.sta_full, self.sta_incremental) {
             write!(f, "  sta {full}full/{incr}incr")?;
@@ -367,15 +377,20 @@ mod tests {
         b.fold_fingerprint(&mut hb);
         assert_ne!(ha, hb);
         let r = StageStats::new(StageId::Route, Duration::ZERO, 10, 20);
-        let c = r.clone().with_reroutes(36, 30);
-        let d = r.clone().with_reroutes(42, 30);
-        let (mut hc, mut hd) = (0u64, 0u64);
+        let c = r.clone().with_reroutes(36, 30, 2);
+        let d = r.clone().with_reroutes(42, 30, 2);
+        let e = r.clone().with_reroutes(36, 30, 3);
+        let (mut hc, mut hd, mut he) = (0u64, 0u64, 0u64);
         c.fold_fingerprint(&mut hc);
         d.fold_fingerprint(&mut hd);
+        e.fold_fingerprint(&mut he);
         assert_ne!(hc, hd);
+        assert_ne!(hc, he);
         // Display carries the counters for `--stats`.
         assert!(a.to_string().contains("bbox 100i/5f"));
-        assert!(c.to_string().contains("reroutes 36/30 nets"));
+        assert!(c
+            .to_string()
+            .contains("reroutes 36/30 nets in 2 iterations"));
     }
 
     #[test]

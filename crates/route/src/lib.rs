@@ -8,9 +8,24 @@
 //! delays of `vpga-timing`; this is the post-layout extraction step of the
 //! paper's flow.
 //!
-//! Two-pin connections are A*-routed driver→sink with free reuse of the
-//! net's own earlier branches, so multi-fanout nets form Steiner-like
-//! trees.
+//! Each net grows one routed tree, VPR-style. Its sink tiles are taken
+//! nearest-first (Manhattan distance from the source tile, ties by row,
+//! then column). A sink already on the tree needs no search; any other is
+//! found by one A* search seeded at cost 0 from every tile on the tree so
+//! far, and the path walked back from the sink stops at the first tree
+//! tile it meets. So multi-fanout nets form Steiner-like trees that branch
+//! wherever joining is cheapest. Every search stays inside the net's
+//! source/sink bounding box grown by `BOX_MARGIN` (3) tiles on each side:
+//! a net cannot wander across the die, and a search on a congested grid
+//! expands far fewer tiles. Compared with searching each sink from the
+//! source alone, this finds different (shorter, cheaper) routes, so
+//! wirelengths and post-route slack moved when it was introduced.
+//!
+//! Search state is flat: tiles are `u32` ids (`row * cols + col`), each
+//! tile has one `{best, stamp, seq}` record, a heap entry is live only if
+//! it is its tile's latest push (pushes for a tile carry strictly
+//! decreasing costs), and each edge's congestion price is kept in an
+//! array that is updated wherever its occupancy or history changes.
 //!
 //! Negotiation is *incremental* by default: the first iteration routes
 //! every net, and later iterations rip up and re-route only the *dirty*
@@ -39,6 +54,20 @@ use vpga_place::Placement;
 pub enum RouteError {
     /// `channel_capacity` of zero — no net can ever be legal.
     InvalidCapacity,
+    /// A configured `tile_size` that is not finite and positive — the
+    /// grid would have no size (or, at zero, `usize::MAX` columns).
+    InvalidTileSize {
+        /// The rejected tile edge length, µm.
+        tile_size: f64,
+    },
+    /// The tile size cuts the die into more tiles than the router's
+    /// `u32` tile and edge ids can number.
+    GridTooLarge {
+        /// Grid columns.
+        cols: usize,
+        /// Grid rows.
+        rows: usize,
+    },
     /// A net's sink tile was unreachable from its source (disconnected
     /// routing graph).
     Unroutable {
@@ -53,6 +82,12 @@ impl std::fmt::Display for RouteError {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         match self {
             RouteError::InvalidCapacity => write!(f, "channel capacity must be positive"),
+            RouteError::InvalidTileSize { tile_size } => {
+                write!(f, "tile size must be finite and positive, got {tile_size}")
+            }
+            RouteError::GridTooLarge { cols, rows } => {
+                write!(f, "routing grid of {cols} × {rows} tiles is too large")
+            }
             RouteError::Unroutable { net, sink } => {
                 write!(f, "net {net} cannot reach sink tile {sink:?}")
             }
@@ -199,14 +234,6 @@ impl Grid {
         (self.cols.saturating_sub(1)) * self.rows + self.cols * (self.rows.saturating_sub(1))
     }
 
-    fn h_edge(&self, c: usize, r: usize) -> usize {
-        r * (self.cols - 1) + c
-    }
-
-    fn v_edge(&self, c: usize, r: usize) -> usize {
-        (self.cols - 1) * self.rows + r * self.cols + c
-    }
-
     /// The two adjacent tiles an edge index connects.
     fn edge_endpoints(&self, edge: usize) -> ((usize, usize), (usize, usize)) {
         let h_count = (self.cols - 1) * self.rows;
@@ -222,63 +249,80 @@ impl Grid {
         }
     }
 
-    fn tile_of(&self, x: f64, y: f64) -> (usize, usize) {
+    /// The flat id (`row * cols + col`) of the tile containing `(x, y)`.
+    fn tile_of(&self, x: f64, y: f64) -> u32 {
         let c = (((x - self.x0) / self.tile).floor().max(0.0) as usize).min(self.cols - 1);
         let r = (((y - self.y0) / self.tile).floor().max(0.0) as usize).min(self.rows - 1);
-        (c, r)
+        (r * self.cols + c) as u32
     }
 
-    /// Flattens the tile adjacency into a CSR [`Adjacency`], preserving
-    /// the historical neighbor order (east, west, north, south) so the A*
-    /// heap insertion sequence — and therefore every tie-break — is
-    /// unchanged. Built once per routing run; the search loop then walks
-    /// flat arrays instead of allocating a neighbor `Vec` per tile visit.
-    fn adjacency(&self) -> Adjacency {
-        let n = self.cols * self.rows;
-        let mut off = Vec::with_capacity(n + 1);
-        let mut tile: Vec<(u32, u32)> = Vec::with_capacity(4 * n);
-        let mut edge: Vec<u32> = Vec::with_capacity(4 * n);
-        off.push(0u32);
-        for r in 0..self.rows {
-            for c in 0..self.cols {
-                if c + 1 < self.cols {
-                    tile.push((c as u32 + 1, r as u32));
-                    edge.push(self.h_edge(c, r) as u32);
-                }
-                if c > 0 {
-                    tile.push((c as u32 - 1, r as u32));
-                    edge.push(self.h_edge(c - 1, r) as u32);
-                }
-                if r + 1 < self.rows {
-                    tile.push((c as u32, r as u32 + 1));
-                    edge.push(self.v_edge(c, r) as u32);
-                }
-                if r > 0 {
-                    tile.push((c as u32, r as u32 - 1));
-                    edge.push(self.v_edge(c, r - 1) as u32);
-                }
-                off.push(tile.len() as u32);
-            }
+    /// `(col, row)` of a flat tile id.
+    fn coords(&self, tile: u32) -> (u32, u32) {
+        let cols = self.cols as u32;
+        (tile % cols, tile / cols)
+    }
+}
+
+/// Tiles a net's search may leave its pins' bounding box by, on each side
+/// (VPR's default `bb_factor`).
+const BOX_MARGIN: u32 = 3;
+
+/// One routable net: its source tile, its distinct sink tiles nearest
+/// first, and the tile box its searches stay inside.
+struct Job {
+    net: NetId,
+    source: u32,
+    sinks: Vec<u32>,
+    /// Inclusive `(col, row)` corners of the pins' bounding box grown by
+    /// [`BOX_MARGIN`] and clipped to the grid.
+    lo: (u32, u32),
+    hi: (u32, u32),
+}
+
+impl Job {
+    /// Orders `sinks` nearest-first (Manhattan distance from the source,
+    /// ties by row, then column) and sizes the search box around them.
+    fn new(grid: &Grid, net: NetId, source: u32, mut sinks: Vec<u32>) -> Job {
+        let (sc, sr) = grid.coords(source);
+        // Flat ids order by row, then column.
+        sinks.sort_by_key(|&t| {
+            let (c, r) = grid.coords(t);
+            (c.abs_diff(sc) + r.abs_diff(sr), t)
+        });
+        let (mut lo, mut hi) = ((sc, sr), (sc, sr));
+        for &t in &sinks {
+            let (c, r) = grid.coords(t);
+            lo = (lo.0.min(c), lo.1.min(r));
+            hi = (hi.0.max(c), hi.1.max(r));
         }
-        Adjacency { off, tile, edge }
+        Job {
+            net,
+            source,
+            sinks,
+            lo: (
+                lo.0.saturating_sub(BOX_MARGIN),
+                lo.1.saturating_sub(BOX_MARGIN),
+            ),
+            hi: (
+                (hi.0 + BOX_MARGIN).min(grid.cols as u32 - 1),
+                (hi.1 + BOX_MARGIN).min(grid.rows as u32 - 1),
+            ),
+        }
     }
 }
 
-/// The routing graph's adjacency in CSR form, SoA: row `t` (a flat tile
-/// index) spans `off[t]..off[t+1]` of the parallel `tile`/`edge` arrays.
-struct Adjacency {
-    off: Vec<u32>,
-    /// Neighbor tile `(col, row)` per entry.
-    tile: Vec<(u32, u32)>,
-    /// Crossed edge index per entry.
-    edge: Vec<u32>,
-}
-
-#[derive(PartialEq)]
+/// A search frontier entry, 16 bytes. Only a tile's latest push is live:
+/// an entry whose `seq` no longer matches its tile's record is stale.
 struct HeapEntry {
     priority: f64,
-    cost: f64,
-    tile: (usize, usize),
+    tile: u32,
+    seq: u32,
+}
+
+impl PartialEq for HeapEntry {
+    fn eq(&self, other: &Self) -> bool {
+        self.cmp(other).is_eq()
+    }
 }
 
 impl Eq for HeapEntry {}
@@ -296,39 +340,183 @@ impl PartialOrd for HeapEntry {
     }
 }
 
-/// Reusable A* state: per-tile cost/parent tables and the per-net edge
-/// ownership marks, all invalidated by bumping an epoch counter instead of
-/// clearing — one allocation per routing run, none per search.
+/// Per-tile search record, valid only where `stamp` is the current search
+/// epoch.
+#[derive(Clone, Copy)]
+struct TileState {
+    /// Best-known cost from the net's tree.
+    best: f64,
+    /// The search epoch that wrote this record.
+    stamp: u32,
+    /// Push sequence number of the tile's latest heap entry.
+    seq: u32,
+}
+
+/// Reusable A* state: per-tile records and parents, and the tile set of
+/// the net being routed, all invalidated by bumping an epoch counter
+/// instead of clearing — one allocation per routing run, none per search.
 struct Scratch {
-    /// Best-known cost per tile, valid only where `stamp == epoch`.
-    best: Vec<f64>,
-    /// Parent tile + incoming edge per tile, valid where `stamp == epoch`.
-    from: Vec<((usize, usize), usize)>,
-    /// Per-tile epoch stamp for `best`/`from`.
-    stamp: Vec<u64>,
-    /// Per-edge epoch mark: `own_mark[e] == net_epoch` ⇔ edge `e` belongs
-    /// to the net currently being routed.
-    own_mark: Vec<u64>,
+    tiles: Vec<TileState>,
+    /// Parent tile and incoming edge per tile, valid where the tile's
+    /// record is.
+    from: Vec<(u32, u32)>,
+    /// Per-tile mark: `on_tree[t] == net_epoch` ⇔ tile `t` is on the
+    /// routed tree of the net currently being routed.
+    on_tree: Vec<u32>,
+    /// The current net's tree tiles, in the order they joined it.
+    tree: Vec<u32>,
     /// Search epoch (bumped per A* call).
-    epoch: u64,
-    /// Ownership epoch (bumped per net).
-    net_epoch: u64,
+    epoch: u32,
+    /// Tree epoch (bumped per net).
+    net_epoch: u32,
+    /// Pushes made by the current search.
+    seq: u32,
     /// The search frontier, drained empty by every call.
     heap: BinaryHeap<HeapEntry>,
 }
 
 impl Scratch {
-    fn new(n_tiles: usize, n_edges: usize) -> Scratch {
+    fn new(n_tiles: usize) -> Scratch {
         Scratch {
-            best: vec![f64::INFINITY; n_tiles],
-            from: vec![((0, 0), 0); n_tiles],
-            stamp: vec![0; n_tiles],
-            own_mark: vec![0; n_edges],
+            tiles: vec![
+                TileState {
+                    best: f64::INFINITY,
+                    stamp: 0,
+                    seq: 0,
+                };
+                n_tiles
+            ],
+            from: vec![(0, 0); n_tiles],
+            on_tree: vec![0; n_tiles],
+            tree: Vec::new(),
             epoch: 0,
             net_epoch: 0,
+            seq: 0,
             heap: BinaryHeap::new(),
         }
     }
+
+    /// Routes one net: every sink, nearest first, joins the tree by the
+    /// cheapest path A* finds from any tile already on it. Appends the new
+    /// edges to `own`; on an unreachable sink returns that sink.
+    fn route_net(
+        &mut self,
+        grid: &Grid,
+        job: &Job,
+        price: &[f64],
+        own: &mut Vec<u32>,
+    ) -> Result<(), u32> {
+        if self.net_epoch == u32::MAX {
+            self.on_tree.fill(0);
+            self.net_epoch = 0;
+        }
+        self.net_epoch += 1;
+        self.tree.clear();
+        self.on_tree[job.source as usize] = self.net_epoch;
+        self.tree.push(job.source);
+        for &sink in &job.sinks {
+            if self.on_tree[sink as usize] == self.net_epoch {
+                continue; // an earlier branch already passes through it
+            }
+            if !self.astar(grid, job, sink, price) {
+                return Err(sink);
+            }
+            // Walk back to the first tree tile; every tile and edge on the
+            // way is new to the tree.
+            let mut cur = sink;
+            while self.on_tree[cur as usize] != self.net_epoch {
+                let (prev, edge) = self.from[cur as usize];
+                self.on_tree[cur as usize] = self.net_epoch;
+                self.tree.push(cur);
+                own.push(edge);
+                cur = prev;
+            }
+        }
+        Ok(())
+    }
+
+    /// A* from every tree tile (each seeded at cost 0) to `sink`, inside
+    /// the job's box, leaving the parent links in `from`. Returns `false`
+    /// if the sink was unreachable.
+    fn astar(&mut self, grid: &Grid, job: &Job, sink: u32, price: &[f64]) -> bool {
+        if self.epoch == u32::MAX {
+            self.tiles.iter_mut().for_each(|t| t.stamp = 0);
+            self.epoch = 0;
+        }
+        self.epoch += 1;
+        self.seq = 0;
+        self.heap.clear();
+        let cols = grid.cols as u32;
+        let h_count = (cols - 1) * grid.rows as u32;
+        let (sc, sr) = grid.coords(sink);
+        let h = |c: u32, r: u32| -> f64 { (c.abs_diff(sc) + r.abs_diff(sr)) as f64 };
+        for i in 0..self.tree.len() {
+            let t = self.tree[i];
+            let (c, r) = grid.coords(t);
+            self.relax(t, t, 0, 0.0, h(c, r));
+        }
+        let ((c_lo, r_lo), (c_hi, r_hi)) = (job.lo, job.hi);
+        while let Some(entry) = self.heap.pop() {
+            let t = entry.tile;
+            let rec = self.tiles[t as usize];
+            if rec.seq != entry.seq {
+                continue; // superseded by a cheaper push
+            }
+            if t == sink {
+                return true;
+            }
+            let (c, r) = grid.coords(t);
+            // Neighbor order east, west, north, south: with equal
+            // priorities the heap's insertion sequence decides, so it is
+            // fixed.
+            if c < c_hi {
+                let e = t - r;
+                self.relax(t + 1, t, e, rec.best + price[e as usize], h(c + 1, r));
+            }
+            if c > c_lo {
+                let e = t - r - 1;
+                self.relax(t - 1, t, e, rec.best + price[e as usize], h(c - 1, r));
+            }
+            if r < r_hi {
+                let e = h_count + t;
+                self.relax(t + cols, t, e, rec.best + price[e as usize], h(c, r + 1));
+            }
+            if r > r_lo {
+                let e = h_count + t - cols;
+                self.relax(t - cols, t, e, rec.best + price[e as usize], h(c, r - 1));
+            }
+        }
+        false
+    }
+
+    /// Offers `cost` for reaching `tile` from `parent` over `edge`: a new
+    /// tile, or a strictly cheaper path, updates the record and pushes a
+    /// fresh entry (so a tile's pushes carry strictly decreasing costs).
+    #[inline]
+    fn relax(&mut self, tile: u32, parent: u32, edge: u32, cost: f64, h: f64) {
+        let rec = &mut self.tiles[tile as usize];
+        if rec.stamp != self.epoch || cost < rec.best {
+            self.seq += 1;
+            *rec = TileState {
+                best: cost,
+                stamp: self.epoch,
+                seq: self.seq,
+            };
+            self.from[tile as usize] = (parent, edge);
+            self.heap.push(HeapEntry {
+                priority: cost + h,
+                tile,
+                seq: self.seq,
+            });
+        }
+    }
+}
+
+/// The congestion-aware price of one more net on an edge:
+/// `1 + present_factor·max(0, occ+1−cap) + history`.
+fn edge_price(occupancy: u32, history: f64, config: &RouteConfig) -> f64 {
+    let over = occupancy as f64 + 1.0 - config.channel_capacity as f64;
+    1.0 + config.present_factor * over.max(0.0) + history
 }
 
 /// Routes every multi-tile net of the placed netlist.
@@ -347,6 +535,10 @@ pub fn route(netlist: &Netlist, placement: &Placement, config: &RouteConfig) -> 
 /// # Errors
 ///
 /// * [`RouteError::InvalidCapacity`] if `config.channel_capacity` is zero,
+/// * [`RouteError::InvalidTileSize`] if `config.tile_size` is set but not
+///   finite and positive,
+/// * [`RouteError::GridTooLarge`] if the tile size cuts the die into more
+///   tiles than `u32` ids can number,
 /// * [`RouteError::Unroutable`] if a sink tile cannot be reached.
 pub fn try_route(
     netlist: &Netlist,
@@ -355,6 +547,11 @@ pub fn try_route(
 ) -> Result<RoutingResult, RouteError> {
     if config.channel_capacity == 0 {
         return Err(RouteError::InvalidCapacity);
+    }
+    if let Some(tile_size) = config.tile_size {
+        if !(tile_size.is_finite() && tile_size > 0.0) {
+            return Err(RouteError::InvalidTileSize { tile_size });
+        }
     }
     let die = placement.die();
     let tile = config.tile_size.unwrap_or_else(|| {
@@ -369,16 +566,19 @@ pub fn try_route(
         x0: die.x0,
         y0: die.y0,
     };
+    // Tiles and edges (about two per tile) are numbered by `u32` ids.
+    let tiles = grid.cols.checked_mul(grid.rows);
+    if tiles.is_none_or(|n| n > (u32::MAX / 2) as usize) {
+        return Err(RouteError::GridTooLarge {
+            cols: grid.cols,
+            rows: grid.rows,
+        });
+    }
     // Collect routable nets: ≥2 placed pins spanning ≥2 tiles; skip
     // constant-driven nets.
-    struct Job {
-        net: NetId,
-        source: (usize, usize),
-        sinks: Vec<(usize, usize)>,
-    }
     let mut jobs: Vec<Job> = Vec::new();
     let mut net_length = vec![0.0f64; netlist.net_capacity()];
-    let mut seen_sinks: HashSet<(usize, usize)> = HashSet::new();
+    let mut seen_sinks: HashSet<u32> = HashSet::new();
     for net in netlist.nets() {
         let Some(driver) = netlist.driver(net) else {
             continue;
@@ -393,10 +593,10 @@ pub fn try_route(
             continue;
         };
         let source = grid.tile_of(dx, dy);
-        // Deduplicate sink tiles in first-occurrence order; set-based
-        // membership keeps this O(fanout) instead of O(fanout²).
+        // Deduplicate sink tiles; set-based membership keeps this
+        // O(fanout) instead of O(fanout²).
         seen_sinks.clear();
-        let mut sinks: Vec<(usize, usize)> = Vec::new();
+        let mut sinks: Vec<u32> = Vec::new();
         for &(cell, _) in netlist.sinks(net) {
             if let Some((x, y)) = placement.position(cell) {
                 let t = grid.tile_of(x, y);
@@ -406,20 +606,20 @@ pub fn try_route(
             }
         }
         if !sinks.is_empty() {
-            jobs.push(Job { net, source, sinks });
+            jobs.push(Job::new(&grid, net, source, sinks));
         }
     }
     // Negotiated congestion loop. Iteration 1 routes everything; later
     // iterations rip up only the dirty nets (paths crossing over-capacity
     // edges) unless `config.incremental` is off.
     let n_edges = grid.num_edges();
-    let n_tiles = grid.cols * grid.rows;
-    let adj = grid.adjacency();
     let mut history = vec![0.0f64; n_edges];
     let mut occupancy = vec![0u32; n_edges];
-    let mut net_edges: Vec<Vec<usize>> = (0..jobs.len()).map(|_| Vec::new()).collect();
-    let mut scratch = Scratch::new(n_tiles, n_edges);
-    let mut own: Vec<usize> = Vec::new();
+    // `price[e]` is kept equal to `edge_price(occupancy[e], history[e])`.
+    let mut price = vec![edge_price(0, 0.0, config); n_edges];
+    let mut net_edges: Vec<Vec<u32>> = (0..jobs.len()).map(|_| Vec::new()).collect();
+    let mut scratch = Scratch::new(grid.cols * grid.rows);
+    let mut own: Vec<u32> = Vec::new();
     let mut dirty: Vec<usize> = (0..jobs.len()).collect();
     let mut reroutes_per_iter: Vec<usize> = Vec::new();
     let mut iterations_used = 0;
@@ -431,31 +631,25 @@ pub fn try_route(
         // dirty nets already re-routed this pass.
         for &ji in &dirty {
             for &e in &net_edges[ji] {
+                let e = e as usize;
                 occupancy[e] -= 1;
+                price[e] = edge_price(occupancy[e], history[e], config);
             }
         }
         for &ji in &dirty {
             let job = &jobs[ji];
-            scratch.net_epoch += 1;
             own.clear();
-            for &sink in &job.sinks {
-                let reached = astar(
-                    &grid,
-                    &adj,
-                    job.source,
-                    sink,
-                    &occupancy,
-                    &history,
-                    &mut scratch,
-                    &mut own,
-                    config,
-                );
-                if !reached {
-                    return Err(RouteError::Unroutable { net: job.net, sink });
-                }
+            if let Err(sink) = scratch.route_net(&grid, job, &price, &mut own) {
+                let (c, r) = grid.coords(sink);
+                return Err(RouteError::Unroutable {
+                    net: job.net,
+                    sink: (c as usize, r as usize),
+                });
             }
             for &e in &own {
+                let e = e as usize;
                 occupancy[e] += 1;
+                price[e] = edge_price(occupancy[e], history[e], config);
             }
             net_edges[ji].clear();
             net_edges[ji].extend_from_slice(&own);
@@ -466,6 +660,7 @@ pub fn try_route(
             if occ > config.channel_capacity {
                 overflow += 1;
                 history[e] += config.history_increment * (occ - config.channel_capacity) as f64;
+                price[e] = edge_price(occ, history[e], config);
             }
         }
         if overflow == 0 {
@@ -476,7 +671,7 @@ pub fn try_route(
                 .filter(|&ji| {
                     net_edges[ji]
                         .iter()
-                        .any(|&e| occupancy[e] > config.channel_capacity)
+                        .any(|&e| occupancy[e as usize] > config.channel_capacity)
                 })
                 .collect();
             if dirty.is_empty() {
@@ -494,8 +689,10 @@ pub fn try_route(
         net_length[job.net.index()] = len;
         total += len;
         if let Some(routes) = routes.as_mut() {
-            let segments: Vec<((usize, usize), (usize, usize))> =
-                edges.iter().map(|&e| grid.edge_endpoints(e)).collect();
+            let segments: Vec<RouteSegment> = edges
+                .iter()
+                .map(|&e| grid.edge_endpoints(e as usize))
+                .collect();
             routes.insert(job.net, segments);
         }
     }
@@ -515,95 +712,6 @@ pub fn try_route(
         reroutes_per_iter,
         routes,
     })
-}
-
-/// A* from any tile already owned by the net (starting at `source`) to
-/// `sink`; appends the path's new edges to `own` and marks them owned.
-/// All search state lives in `scratch`, invalidated by epoch bump —
-/// no per-call allocation. Returns `false` if the sink was unreachable
-/// (the net's tree is left unchanged in that case).
-///
-/// Kept out of line: with `try_route` as its only caller the compiler
-/// inlines it, and the inlined search routed the 8-port × 64-bit network
-/// switch about 5 % slower (median of nine alternating in-process runs).
-#[allow(clippy::too_many_arguments)]
-#[inline(never)]
-fn astar(
-    grid: &Grid,
-    adj: &Adjacency,
-    source: (usize, usize),
-    sink: (usize, usize),
-    occupancy: &[u32],
-    history: &[f64],
-    scratch: &mut Scratch,
-    own: &mut Vec<usize>,
-    config: &RouteConfig,
-) -> bool {
-    let idx = |(c, r): (usize, usize)| r * grid.cols + c;
-    scratch.epoch += 1;
-    let epoch = scratch.epoch;
-    scratch.heap.clear();
-    let h = |(c, r): (usize, usize)| -> f64 { (c.abs_diff(sink.0) + r.abs_diff(sink.1)) as f64 };
-    scratch.best[idx(source)] = 0.0;
-    scratch.stamp[idx(source)] = epoch;
-    scratch.heap.push(HeapEntry {
-        priority: h(source),
-        cost: 0.0,
-        tile: source,
-    });
-    while let Some(entry) = scratch.heap.pop() {
-        if entry.cost > scratch.best[idx(entry.tile)] {
-            continue;
-        }
-        if entry.tile == sink {
-            break;
-        }
-        let lo = adj.off[idx(entry.tile)] as usize;
-        let hi = adj.off[idx(entry.tile) + 1] as usize;
-        for a in lo..hi {
-            let edge = adj.edge[a] as usize;
-            let (nc, nr) = adj.tile[a];
-            let (nc, nr) = (nc as usize, nr as usize);
-            let edge_cost = if scratch.own_mark[edge] == scratch.net_epoch {
-                0.0 // reuse of the net's own tree is free
-            } else {
-                let over = occupancy[edge] as f64 + 1.0 - config.channel_capacity as f64;
-                1.0 + config.present_factor * over.max(0.0) + history[edge]
-            };
-            let cost = entry.cost + edge_cost;
-            let t = (nc, nr);
-            if scratch.stamp[idx(t)] != epoch || cost < scratch.best[idx(t)] {
-                scratch.best[idx(t)] = cost;
-                scratch.stamp[idx(t)] = epoch;
-                scratch.from[idx(t)] = (entry.tile, edge);
-                scratch.heap.push(HeapEntry {
-                    priority: cost + h(t),
-                    cost,
-                    tile: t,
-                });
-            }
-        }
-    }
-    // An unvisited sink means the search exhausted the frontier without
-    // reaching it: report failure rather than silently keeping a partial
-    // tree (the caller surfaces this as `RouteError::Unroutable`).
-    if sink != source && scratch.stamp[idx(sink)] != epoch {
-        return false;
-    }
-    // Walk back and collect the path's new edges into the net's tree.
-    let mut cur = sink;
-    while cur != source {
-        if scratch.stamp[idx(cur)] != epoch {
-            break;
-        }
-        let (prev, edge) = scratch.from[idx(cur)];
-        if scratch.own_mark[edge] != scratch.net_epoch {
-            scratch.own_mark[edge] = scratch.net_epoch;
-            own.push(edge);
-        }
-        cur = prev;
-    }
-    true
 }
 
 #[cfg(test)]
@@ -808,44 +916,6 @@ mod route_extraction_tests {
     use vpga_place::PlaceConfig;
 
     #[test]
-    fn kept_routes_are_connected_and_length_consistent() {
-        let lib = generic::library();
-        let mut nl = Netlist::new("paths");
-        let a = nl.add_input("a");
-        let mut cur = a;
-        for i in 0..8 {
-            cur = nl
-                .add_lib_cell(format!("i{i}"), &lib, "INV", &[cur])
-                .unwrap();
-        }
-        nl.add_output("y", cur);
-        let p = vpga_place::place(&nl, &lib, &PlaceConfig::default());
-        let cfg = RouteConfig {
-            keep_routes: true,
-            ..RouteConfig::default()
-        };
-        let r = route(&nl, &p, &cfg);
-        let (cols, rows) = r.grid_dims();
-        assert!(cols > 0 && rows > 0);
-        let mut seen_any = false;
-        for net in nl.nets() {
-            let Some(segments) = r.net_route(net) else {
-                continue;
-            };
-            seen_any = true;
-            // Segment count matches the reported length.
-            let expect = segments.len() as f64 * r.tile_size();
-            assert!((r.net_length(net) - expect).abs() < 1e-9);
-            // Every segment joins adjacent in-grid tiles.
-            for &((c0, r0), (c1, r1)) in segments {
-                assert!(c0 < cols && c1 < cols && r0 < rows && r1 < rows);
-                assert_eq!(c0.abs_diff(c1) + r0.abs_diff(r1), 1);
-            }
-        }
-        assert!(seen_any, "at least one net kept a route");
-    }
-
-    #[test]
     fn routes_are_not_kept_by_default() {
         let lib = generic::library();
         let mut nl = Netlist::new("nopaths");
@@ -855,5 +925,215 @@ mod route_extraction_tests {
         let p = vpga_place::place(&nl, &lib, &PlaceConfig::default());
         let r = route(&nl, &p, &RouteConfig::default());
         assert!(r.net_route(g).is_none());
+    }
+
+    #[test]
+    fn degenerate_tile_sizes_are_typed_errors() {
+        let lib = generic::library();
+        let mut nl = Netlist::new("tiles");
+        let a = nl.add_input("a");
+        let g = nl.add_lib_cell("g", &lib, "INV", &[a]).unwrap();
+        nl.add_output("y", g);
+        let p = vpga_place::place(&nl, &lib, &PlaceConfig::default());
+        assert!(p.die().area() > 0.0);
+        for tile_size in [0.0, -1.0, f64::NAN, f64::INFINITY] {
+            let cfg = RouteConfig {
+                tile_size: Some(tile_size),
+                ..RouteConfig::default()
+            };
+            match try_route(&nl, &p, &cfg) {
+                Err(RouteError::InvalidTileSize { tile_size: got }) => {
+                    assert_eq!(got.to_bits(), tile_size.to_bits());
+                }
+                other => panic!("tile size {tile_size}: {other:?}"),
+            }
+        }
+        // A positive but tiny tile is rejected before any grid-sized
+        // allocation.
+        let cfg = RouteConfig {
+            tile_size: Some(p.die().width() * 1e-6),
+            ..RouteConfig::default()
+        };
+        assert!(matches!(
+            try_route(&nl, &p, &cfg),
+            Err(RouteError::GridTooLarge { .. })
+        ));
+    }
+
+    /// SplitMix64: a tiny seeded generator for scattering test cells.
+    struct Mix(u64);
+
+    impl Mix {
+        fn next(&mut self) -> u64 {
+            self.0 = self.0.wrapping_add(0x9e37_79b9_7f4a_7c15);
+            let mut z = self.0;
+            z = (z ^ (z >> 30)).wrapping_mul(0xbf58_476d_1ce4_e5b9);
+            z = (z ^ (z >> 27)).wrapping_mul(0x94d0_49bb_1331_11eb);
+            z ^ (z >> 31)
+        }
+
+        fn below(&mut self, n: usize) -> usize {
+            (self.next() % n as u64) as usize
+        }
+
+        fn unit(&mut self) -> f64 {
+            (self.next() >> 11) as f64 / (1u64 << 53) as f64
+        }
+    }
+
+    /// A seeded random netlist — NAND2s over random earlier nets plus four
+    /// hub nets driving 8–20 inverters each — with every cell scattered
+    /// uniformly over the die.
+    fn scattered(seed: u64) -> (Netlist, Placement) {
+        let lib = generic::library();
+        let mut rng = Mix(seed);
+        let mut nl = Netlist::new("scattered");
+        let mut nets = vec![nl.add_input("a"), nl.add_input("b")];
+        for i in 0..60 {
+            let x = nets[rng.below(nets.len())];
+            let y = nets[rng.below(nets.len())];
+            nets.push(
+                nl.add_lib_cell(format!("n{i}"), &lib, "NAND2", &[x, y])
+                    .unwrap(),
+            );
+        }
+        for h in 0..4 {
+            let hub = nets[rng.below(nets.len())];
+            for k in 0..8 + rng.below(13) {
+                let g = nl.add_lib_cell(format!("h{h}_{k}"), &lib, "INV", &[hub]);
+                nets.push(g.unwrap());
+            }
+        }
+        for (i, &n) in nets.iter().rev().take(6).enumerate() {
+            nl.add_output(format!("y{i}"), n);
+        }
+        let mut p = vpga_place::place(&nl, &lib, &PlaceConfig::default());
+        let die = p.die();
+        let cells: Vec<_> = nl.cells().map(|(id, _)| id).collect();
+        for cell in cells {
+            let (x, y) = (rng.unit(), rng.unit());
+            p.set_position(cell, die.x0 + x * die.width(), die.y0 + y * die.height());
+        }
+        (nl, p)
+    }
+
+    /// Routes with `keep_routes` and checks that every routed net is one
+    /// tree of distinct 4-adjacent in-grid hops that holds its source and
+    /// every sink tile, stays inside its pins' box grown by the margin,
+    /// and is as long as its hops. Returns the result and the number of
+    /// routed nets with 8 or more sink tiles.
+    fn assert_trees(nl: &Netlist, p: &Placement, cfg: &RouteConfig) -> (RoutingResult, usize) {
+        type Tile = (usize, usize);
+        let r = route(nl, p, cfg);
+        let (cols, rows) = r.grid_dims();
+        let die = p.die();
+        let tile_of = |(x, y): (f64, f64)| -> Tile {
+            let c = (((x - die.x0) / r.tile_size()).floor().max(0.0) as usize).min(cols - 1);
+            let row = (((y - die.y0) / r.tile_size()).floor().max(0.0) as usize).min(rows - 1);
+            (c, row)
+        };
+        let margin = BOX_MARGIN as usize;
+        let mut wide = 0;
+        for net in nl.nets() {
+            let Some(segments) = r.net_route(net) else {
+                continue;
+            };
+            let source = tile_of(p.position(nl.driver(net).unwrap()).unwrap());
+            let sinks: HashSet<Tile> = nl
+                .sinks(net)
+                .iter()
+                .filter_map(|&(cell, _)| p.position(cell).map(tile_of))
+                .filter(|&t| t != source)
+                .collect();
+            assert!(!sinks.is_empty(), "net {net} routed without remote sinks");
+            if sinks.len() >= 8 {
+                wide += 1;
+            }
+            let pins = || sinks.iter().chain(std::iter::once(&source));
+            let lo = (
+                pins().map(|t| t.0).min().unwrap().saturating_sub(margin),
+                pins().map(|t| t.1).min().unwrap().saturating_sub(margin),
+            );
+            let hi = (
+                pins().map(|t| t.0).max().unwrap() + margin,
+                pins().map(|t| t.1).max().unwrap() + margin,
+            );
+            let mut hops: HashSet<(Tile, Tile)> = HashSet::new();
+            let mut adjacent: std::collections::HashMap<Tile, Vec<Tile>> = Default::default();
+            for &(a, b) in segments {
+                for t in [a, b] {
+                    assert!(t.0 < cols && t.1 < rows, "net {net}: {t:?} off the grid");
+                    assert!(
+                        (lo.0..=hi.0).contains(&t.0) && (lo.1..=hi.1).contains(&t.1),
+                        "net {net}: {t:?} outside the box {lo:?}..={hi:?}"
+                    );
+                }
+                assert_eq!(a.0.abs_diff(b.0) + a.1.abs_diff(b.1), 1, "net {net}");
+                assert!(
+                    hops.insert((a.min(b), a.max(b))),
+                    "net {net}: hop {a:?}-{b:?} repeats"
+                );
+                adjacent.entry(a).or_default().push(b);
+                adjacent.entry(b).or_default().push(a);
+            }
+            // Connected, and one tile more than hops: a tree.
+            assert_eq!(adjacent.len(), segments.len() + 1, "net {net}: not a tree");
+            let mut reached: HashSet<Tile> = HashSet::from([source]);
+            let mut stack = vec![source];
+            while let Some(t) = stack.pop() {
+                for &n in adjacent.get(&t).into_iter().flatten() {
+                    if reached.insert(n) {
+                        stack.push(n);
+                    }
+                }
+            }
+            assert_eq!(reached.len(), adjacent.len(), "net {net}: disconnected");
+            assert!(sinks.iter().all(|t| reached.contains(t)), "net {net}");
+            let expect = segments.len() as f64 * r.tile_size();
+            assert_eq!(r.net_length(net).to_bits(), expect.to_bits(), "net {net}");
+        }
+        (r, wide)
+    }
+
+    #[test]
+    fn routed_nets_are_trees_inside_their_boxes() {
+        // An annealer-placed inverter chain: two-pin nets only.
+        let lib = generic::library();
+        let mut nl = Netlist::new("paths");
+        let mut cur = nl.add_input("a");
+        for i in 0..8 {
+            cur = nl
+                .add_lib_cell(format!("i{i}"), &lib, "INV", &[cur])
+                .unwrap();
+        }
+        nl.add_output("y", cur);
+        let p = vpga_place::place(&nl, &lib, &PlaceConfig::default());
+        let keep = RouteConfig {
+            keep_routes: true,
+            ..RouteConfig::default()
+        };
+        assert!(assert_trees(&nl, &p, &keep).0.nets_routed() > 0);
+        // Scattered netlists with wide nets, uncongested and at capacity 1.
+        let mut negotiated = 0;
+        for seed in 0..6 {
+            let (nl, p) = scattered(seed);
+            let open = RouteConfig {
+                keep_routes: true,
+                ..RouteConfig::default()
+            };
+            let (r, wide) = assert_trees(&nl, &p, &open);
+            assert!(r.nets_routed() > 0);
+            assert!(wide > 0, "seed {seed}: no net with 8+ sink tiles");
+            let tight = RouteConfig {
+                channel_capacity: 1,
+                max_iterations: 6,
+                ..open
+            };
+            let (r, _) = assert_trees(&nl, &p, &tight);
+            if r.iterations_used() > 1 {
+                negotiated += 1;
+            }
+        }
+        assert!(negotiated > 0, "capacity 1 never forced a second iteration");
     }
 }

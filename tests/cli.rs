@@ -51,7 +51,7 @@ fn matrix_stats_show_route_legality() {
     // architecture's table, and withholds the claims without blaming
     // failed cells.
     assert!(
-        text.starts_with("matrix fingerprint: 0xbe5e8d0f5aca9632\n"),
+        text.starts_with("matrix fingerprint: 0x841bda1dddab567d\n"),
         "{text}"
     );
     assert!(text.lines().any(|l| l.starts_with("ALU ")), "{text}");
