@@ -33,6 +33,20 @@ cd "$(dirname "$0")/.."
 
 step() { printf '\n== %s\n' "$*"; }
 
+# Every step's temporary files live under one work dir. The one exit trap
+# removes it and stops a serve daemon that is still running (a failed
+# serve check exits with its daemon up), on success and failure alike.
+WORK=$(mktemp -d)
+SRVPID=
+cleanup() {
+    if [ -n "$SRVPID" ]; then
+        kill -KILL "$SRVPID" 2>/dev/null || true
+        wait "$SRVPID" 2>/dev/null || true
+    fi
+    rm -rf "$WORK"
+}
+trap cleanup EXIT
+
 step "no build artifacts tracked"
 if git ls-files -- target/ | grep -q .; then
     echo "error: build artifacts are tracked under target/ — run: git rm -r --cached target/" >&2
@@ -100,8 +114,8 @@ step "single-design flow golden (vpga flow, tiny ALU on granular)"
 # `vpga flow` runs one design through run_design, which overlaps the
 # flow-a and flow-b back-ends on two threads; its fingerprint must stay
 # the serial flow's, as the matrix's does.
-FLW=$(mktemp -d)
-trap 'rm -rf "$FLW"' EXIT
+FLW=$WORK/flow
+mkdir "$FLW"
 cargo run -q --bin vpga -- gen alu --size tiny -o "$FLW/alu.v" 2>/dev/null
 flow_golden="design fingerprint: 0x1dfd59794de56c2a"
 flow_fp=$(cargo run -q --bin vpga -- flow "$FLW/alu.v" --arch granular \
@@ -110,11 +124,10 @@ if [ "$flow_fp" != "$flow_golden" ]; then
     echo "error: vpga flow diverged from the golden: '$flow_fp' != '$flow_golden'" >&2
     exit 1
 fi
-rm -rf "$FLW"
 
 step "kill-and-resume smoke (interrupted checkpointed matrix resumes bit-identical)"
-CKPT=$(mktemp -d)
-trap 'rm -rf "$CKPT"' EXIT
+CKPT=$WORK/resume
+mkdir "$CKPT"
 baseline=$(cargo run -q --bin vpga -- matrix --size tiny --jobs 2 \
     | grep '^matrix fingerprint:')
 # Interrupt: an injected panic kills one cell mid-matrix while every
@@ -138,8 +151,8 @@ step "interchange round-trip (emit SDF/.vxdl, verify fixpoints, migrate checkpoi
 # Golden-file byte diffs already ran under `cargo test` (tests/goldens/);
 # this exercises the full emit → reparse → re-emit path on fresh artifacts
 # and the binary-checkpoint → .vxdl migration with fingerprint equality.
-IVK=$(mktemp -d)
-trap 'rm -rf "$CKPT" "$IVK"' EXIT
+IVK=$WORK/interchange
+mkdir "$IVK"
 cargo run -q --bin vpga -- matrix --size tiny --jobs 2 \
     --checkpoint-dir "$IVK/ckpt" --emit-sdf "$IVK/sdf" --emit-xdl "$IVK/xdl" >/dev/null
 cargo run -q --bin vpga -- verify-interchange "$IVK/sdf" >/dev/null
@@ -151,8 +164,8 @@ step "architecture-description round-trip (export builtins, reload, golden matri
 # exporting them, reloading through --arch-file, and re-running the tiny
 # matrix must land on the same golden fingerprint — the fabrics-as-data
 # path has no bit left to hide in code.
-ARCH=$(mktemp -d)
-trap 'rm -rf "$CKPT" "$IVK" "$ARCH"' EXIT
+ARCH=$WORK/arch
+mkdir "$ARCH"
 cargo run -q --bin vpga -- export-arch granular -o "$ARCH/granular.varch" 2>/dev/null
 cargo run -q --bin vpga -- export-arch lut -o "$ARCH/lut.varch" 2>/dev/null
 reloaded=$(cargo run -q --bin vpga -- matrix --size tiny --jobs 2 \
@@ -182,8 +195,8 @@ step "serve smoke (cold/warm daemon matrix, golden fingerprint, SIGTERM drain)"
 # The release binary is invoked directly (not through `cargo run`) so the
 # SIGTERM below reaches the daemon itself, not a cargo wrapper.
 VPGA_BIN=target/release/vpga
-SRV=$(mktemp -d)
-trap 'rm -rf "$CKPT" "$IVK" "$SRV"' EXIT
+SRV=$WORK/serve
+mkdir "$SRV"
 # Fails closed: a misspelled flag is an error naming it, not a daemon
 # started with the default (exit 124 would mean timeout killed a daemon).
 rc=0
@@ -233,7 +246,10 @@ for daemon in first restarted; do
         fi
     done
     kill -TERM "$SRVPID"
-    if ! wait "$SRVPID"; then
+    rc=0
+    wait "$SRVPID" || rc=$?
+    SRVPID=
+    if [ "$rc" != 0 ]; then
         echo "error: $daemon daemon did not drain cleanly on SIGTERM" >&2
         cat "$SRV/summary.txt" "$SRV/log.txt" >&2
         exit 1

@@ -1,32 +1,21 @@
-//! Criterion benchmarks for the CAD substrates: AIG construction, cut
-//! enumeration, technology mapping, FlowMap labeling, compaction,
-//! placement, packing, routing, and timing — each on a fixed tiny ALU so
-//! numbers are comparable across runs.
+//! Criterion benchmarks for the CAD substrates: technology mapping, FlowMap
+//! labeling, compaction, placement, packing, routing, and timing — each on
+//! a fixed tiny ALU so numbers are comparable across runs.
 
 use criterion::{black_box, criterion_group, criterion_main, Criterion};
 use vpga_core::PlbArchitecture;
 use vpga_designs::{DesignParams, NamedDesign};
 use vpga_flowmap::{Dag, Labeling};
 use vpga_netlist::library::generic;
-use vpga_synth::{map_netlist, map_netlist_fast, Aig};
+use vpga_synth::map_netlist_fast;
 
 fn bench_synthesis(c: &mut Criterion) {
     let params = DesignParams::tiny();
     let src = generic::library();
     let design = NamedDesign::Alu.generate(&params);
     let arch = PlbArchitecture::granular();
-    c.bench_function("synth/aig_from_netlist", |b| {
-        b.iter(|| Aig::from_netlist(black_box(&design), &src).unwrap())
-    });
-    let (aig, _) = Aig::from_netlist(&design, &src).unwrap();
-    c.bench_function("synth/cut_enumeration", |b| {
-        b.iter(|| vpga_synth::cuts::CutSet::enumerate(black_box(&aig)))
-    });
     c.bench_function("synth/map_fast", |b| {
         b.iter(|| map_netlist_fast(black_box(&design), &src, &arch).unwrap())
-    });
-    c.bench_function("synth/map_cut_based", |b| {
-        b.iter(|| map_netlist(black_box(&design), &src, &arch).unwrap())
     });
 }
 

@@ -2,9 +2,9 @@
 //! resulted in a significant reduction in total gate area of about 15 % on
 //! the average" for both PLB architectures.
 //!
-//! Reports, per design × architecture: cell and raw-area reduction, the
-//! configurations used for the rewrites, and the comparison of the paper's
-//! per-gate synthesis front end against the cut-based mapper ablation.
+//! Reports, per design × architecture: cell and raw-area reduction and the
+//! configurations used for the rewrites; then the mean raw-area reduction
+//! over the datapath designs.
 //!
 //! ```sh
 //! cargo run --release -p vpga-bench --bin compaction [tiny|small|medium|paper]

@@ -37,16 +37,6 @@ pub const WIRE_CAP_PER_UM: f64 = 0.2;
 /// capacitance.
 pub const WIRE_RES_PER_UM: f64 = 0.002;
 
-/// Estimated wire delay per logic stage used *during technology mapping*
-/// (before placement, when actual net lengths are unknown). Every cell-to-
-/// cell hop crosses PLB-level routing, which is why a single slower cell
-/// (the 3-LUT) can still beat a two-level gate network.
-pub const MAP_STAGE_WIRE_PS: f64 = 80.0;
-
-/// Estimated routing area charged per cell instance during mapping-time
-/// area comparisons (each extra instance adds nets to route).
-pub const INSTANCE_WIRING_AREA: f64 = 25.0;
-
 /// Electrical and physical parameters of one component cell.
 #[derive(Clone, Copy, Debug, PartialEq)]
 pub struct CellParams {

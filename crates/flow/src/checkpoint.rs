@@ -89,8 +89,8 @@ pub(crate) fn config_fingerprint(
 /// weighting, routing) normalized to its default, so jobs that differ
 /// only in back-end parameters share one front-end cache entry. The
 /// front-end stages read none of those fields — synthesis, compaction,
-/// placement, and physical synthesis consume `cut_based_mapper`,
-/// `compaction`, `place`, `timing`, and the buffer bounds only.
+/// placement, and physical synthesis consume `compaction`, `place`,
+/// `timing`, and the buffer bounds only.
 pub(crate) fn front_config_fingerprint(
     config: &FlowConfig,
     params: &DesignParams,

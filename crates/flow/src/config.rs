@@ -76,9 +76,6 @@ pub struct FlowConfig {
     pub timing: TimingConfig,
     /// Run the regularity-driven logic compaction step.
     pub compaction: bool,
-    /// Use the global cut-based mapper instead of the per-gate translator
-    /// (an ablation; the paper's flow corresponds to `false`).
-    pub cut_based_mapper: bool,
     /// Feed STA cell criticalities into the packer's relocation cost
     /// (§3.1); disable for the A2 ablation.
     pub pack_criticality: bool,
@@ -126,7 +123,6 @@ impl Default for FlowConfig {
             route: RouteConfig::default(),
             timing: TimingConfig::default(),
             compaction: true,
-            cut_based_mapper: false,
             pack_criticality: true,
             buffer_max_fanout: 12,
             buffer_max_length_frac: 0.5,

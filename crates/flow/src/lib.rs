@@ -10,12 +10,12 @@
 //!   physical synthesis), with routing and timing re-run on the array.
 //!
 //! The pipeline is a typed stage graph: each of the eight stages is a
-//! [`stages::Stage`] over a typed artifact store, and one generic stage
-//! runner applies the deadline, audit, faultpoint, retry, and stats
-//! middleware uniformly. [`run_design`] runs one design's graph and
-//! returns a [`DesignOutcome`]; [`report`] assembles the paper's Table 1
-//! (die area) and Table 2 (top-10 path slack) plus the derived §3.2
-//! claims.
+//! [`stages::Stage`] that reads and fills the slots of a typed artifact
+//! store, and one generic stage runner applies the deadline, audit,
+//! faultpoint, retry, and stats middleware uniformly. [`run_design`]
+//! runs one design's graph and returns a [`DesignOutcome`]; [`report`]
+//! assembles the paper's Table 1 (die area) and Table 2 (top-10 path
+//! slack) plus the derived §3.2 claims.
 //!
 //! The [`exec`] module is the one scheduler: it runs a single design
 //! (overlapping the flow-a and flow-b back-ends) or many (design,

@@ -257,18 +257,6 @@ mod tests {
     }
 
     #[test]
-    fn cut_based_mapper_is_usable() {
-        let design = NamedDesign::Alu.generate(&DesignParams::tiny());
-        let arch = PlbArchitecture::granular();
-        let cfg = FlowConfig {
-            cut_based_mapper: true,
-            ..FlowConfig::default()
-        };
-        let out = run_design(&design, &arch, &cfg).unwrap();
-        assert!(out.flow_b.die_area > 0.0);
-    }
-
-    #[test]
     fn every_stage_is_instrumented() {
         let design = NamedDesign::Alu.generate(&DesignParams::tiny());
         let arch = PlbArchitecture::granular();

@@ -7,7 +7,7 @@ use vpga_place::{BufferEdit, PlaceConfig, Placement};
 use vpga_route::RoutingResult;
 use vpga_timing::{IncrementalSta, TimingReport};
 
-use super::{lib_cells, ArtifactKind, ArtifactStore};
+use super::lib_cells;
 use crate::config::FlowVariant;
 use crate::pipeline::{FlowResult, FrontEnd};
 use crate::stats::StageStats;
@@ -62,19 +62,6 @@ impl FrontArtifacts {
             sta,
             cells,
             stages,
-        }
-    }
-}
-
-impl ArtifactStore for FrontArtifacts {
-    fn has(&self, kind: ArtifactKind) -> bool {
-        match kind {
-            ArtifactKind::MappedNetlist => self.netlist.is_some(),
-            ArtifactKind::CompactionSummary => self.compaction.is_some(),
-            ArtifactKind::Placement => self.placement.is_some(),
-            ArtifactKind::TimingGraph => self.sta.is_some(),
-            ArtifactKind::BufferTrace => self.buffer_trace.is_some(),
-            ArtifactKind::PackedArray | ArtifactKind::Routing | ArtifactKind::TimingReport => false,
         }
     }
 }
@@ -146,23 +133,6 @@ impl<'f> BackArtifacts<'f> {
             array,
             route_overflow: routing.overflow_edges(),
             stages,
-        }
-    }
-}
-
-impl ArtifactStore for BackArtifacts<'_> {
-    fn has(&self, kind: ArtifactKind) -> bool {
-        match kind {
-            // The shared front-end artifacts are always present by
-            // construction.
-            ArtifactKind::MappedNetlist | ArtifactKind::Placement | ArtifactKind::TimingGraph => {
-                true
-            }
-            ArtifactKind::CompactionSummary => self.front.compaction.is_some(),
-            ArtifactKind::BufferTrace => false,
-            ArtifactKind::PackedArray => self.array.is_some(),
-            ArtifactKind::Routing => self.routing.is_some(),
-            ArtifactKind::TimingReport => self.sta_report.is_some(),
         }
     }
 }

@@ -8,7 +8,7 @@ use vpga_place::PlaceConfig;
 use vpga_route::RouteConfig;
 
 use super::artifacts::BackArtifacts;
-use super::{nets, run_stage, ArtifactKind, Stage, StageEnv};
+use super::{nets, run_stage, Stage, StageEnv};
 use crate::audit::{self, AuditError};
 use crate::clock::derive_seed;
 use crate::config::FlowVariant;
@@ -56,18 +56,6 @@ impl Stage<BackArtifacts<'_>> for PackStage {
 
     fn retryable(&self) -> bool {
         true
-    }
-
-    fn uses(&self) -> &'static [ArtifactKind] {
-        &[
-            ArtifactKind::MappedNetlist,
-            ArtifactKind::Placement,
-            ArtifactKind::TimingGraph,
-        ]
-    }
-
-    fn produces(&self) -> &'static [ArtifactKind] {
-        &[ArtifactKind::PackedArray]
     }
 
     fn run(
@@ -144,14 +132,6 @@ impl Stage<BackArtifacts<'_>> for SwapStage {
         StageId::Swap
     }
 
-    fn uses(&self) -> &'static [ArtifactKind] {
-        &[
-            ArtifactKind::MappedNetlist,
-            ArtifactKind::PackedArray,
-            ArtifactKind::TimingGraph,
-        ]
-    }
-
     fn run(
         &self,
         _env: &StageEnv<'_>,
@@ -205,14 +185,6 @@ impl Stage<BackArtifacts<'_>> for RouteStage {
 
     fn retryable(&self) -> bool {
         true
-    }
-
-    fn uses(&self) -> &'static [ArtifactKind] {
-        &[ArtifactKind::MappedNetlist, ArtifactKind::Placement]
-    }
-
-    fn produces(&self) -> &'static [ArtifactKind] {
-        &[ArtifactKind::Routing]
     }
 
     fn run(
@@ -278,18 +250,6 @@ impl Stage<BackArtifacts<'_>> for TimingStage {
 
     fn fault_point(&self) -> &'static str {
         "sta"
-    }
-
-    fn uses(&self) -> &'static [ArtifactKind] {
-        &[
-            ArtifactKind::MappedNetlist,
-            ArtifactKind::Placement,
-            ArtifactKind::Routing,
-        ]
-    }
-
-    fn produces(&self) -> &'static [ArtifactKind] {
-        &[ArtifactKind::TimingReport]
     }
 
     fn run(

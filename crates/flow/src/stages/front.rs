@@ -9,7 +9,7 @@ use vpga_place::PlaceConfig;
 use vpga_timing::IncrementalSta;
 
 use super::artifacts::FrontArtifacts;
-use super::{lib_cells, moved_cells, nets, run_stage, ArtifactKind, Stage, StageEnv};
+use super::{lib_cells, moved_cells, nets, run_stage, Stage, StageEnv};
 use crate::audit::{self, AuditError};
 use crate::clock::derive_seed;
 use crate::config::FlowConfig;
@@ -56,10 +56,6 @@ impl Stage<FrontArtifacts> for SynthStage<'_> {
         StageId::Synth
     }
 
-    fn produces(&self) -> &'static [ArtifactKind] {
-        &[ArtifactKind::MappedNetlist]
-    }
-
     fn run(
         &self,
         env: &StageEnv<'_>,
@@ -69,11 +65,7 @@ impl Stage<FrontArtifacts> for SynthStage<'_> {
         let src = generic::library();
         store.gates_nand2 = vpga_netlist::stats::NetlistStats::compute(self.design, &src)
             .nand2_equivalent(generic::NAND2_AREA);
-        let netlist = if env.config.cut_based_mapper {
-            vpga_synth::map_netlist(self.design, &src, env.arch)
-        } else {
-            vpga_synth::map_netlist_fast(self.design, &src, env.arch)
-        }?;
+        let netlist = vpga_synth::map_netlist_fast(self.design, &src, env.arch)?;
         let stats = StageStats::new(
             StageId::Synth,
             Duration::ZERO,
@@ -96,14 +88,6 @@ struct CompactStage;
 impl Stage<FrontArtifacts> for CompactStage {
     fn id(&self) -> StageId {
         StageId::Compact
-    }
-
-    fn uses(&self) -> &'static [ArtifactKind] {
-        &[ArtifactKind::MappedNetlist]
-    }
-
-    fn produces(&self) -> &'static [ArtifactKind] {
-        &[ArtifactKind::CompactionSummary]
     }
 
     fn run(
@@ -143,14 +127,6 @@ impl Stage<FrontArtifacts> for PlaceStage {
 
     fn retryable(&self) -> bool {
         true
-    }
-
-    fn uses(&self) -> &'static [ArtifactKind] {
-        &[ArtifactKind::MappedNetlist]
-    }
-
-    fn produces(&self) -> &'static [ArtifactKind] {
-        &[ArtifactKind::Placement, ArtifactKind::TimingGraph]
     }
 
     fn run(
@@ -232,18 +208,6 @@ struct PhysSynthStage;
 impl Stage<FrontArtifacts> for PhysSynthStage {
     fn id(&self) -> StageId {
         StageId::PhysSynth
-    }
-
-    fn uses(&self) -> &'static [ArtifactKind] {
-        &[
-            ArtifactKind::MappedNetlist,
-            ArtifactKind::Placement,
-            ArtifactKind::TimingGraph,
-        ]
-    }
-
-    fn produces(&self) -> &'static [ArtifactKind] {
-        &[ArtifactKind::BufferTrace]
     }
 
     fn run(

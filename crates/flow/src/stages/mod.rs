@@ -2,13 +2,14 @@
 //!
 //! Each of the eight pipeline stages is a [`Stage`] implementation over a
 //! typed artifact store ([`FrontArtifacts`] for the shared front-end,
-//! [`BackArtifacts`] for a variant back-end): a stage declares the
-//! [`ArtifactKind`]s it consumes and produces, and its `run` does the real
-//! work and nothing else. Everything the old monolithic pipeline
-//! hand-rolled at every call site — the deadline check, the `--audit`
-//! invariant hooks, the fault point, the retry loop with
-//! [`crate::derive_seed`] reseeds, and the [`StageStats`] record — lives
-//! in exactly one place, the [`run_stage`] runner.
+//! [`BackArtifacts`] for a variant back-end) whose `run` does the real
+//! work and nothing else: it takes its inputs from the store's `Option`
+//! slots, panicking with a message that names a missing one, and fills
+//! its own. Everything the old monolithic pipeline hand-rolled at every
+//! call site — the deadline check, the `--audit` invariant hooks, the
+//! fault point, the retry loop with [`crate::derive_seed`] reseeds, and
+//! the [`StageStats`] record — lives in exactly one place, the
+//! [`run_stage`] runner.
 //!
 //! Both callers of the graph — the scheduler of [`crate::exec`] (behind
 //! [`crate::run_design`] and the matrix) and the service's
@@ -38,36 +39,6 @@ use crate::config::FlowConfig;
 use crate::error::{retryable, FlowError};
 use crate::faultpoint;
 use crate::stats::{note_stage, StageId, StageStats};
-
-/// The intermediate products a stage graph threads between stages. Each
-/// kind names one typed slot of an artifact store; a stage's
-/// [`Stage::uses`] / [`Stage::produces`] declarations are validated
-/// against the store by the runner (debug builds).
-#[derive(Clone, Copy, Debug, PartialEq, Eq)]
-pub enum ArtifactKind {
-    /// The technology-mapped (and possibly compacted) component netlist.
-    MappedNetlist,
-    /// The compaction summary report.
-    CompactionSummary,
-    /// The flat cell placement (front-end, or the packed copy in flow b).
-    Placement,
-    /// The incremental timing graph, tracking the current placement.
-    TimingGraph,
-    /// The buffer-insertion edit trace physical synthesis recorded.
-    BufferTrace,
-    /// The packed PLB array (flow b).
-    PackedArray,
-    /// The routing result.
-    Routing,
-    /// The post-route timing report and power estimate.
-    TimingReport,
-}
-
-/// A typed artifact store a stage graph runs over.
-pub trait ArtifactStore {
-    /// Whether an artifact of `kind` is currently present.
-    fn has(&self, kind: ArtifactKind) -> bool;
-}
 
 /// The ambient inputs every stage sees: the flow configuration, the
 /// target architecture, the job context string (`design/arch` or
@@ -101,16 +72,6 @@ pub trait Stage<S> {
     /// (place, pack, route) opt in.
     fn retryable(&self) -> bool {
         false
-    }
-
-    /// The artifacts this stage reads from the store.
-    fn uses(&self) -> &'static [ArtifactKind] {
-        &[]
-    }
-
-    /// The artifacts this stage writes into the store.
-    fn produces(&self) -> &'static [ArtifactKind] {
-        &[]
     }
 
     /// Performs the stage's work, reading and writing `store`, and
@@ -156,7 +117,7 @@ pub trait Stage<S> {
 /// invariant hooks, the fault point, the retry loop with reseeds, and the
 /// wall-time / retry-count bookkeeping uniformly around [`Stage::run`],
 /// then appends the stage's record to `stages`.
-pub(crate) fn run_stage<S: ArtifactStore>(
+pub(crate) fn run_stage<S>(
     stage: &dyn Stage<S>,
     env: &StageEnv<'_>,
     store: &mut S,
@@ -170,10 +131,6 @@ pub(crate) fn run_stage<S: ArtifactStore>(
             .pre_audit(env, store)
             .map_err(|e| FlowError::from(e).in_stage(id, env.job))?;
     }
-    debug_assert!(
-        stage.uses().iter().all(|&k| store.has(k)),
-        "{id}: a declared input artifact is missing"
-    );
     let t = Instant::now();
     let mut attempt = 0usize;
     let stats = loop {
@@ -193,10 +150,6 @@ pub(crate) fn run_stage<S: ArtifactStore>(
             .audit(env, store)
             .map_err(|e| FlowError::from(e).in_stage(id, env.job))?;
     }
-    debug_assert!(
-        stage.produces().iter().all(|&k| store.has(k)),
-        "{id}: a declared output artifact was not produced"
-    );
     debug_assert_eq!(stats.stage, id, "{id}: stats record names the wrong stage");
     stages.push(StageStats {
         wall: t.elapsed(),

@@ -4,12 +4,11 @@
 //! 2004 paper *Exploring Logic Block Granularity for Regular Fabrics* builds
 //! its patternable-logic-block (PLB) architecture study on:
 //!
-//! * compact [`Tt2`]/[`Tt3`] truth tables for 2- and 3-input functions and a
-//!   general [`TruthTable`] for up to 6 inputs,
+//! * compact [`Tt2`]/[`Tt3`] truth tables for 2- and 3-input functions,
 //! * Shannon cofactoring ([`Tt3::cofactors`]) — the decomposition
 //!   `f(a,b,s) = s'·g(a,b) + s·h(a,b)` from §2.1 of the paper,
-//! * NPN canonicalization ([`npn`]) used by the Boolean matcher in the
-//!   technology mapper,
+//! * NPN canonicalization ([`npn`]), which groups the 256 three-input
+//!   functions into their 14 classes for the Figure 2 census,
 //! * feasibility sets for the primitive via-patternable cells (ND2WI, ND3WI,
 //!   2:1 MUX) and the composite logic configurations the granular PLB offers
 //!   (NDMX, XOAMX, XOANDMX) — see [`cells`],
@@ -41,10 +40,8 @@ pub mod lut;
 pub mod npn;
 pub mod s3;
 mod sets;
-mod tt;
 mod tt3;
 
 pub use error::ArityError;
 pub use sets::FunctionSet256;
-pub use tt::TruthTable;
 pub use tt3::{Literal, Tt2, Tt3, Var};

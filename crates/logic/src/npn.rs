@@ -2,10 +2,10 @@
 //!
 //! Two functions are NPN-equivalent when one can be obtained from the other
 //! by Negating inputs, Permuting inputs, and/or Negating the output. The
-//! technology mapper's Boolean matcher reduces cut functions to their NPN
-//! canonical form and looks that form up in each library cell's precomputed
-//! class table, which is how a single stored pattern matches all of its
-//! polarity/ordering variants.
+//! classes group the 3-input function space for the Figure 2 census
+//! (`fig2_s3` counts the classes holding S3-infeasible functions). The
+//! Boolean matcher (`vpga_core::matcher`) does not canonicalize: it
+//! enumerates each cell's pin bindings directly.
 //!
 //! The 256 three-input functions fall into 14 NPN classes; the 16 two-input
 //! functions fall into 4. Both counts are asserted by unit tests.
@@ -27,8 +27,8 @@ pub const PERMS3: [[usize; 3]; 6] = [
 /// The NPN transform that maps a function to its canonical representative.
 ///
 /// Applying [`NpnTransform::apply`] to the original function yields the
-/// canonical one; the transform records how the mapper must rewire a matched
-/// cell (which library pin takes which cut leaf, with which polarity).
+/// canonical one; the transform records which original input each
+/// canonical input reads, and with which polarity.
 #[derive(Clone, Copy, Debug, PartialEq, Eq, Hash)]
 pub struct NpnTransform {
     /// `perm[i]` is the original input that canonical input `i` reads.

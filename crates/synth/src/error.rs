@@ -1,22 +1,23 @@
-//! Error type for the synthesis stack.
+//! Error type for technology mapping.
 
 use std::error::Error;
 use std::fmt;
 
 use vpga_netlist::NetlistError;
 
-/// Errors raised while building the AIG or mapping it onto a library.
+/// Errors raised while mapping a netlist onto a library.
 #[derive(Clone, Debug, PartialEq)]
 #[non_exhaustive]
 pub enum SynthError {
     /// The input netlist was malformed.
     Netlist(NetlistError),
-    /// A cut function could not be matched onto any cell of the target
-    /// library (the library is not functionally complete for the design).
+    /// A gate function could not be matched onto any cell or
+    /// configuration of the target library (the library is not
+    /// functionally complete for the design).
     Unmappable {
         /// The function that failed to match.
         function: vpga_logic::Tt3,
-        /// Number of leaves of the failing cut.
+        /// Number of inputs the function was matched over.
         leaves: usize,
     },
 }
@@ -27,7 +28,7 @@ impl fmt::Display for SynthError {
             SynthError::Netlist(e) => write!(f, "netlist error during synthesis: {e}"),
             SynthError::Unmappable { function, leaves } => write!(
                 f,
-                "no library cell implements cut function {function} over {leaves} leaves"
+                "no library cell implements gate function {function} over {leaves} inputs"
             ),
         }
     }

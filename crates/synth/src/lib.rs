@@ -2,17 +2,15 @@
 //! "Synthesis, Mapping (Design Compiler)" stage of the paper's flow
 //! (Figure 6).
 //!
-//! The pipeline is the standard cut-based mapping stack:
-//!
-//! 1. [`Aig`]: the generic netlist is decomposed into an And-Inverter Graph
-//!    with structural hashing and constant folding, optionally minimized by
-//!    the exact-synthesis rewriting pass ([`rewrite`]),
-//! 2. [`cuts`]: exhaustive 3-feasible priority-cut enumeration with local
-//!    cut functions,
-//! 3. [`map`]: delay-oriented covering with area recovery, where each cut
-//!    function is Boolean-matched onto the cheapest component cell of the
-//!    target [`vpga_core::PlbArchitecture`] (via pin binding + via
-//!    configuration, see `vpga_core::matcher`).
+//! [`map_netlist_fast`] is a per-gate translator, the model of what a
+//! commercial synthesizer does with a *restricted* component library
+//! (§3.1): each generic gate becomes the cheapest component cell that
+//! implements it, Boolean-matched onto the target
+//! [`vpga_core::PlbArchitecture`] by pin binding + via configuration (see
+//! `vpga_core::matcher`), or the cheapest multi-cell PLB configuration
+//! when no single cell does. Cross-gate collapsing is left to the
+//! regularity-driven compaction of `vpga-compact`, which the flow runs
+//! next.
 //!
 //! Mapping preserves function; the test-suite proves it by co-simulating
 //! the generic and mapped netlists on random stimulus.
@@ -23,11 +21,11 @@
 //! use vpga_core::PlbArchitecture;
 //! use vpga_designs::{alu, DesignParams};
 //! use vpga_netlist::library::generic;
-//! use vpga_synth::map::map_netlist;
+//! use vpga_synth::map_netlist_fast;
 //!
 //! let design = alu(&DesignParams::tiny());
 //! let arch = PlbArchitecture::granular();
-//! let mapped = map_netlist(&design, &generic::library(), &arch)?;
+//! let mapped = map_netlist_fast(&design, &generic::library(), &arch)?;
 //! assert!(mapped.validate(arch.library()).is_ok());
 //! # Ok::<(), vpga_synth::SynthError>(())
 //! ```
@@ -35,12 +33,8 @@
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
-mod aig;
-pub mod cuts;
 mod error;
 pub mod map;
-pub mod rewrite;
 
-pub use aig::{Aig, AigNode, Lit};
 pub use error::SynthError;
-pub use map::{map_netlist, map_netlist_fast, MappingStats};
+pub use map::{map_netlist_fast, MappingStats};

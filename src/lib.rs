@@ -16,7 +16,7 @@
 //! | [`logic`] | `vpga-logic` | truth tables, NPN classes, S3/Figure-2 analysis |
 //! | [`netlist`] | `vpga-netlist` | netlists, component libraries, simulation |
 //! | [`core`] | `vpga-core` | the PLB architectures, configs, characterization |
-//! | [`synth`] | `vpga-synth` | AIG, cut enumeration, technology mapping |
+//! | [`synth`] | `vpga-synth` | per-gate technology mapping |
 //! | [`designs`] | `vpga-designs` | ALU / FPU / switch / Firewire generators |
 //! | [`flowmap`] | `vpga-flowmap` | FlowMap max-flow/min-cut labeling |
 //! | [`compact`] | `vpga-compact` | regularity-driven logic compaction |

@@ -138,21 +138,3 @@ fn routed_arrays_are_congestion_legal() {
         "every PO and DFF D pin is a timing endpoint"
     );
 }
-
-/// The cut-based mapper is a drop-in alternative front end.
-#[test]
-fn cut_based_front_end_is_equivalent_too() {
-    let params = DesignParams::tiny();
-    let src = generic::library();
-    let golden = NamedDesign::Firewire.generate(&params);
-    let arch = PlbArchitecture::lut_based();
-    let mut mapped = vpga::synth::map_netlist(&golden, &src, &arch).expect("mapping succeeds");
-    vpga::compact::compact(&mut mapped, &arch).expect("compaction succeeds");
-    let mut rng = SmallRng::seed_from_u64(7);
-    let vectors: Vec<Vec<bool>> = (0..40)
-        .map(|_| (0..golden.inputs().len()).map(|_| rng.gen()).collect())
-        .collect();
-    let div =
-        first_divergence(&golden, &src, &mapped, arch.library(), &vectors).expect("simulable");
-    assert_eq!(div, None);
-}
