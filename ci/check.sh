@@ -265,8 +265,8 @@ step "serve load harness (release, 1000 mixed chaos jobs vs batch reference)"
 "$VPGA_BIN" serve-bench --jobs 1000 --clients 8
 
 step "cargo bench (smoke mode, 1 sample per bench)"
-# --workspace picks up every [[bench]] target in crates/bench, including
-# timing_bench (the incremental-STA baselines behind BENCH_timing.json).
+# --workspace picks up every [[bench]] target in crates/bench; the one
+# STA pass is timed by cad_bench's timing/sta_post_route.
 CRITERION_SMOKE=1 cargo bench --workspace
 
 printf '\nall checks passed\n'

@@ -99,19 +99,6 @@ pub enum AuditError {
         /// The value re-derived from the retained routes.
         derived: usize,
     },
-    /// The incremental timer's state disagrees with a from-scratch STA.
-    StaMismatch {
-        /// What disagreed (`"worst_slack"`, `"arrival"`, `"slack"`,
-        /// `"endpoint"`, `"criticality"`, ...).
-        what: &'static str,
-        /// The object the first disagreement was found on (a net id, an
-        /// endpoint name, or `"-"` for scalars).
-        object: String,
-        /// The incremental timer's value.
-        incremental: f64,
-        /// The oracle's value.
-        oracle: f64,
-    },
 }
 
 impl std::fmt::Display for AuditError {
@@ -161,16 +148,6 @@ impl std::fmt::Display for AuditError {
             } => write!(
                 f,
                 "router reported {what} = {reported} but the retained routes re-derive {derived}"
-            ),
-            AuditError::StaMismatch {
-                what,
-                object,
-                incremental,
-                oracle,
-            } => write!(
-                f,
-                "incremental STA disagrees with full analysis on {what} of {object}: \
-                 {incremental} vs {oracle}"
             ),
         }
     }
@@ -408,113 +385,6 @@ pub fn audit_sta_ready(netlist: &Netlist, lib: &Library) -> Result<(), AuditErro
         .map_err(AuditError::Netlist)
 }
 
-/// Incremental-STA contract: the event-driven timer's current state is
-/// bit-identical to a from-scratch [`vpga_timing::try_analyze`] on the
-/// same netlist and geometry — per-net arrivals and slacks, endpoint
-/// order and values, the worst slack, and the derived criticalities.
-///
-/// # Errors
-///
-/// [`AuditError::StaMismatch`] naming the first disagreeing quantity.
-pub fn audit_sta_equivalence(
-    netlist: &Netlist,
-    lib: &Library,
-    placement: &Placement,
-    routing: Option<&RoutingResult>,
-    config: &vpga_timing::TimingConfig,
-    report: &vpga_timing::TimingReport,
-) -> Result<(), AuditError> {
-    let oracle = vpga_timing::try_analyze(netlist, lib, placement, routing, config).map_err(
-        |e| match e {
-            vpga_timing::TimingError::Cyclic(err) => AuditError::Netlist(err),
-            // TimingError is non-exhaustive; future variants still mean the
-            // oracle could not run, which the netlist auditor reports best.
-            _ => AuditError::Netlist(NetlistError::CombinationalCycle(
-                vpga_netlist::CellId::from_index(0),
-            )),
-        },
-    )?;
-    let bits_differ = |a: f64, b: f64| a.to_bits() != b.to_bits();
-    let scalar = |what: &'static str, inc: f64, ora: f64| -> Result<(), AuditError> {
-        if bits_differ(inc, ora) {
-            return Err(AuditError::StaMismatch {
-                what,
-                object: "-".to_owned(),
-                incremental: inc,
-                oracle: ora,
-            });
-        }
-        Ok(())
-    };
-    scalar("worst_slack", report.worst_slack(), oracle.worst_slack())?;
-    scalar(
-        "critical_delay",
-        report.critical_delay(),
-        oracle.critical_delay(),
-    )?;
-    for net in netlist.nets() {
-        if bits_differ(report.net_arrival(net), oracle.net_arrival(net)) {
-            return Err(AuditError::StaMismatch {
-                what: "arrival",
-                object: net.to_string(),
-                incremental: report.net_arrival(net),
-                oracle: oracle.net_arrival(net),
-            });
-        }
-        if bits_differ(report.net_slack(net), oracle.net_slack(net)) {
-            return Err(AuditError::StaMismatch {
-                what: "slack",
-                object: net.to_string(),
-                incremental: report.net_slack(net),
-                oracle: oracle.net_slack(net),
-            });
-        }
-    }
-    for (i, (a, b)) in report
-        .endpoints()
-        .iter()
-        .zip(oracle.endpoints())
-        .enumerate()
-    {
-        if a.name != b.name || a.net != b.net || bits_differ(a.arrival, b.arrival) {
-            return Err(AuditError::StaMismatch {
-                what: "endpoint",
-                object: format!("#{i} {}", a.name),
-                incremental: a.arrival,
-                oracle: b.arrival,
-            });
-        }
-        if bits_differ(a.slack, b.slack) {
-            return Err(AuditError::StaMismatch {
-                what: "endpoint",
-                object: format!("#{i} {}", a.name),
-                incremental: a.slack,
-                oracle: b.slack,
-            });
-        }
-    }
-    if report.endpoints().len() != oracle.endpoints().len() {
-        return Err(AuditError::StaMismatch {
-            what: "endpoint",
-            object: "count".to_owned(),
-            incremental: report.endpoints().len() as f64,
-            oracle: oracle.endpoints().len() as f64,
-        });
-    }
-    let (inc_crit, ora_crit) = (report.net_criticalities(), oracle.net_criticalities());
-    for (i, (a, b)) in inc_crit.iter().zip(&ora_crit).enumerate() {
-        if bits_differ(*a, *b) {
-            return Err(AuditError::StaMismatch {
-                what: "criticality",
-                object: format!("net index {i}"),
-                incremental: *a,
-                oracle: *b,
-            });
-        }
-    }
-    Ok(())
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -563,27 +433,6 @@ mod tests {
             matches!(err, AuditError::OutsideDie { ref cell, .. } if cell == "i3"),
             "{err:?}"
         );
-    }
-
-    #[test]
-    fn sta_equivalence_passes_fresh_and_names_stale_state() {
-        let (nl, lib, mut p) = placed_chain();
-        let config = vpga_timing::TimingConfig::default();
-        let mut sta = vpga_timing::IncrementalSta::new(&nl, &lib, &config).unwrap();
-        sta.full_analyze(&nl, &p, None);
-        audit_sta_equivalence(&nl, &lib, &p, None, &config, &sta.report(&nl)).unwrap();
-        // Move a cell without telling the timer: the audit must notice.
-        let victim = nl.cell_by_name("i3").unwrap();
-        let (x, y) = p.position(victim).unwrap();
-        p.set_position(victim, x + 40.0, y + 40.0);
-        let stale = audit_sta_equivalence(&nl, &lib, &p, None, &config, &sta.report(&nl));
-        assert!(
-            matches!(stale, Err(AuditError::StaMismatch { .. })),
-            "{stale:?}"
-        );
-        // Telling it repairs the state.
-        sta.update_moved_cells(&nl, &p, None, &[victim]);
-        audit_sta_equivalence(&nl, &lib, &p, None, &config, &sta.report(&nl)).unwrap();
     }
 
     #[test]

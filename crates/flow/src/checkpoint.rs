@@ -15,12 +15,11 @@
 //!
 //! Loads validate all of it and answer `None` on any mismatch — resuming
 //! against a stale, corrupt, truncated, or foreign checkpoint degrades to
-//! recomputing the stage, never to wrong results. The incremental-STA
-//! state is deliberately *not* serialized: the flow audits that its state
-//! after every front-end stage is bit-identical to a fresh full analysis
-//! of the snapshotted netlist and placement, so a restore rebuilds it
-//! from those — which is what makes resumed fingerprints byte-identical
-//! to uninterrupted runs.
+//! recomputing the stage, never to wrong results. The front-end store
+//! holds no derived state (every timing consumer runs its own full STA
+//! pass on the netlist and placement it reads), so a restored store is
+//! exactly the recorded one — which is what makes resumed fingerprints
+//! byte-identical to uninterrupted runs.
 
 use std::io;
 use std::path::{Path, PathBuf};
@@ -29,8 +28,7 @@ use vpga_core::PlbArchitecture;
 use vpga_designs::DesignParams;
 use vpga_netlist::wire::{Reader, Writer};
 use vpga_netlist::Netlist;
-use vpga_place::{BufferEdit, PlaceConfig, Placement};
-use vpga_timing::IncrementalSta;
+use vpga_place::{PlaceConfig, Placement};
 
 use crate::config::{EmitConfig, FlowConfig, FlowVariant};
 use crate::error::FlowError;
@@ -43,7 +41,7 @@ use crate::stats::{StageId, StageStats};
 /// completed count, config fingerprint, payload length.
 const HEADER_LEN: usize = 8 + 1 + 1 + 8 + 8;
 
-const MAGIC: &[u8; 8] = b"VPGACKP3";
+const MAGIC: &[u8; 8] = b"VPGACKP4";
 const KIND_FRONT: u8 = 0;
 const KIND_RESULT: u8 = 1;
 
@@ -128,7 +126,6 @@ fn encode_stats(w: &mut Writer, s: &StageStats) {
     w.opt(s.route_iterations, Writer::u64);
     w.opt(s.retries, Writer::u32);
     w.opt(s.sta_full, Writer::u64);
-    w.opt(s.sta_incremental, Writer::u64);
     w.opt(s.sta_nodes_touched, Writer::u64);
     w.opt(s.cache_hits, Writer::u64);
     w.opt(s.cache_misses, Writer::u64);
@@ -152,7 +149,6 @@ fn decode_stats(r: &mut Reader<'_>) -> Option<StageStats> {
     s.route_iterations = r.opt(Reader::u64)?;
     s.retries = r.opt(Reader::u32)?;
     s.sta_full = r.opt(Reader::u64)?;
-    s.sta_incremental = r.opt(Reader::u64)?;
     s.sta_nodes_touched = r.opt(Reader::u64)?;
     s.cache_hits = r.opt(Reader::u64)?;
     s.cache_misses = r.opt(Reader::u64)?;
@@ -203,19 +199,6 @@ pub(crate) fn encode_front(w: &mut Writer, store: &FrontArtifacts, stages: &[Sta
             }
         });
     });
-    w.opt(store.buffer_trace.as_ref(), |w, edits| {
-        w.usize(edits.len());
-        for e in edits {
-            w.u32(e.net.index() as u32);
-            w.u32(e.buffer.index() as u32);
-            w.u32(e.buffer_net.index() as u32);
-            w.usize(e.moved_sinks.len());
-            for &(c, pin) in &e.moved_sinks {
-                w.u32(c.index() as u32);
-                w.usize(pin);
-            }
-        }
-    });
     encode_stats_list(w, stages);
 }
 
@@ -264,29 +247,6 @@ fn decode_front(r: &mut Reader<'_>) -> Option<(FrontArtifacts, Vec<StageStats>)>
             net_weights,
         })
     })?;
-    store.buffer_trace = r.opt(|r| {
-        let n = r.usize()?;
-        let mut edits = Vec::with_capacity(n.min(1 << 20));
-        for _ in 0..n {
-            let net = vpga_netlist::NetId::from_index(r.u32()? as usize);
-            let buffer = vpga_netlist::CellId::from_index(r.u32()? as usize);
-            let buffer_net = vpga_netlist::NetId::from_index(r.u32()? as usize);
-            let m = r.usize()?;
-            let mut moved_sinks = Vec::with_capacity(m.min(1 << 16));
-            for _ in 0..m {
-                let c = vpga_netlist::CellId::from_index(r.u32()? as usize);
-                let pin = r.usize()?;
-                moved_sinks.push((c, pin));
-            }
-            edits.push(BufferEdit {
-                net,
-                buffer,
-                buffer_net,
-                moved_sinks,
-            });
-        }
-        Some(edits)
-    })?;
     let stages = decode_stats_list(r)?;
     Some((store, stages))
 }
@@ -314,28 +274,16 @@ pub(crate) fn encode_result(w: &mut Writer, result: &FlowResult) {
 
 /// The one front-end payload decoder, shared by the disk tier
 /// ([`CheckpointStore::load_front`]) and the serve cache's hit path:
-/// decodes a payload recorded after `completed` plan steps of `design`
-/// and rebuilds the incremental timer from the restored netlist and
-/// placement (bit-identical to the recorded state by the flow's audited
-/// STA-equivalence invariant). `None` = fail closed.
+/// decodes a payload recorded after `completed` plan steps of `design`.
+/// `None` = fail closed.
 pub(crate) fn decode_front_payload(
     payload: &[u8],
     design: &str,
-    arch: &PlbArchitecture,
-    config: &FlowConfig,
     completed: usize,
 ) -> Option<(FrontArtifacts, Vec<StageStats>)> {
     let mut r = Reader::new(payload);
-    let (mut store, stages) = decode_front(&mut r)?;
-    if !r.done() || store.design != design || stages.len() != completed {
-        return None;
-    }
-    if let (Some(netlist), Some(placement)) = (&store.netlist, &store.placement) {
-        let mut sta = IncrementalSta::new(netlist, arch.library(), &config.timing).ok()?;
-        sta.full_analyze(netlist, placement, None);
-        store.sta = Some(sta);
-    }
-    Some((store, stages))
+    let (store, stages) = decode_front(&mut r)?;
+    (r.done() && store.design == design && stages.len() == completed).then_some((store, stages))
 }
 
 /// The one result payload decoder, shared by the disk tier
@@ -517,8 +465,7 @@ impl CheckpointStore {
     /// returning the restored artifact store, its stage records, and the
     /// number of completed plan steps. `None` (recompute from scratch)
     /// unless resuming, the file validates, and the config fingerprint
-    /// matches. The payload goes through [`decode_front_payload`], which
-    /// rebuilds the incremental-STA state.
+    /// matches. The payload goes through [`decode_front_payload`].
     pub(crate) fn load_front(
         &self,
         design: &str,
@@ -537,7 +484,7 @@ impl CheckpointStore {
         if completed == 0 || completed > plan_len {
             return None;
         }
-        let (store, stages) = decode_front_payload(&payload, design, arch, config, completed)?;
+        let (store, stages) = decode_front_payload(&payload, design, completed)?;
         Some((store, stages, completed))
     }
 
@@ -730,8 +677,12 @@ mod tests {
             .with_bbox_updates(880, 17)
             .with_reroutes(36, 30, 4)
             .with_retries(2)
-            .with_sta(1, 9, 123)
+            .with_sta(1)
             .with_cache(4, 1, 2);
+        let s = StageStats {
+            sta_nodes_touched: Some(123),
+            ..s
+        };
         // Every optional field is set, so a codec that drops or reorders
         // one cannot round-trip.
         assert!(!format!("{s:?}").contains("None"));
@@ -819,7 +770,7 @@ mod tests {
         let path = store.result_path("alu", "granular", FlowVariant::A);
         let valid = std::fs::read(&path).unwrap();
         let mut old = valid.clone();
-        old[..8].copy_from_slice(b"VPGACKP2");
+        old[..8].copy_from_slice(b"VPGACKP3");
         std::fs::write(&path, &old).unwrap();
         assert!(store
             .load_result("alu", &arch, FlowVariant::A, &config, &params)

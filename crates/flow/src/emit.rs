@@ -4,9 +4,9 @@
 //! Runs inside the back-end timing stage, after STA: by then the routed
 //! geometry, the placement the router saw, and the per-arc delays the
 //! analysis folded are all final. Emission only reads stage artifacts —
-//! the SDF delays come from [`vpga_timing::TimingGraph::arc_delays`],
-//! the same closures the STA itself evaluates, so the files annotate the
-//! published numbers without recomputing (or perturbing) anything.
+//! the SDF delays come from [`vpga_timing::arc_delays`], which reads the
+//! same net model and cell arcs the STA itself evaluates, so the files
+//! annotate the published numbers without perturbing anything.
 //! Writes are best-effort like checkpoint writes: a full disk warns and
 //! the flow keeps going.
 
@@ -17,7 +17,6 @@ use vpga_interchange::vxdl;
 use vpga_netlist::{Library, Netlist};
 use vpga_place::Placement;
 use vpga_route::RoutingResult;
-use vpga_timing::TimingGraph;
 
 use crate::config::EmitConfig;
 
@@ -40,11 +39,10 @@ pub(crate) fn emit_back_artifacts(
     lib: &Library,
     placement: &Placement,
     routing: Option<&RoutingResult>,
-    graph: &TimingGraph,
 ) {
     let stem = job.replace('/', "-");
     if let Some(dir) = &emit.sdf_dir {
-        let arcs = graph.arc_delays(netlist, placement, routing);
+        let arcs = vpga_timing::arc_delays(netlist, lib, placement, routing);
         let sdf = SdfFile::from_timing(netlist, lib, &arcs, job);
         write_artifact(dir, &format!("{stem}.sdf"), &sdf.to_text());
     }

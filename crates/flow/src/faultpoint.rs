@@ -9,9 +9,7 @@
 //!
 //! Point names are the stage names of [`crate::StageId`] (`"synth"`,
 //! `"compact"`, `"place"`, `"physsynth"`, `"pack"`, `"swap"`, `"route"`,
-//! `"sta"`), plus `"sta_incremental"` inside physical synthesis, where the
-//! incremental timer's propagation loop runs. An armed fault can carry a
-//! context filter — a substring
+//! `"sta"`). An armed fault can carry a context filter — a substring
 //! matched against the job context string `"design/arch/variant"` — so a
 //! single matrix cell can be poisoned while every other cell runs clean.
 //! Faults are one-shot: a point disarms itself when it fires, so a retry
@@ -126,10 +124,7 @@ fn representative_error(point: &str, ctx: &str) -> FlowError {
             net: vpga_netlist::NetId::from_index(0),
             sink: (0, 0),
         }),
-        // The incremental timer's propagation loop sits inside physical
-        // synthesis; a failure there surfaces as a timing error attributed
-        // to the stage that drove the update.
-        "sta" | "sta_incremental" => FlowError::Timing(vpga_timing::TimingError::Cyclic(
+        "sta" => FlowError::Timing(vpga_timing::TimingError::Cyclic(
             vpga_netlist::NetlistError::CombinationalCycle(vpga_netlist::CellId::from_index(0)),
         )),
         // The artifact/service surfaces all fail as unreadable-artifact

@@ -7,7 +7,6 @@ use vpga_compact::CompactionReport;
 use vpga_core::PlbArchitecture;
 use vpga_netlist::Netlist;
 use vpga_place::Placement;
-use vpga_timing::IncrementalSta;
 
 use crate::config::{FlowConfig, FlowVariant};
 use crate::error::FlowError;
@@ -151,10 +150,6 @@ pub(crate) struct FrontEnd {
     pub compaction: Option<CompactionReport>,
     pub netlist: Netlist,
     pub placement: Placement,
-    /// The incremental timer, left in the post-physical-synthesis state:
-    /// its report equals a fresh STA of `netlist` on `placement` (HPWL
-    /// geometry), and its prebuilt graph serves the post-route analyses.
-    pub sta: IncrementalSta,
     pub cells: usize,
     pub stages: Vec<StageStats>,
 }
@@ -283,6 +278,21 @@ mod tests {
                 StageId::Timing
             ]
         );
+        // One full STA pass each in place, pack and post-route STA (both
+        // flows); no other stage times the netlist.
+        for s in out
+            .front_stages
+            .iter()
+            .chain(&out.flow_a.stages)
+            .chain(&out.flow_b.stages)
+        {
+            let passes = match s.stage {
+                StageId::Place | StageId::Pack | StageId::Timing => Some(1),
+                _ => None,
+            };
+            assert_eq!(s.sta_full, passes, "{}: STA passes", s.stage);
+            assert_eq!(s.sta_nodes_touched, None, "{}", s.stage);
+        }
         // Annealing stages must not worsen their own cost.
         for s in out.front_stages.iter().chain(&out.flow_b.stages) {
             if let (Some(before), Some(after)) = (s.cost_before, s.cost_after) {

@@ -19,11 +19,10 @@
 //! and `exec::run_back`, with the optional disk checkpoint tier
 //! underneath them. Cache payloads reuse the checkpoint codecs
 //! byte-for-byte, and a hit goes through the same decoders as a disk
-//! resume (`checkpoint::decode_front_payload`, which rebuilds the
-//! incremental timer from the restored netlist and placement, and
-//! `checkpoint::decode_result_payload`). By the flow's audited
-//! STA-equivalence invariant, a job served from cache is bit-identical to
-//! a cold batch run — the load harness asserts fingerprint equality over
+//! resume (`checkpoint::decode_front_payload` and
+//! `checkpoint::decode_result_payload`). A restored front-end is exactly
+//! the recorded one, so a job served from cache is bit-identical to a
+//! cold batch run — the load harness asserts fingerprint equality over
 //! thousands of mixed jobs.
 //!
 //! Robustness: each leg runs under the leg functions' panic guard, so a
@@ -292,7 +291,7 @@ impl CachedFlow {
         loop {
             match self.cache.acquire(&key, &fctx) {
                 CacheOutcome::Hit(bytes) => {
-                    match decode_front_payload(&bytes, dkey, &job.arch, &job.config, plan_len) {
+                    match decode_front_payload(&bytes, dkey, plan_len) {
                         Some((store, stages))
                             if store.netlist.is_some() && store.placement.is_some() =>
                         {

@@ -3,9 +3,9 @@
 use vpga_compact::CompactionReport;
 use vpga_netlist::Netlist;
 use vpga_pack::PlbArray;
-use vpga_place::{BufferEdit, PlaceConfig, Placement};
+use vpga_place::{PlaceConfig, Placement};
 use vpga_route::RoutingResult;
-use vpga_timing::{IncrementalSta, TimingReport};
+use vpga_timing::TimingReport;
 
 use super::lib_cells;
 use crate::config::FlowVariant;
@@ -13,10 +13,11 @@ use crate::pipeline::{FlowResult, FrontEnd};
 use crate::stats::StageStats;
 
 /// The front-end's artifact store: each slot is filled by exactly one
-/// stage (synth → netlist, compact → summary, place → placement + timing
-/// graph + weighted config, physsynth → buffer trace) and read by the
-/// stages downstream of it. A checkpoint serializes the filled slots; a
-/// resumed run restores them and re-enters the graph mid-plan.
+/// stage (synth → netlist, compact → summary, place → placement +
+/// weighted config; physsynth edits the netlist and placement in place)
+/// and read by the stages downstream of it. A checkpoint serializes the
+/// filled slots; a resumed run restores them and re-enters the graph
+/// mid-plan.
 pub(crate) struct FrontArtifacts {
     pub(crate) design: String,
     pub(crate) gates_nand2: f64,
@@ -26,8 +27,6 @@ pub(crate) struct FrontArtifacts {
     /// The criticality-weighted place config the refinement passes share
     /// (placement's winning seed plus STA-derived net weights).
     pub(crate) weighted: Option<PlaceConfig>,
-    pub(crate) sta: Option<IncrementalSta>,
-    pub(crate) buffer_trace: Option<Vec<BufferEdit>>,
 }
 
 impl FrontArtifacts {
@@ -39,8 +38,6 @@ impl FrontArtifacts {
             netlist: None,
             placement: None,
             weighted: None,
-            sta: None,
-            buffer_trace: None,
         }
     }
 
@@ -51,7 +48,6 @@ impl FrontArtifacts {
         let placement = self
             .placement
             .expect("front-end graph completed: placement");
-        let sta = self.sta.expect("front-end graph completed: timing graph");
         let cells = lib_cells(&netlist);
         FrontEnd {
             design: self.design,
@@ -59,7 +55,6 @@ impl FrontArtifacts {
             compaction: self.compaction,
             netlist,
             placement,
-            sta,
             cells,
             stages,
         }
@@ -67,10 +62,15 @@ impl FrontArtifacts {
 }
 
 /// A back-end's artifact store: the shared, immutable front-end fans in
-/// by reference, and the variant's own products (packed array and packed
-/// placement for flow b, routing and timing for both) fill in behind it.
+/// by reference, and the variant's own products (pre-route timing, packed
+/// array and packed placement for flow b, routing and timing for both)
+/// fill in behind it.
 pub(crate) struct BackArtifacts<'f> {
     pub(crate) front: &'f FrontEnd,
+    /// Flow b's STA of the front-end netlist on the front-end placement
+    /// (HPWL geometry): pack weights relocations by its cell
+    /// criticalities and swap weights nets by its net criticalities.
+    pub(crate) front_sta: Option<TimingReport>,
     /// Flow b's own placement copy, quantized by packing and annealed by
     /// the swapper (flow a routes the front-end placement directly).
     pub(crate) b_placement: Option<Placement>,
@@ -84,6 +84,7 @@ impl<'f> BackArtifacts<'f> {
     pub(crate) fn new(front: &'f FrontEnd) -> BackArtifacts<'f> {
         BackArtifacts {
             front,
+            front_sta: None,
             b_placement: None,
             array: None,
             routing: None,

@@ -66,10 +66,13 @@ impl Stage<BackArtifacts<'_>> for PackStage {
     ) -> Result<StageStats, FlowError> {
         let front = store.front;
         let netlist = &front.netlist;
-        // The front-end's incremental timer already holds this exact
-        // analysis (netlist on the buffered placement, HPWL geometry);
-        // serve the report from its state instead of re-analyzing.
-        let sta = front.sta.report(netlist);
+        let sta = vpga_timing::try_analyze(
+            netlist,
+            env.arch.library(),
+            &front.placement,
+            None,
+            &env.config.timing,
+        )?;
         let pack_cfg = PackConfig {
             criticality: env
                 .config
@@ -99,22 +102,11 @@ impl Stage<BackArtifacts<'_>> for PackStage {
                 pack_stats.relocations + pack_stats.spilled,
                 pack_stats.relocations,
             )
-            .with_sta(0, 1, 0);
+            .with_sta(1);
+        store.front_sta = Some(sta);
         store.b_placement = Some(b_placement);
         store.array = Some(array);
         Ok(stats)
-    }
-
-    fn pre_audit(&self, env: &StageEnv<'_>, store: &BackArtifacts<'_>) -> Result<(), AuditError> {
-        let front = store.front;
-        audit::audit_sta_equivalence(
-            &front.netlist,
-            env.arch.library(),
-            &front.placement,
-            None,
-            &env.config.timing,
-            &front.sta.report(&front.netlist),
-        )
     }
 
     fn audit(&self, env: &StageEnv<'_>, store: &BackArtifacts<'_>) -> Result<(), AuditError> {
@@ -140,7 +132,7 @@ impl Stage<BackArtifacts<'_>> for SwapStage {
     ) -> Result<StageStats, FlowError> {
         let front = store.front;
         let netlist = &front.netlist;
-        let sta = front.sta.report(netlist);
+        let sta = store.front_sta.as_ref().expect("pack timed the front-end");
         let swap_cfg = vpga_pack::SwapConfig {
             net_weights: Some(
                 sta.net_criticalities()
@@ -235,10 +227,8 @@ impl Stage<BackArtifacts<'_>> for RouteStage {
     }
 }
 
-/// Post-route static timing analysis and power estimation, reusing the
-/// front-end's prebuilt timing graph (no re-levelization); the routed
-/// geometry replaces the HPWL estimates wholesale, so this is a full
-/// pass.
+/// Post-route static timing analysis and power estimation: one full pass
+/// over the routed wirelengths.
 struct TimingStage {
     variant: FlowVariant,
 }
@@ -246,10 +236,6 @@ struct TimingStage {
 impl Stage<BackArtifacts<'_>> for TimingStage {
     fn id(&self) -> StageId {
         StageId::Timing
-    }
-
-    fn fault_point(&self) -> &'static str {
-        "sta"
     }
 
     fn run(
@@ -263,10 +249,8 @@ impl Stage<BackArtifacts<'_>> for TimingStage {
         let lib = env.arch.library();
         let placement = store.routing_placement(self.variant);
         let routing = store.routing.as_ref().expect("route produced a result");
-        let sta = front
-            .sta
-            .graph()
-            .analyze(netlist, placement, Some(routing), &env.config.timing);
+        let sta =
+            vpga_timing::try_analyze(netlist, lib, placement, Some(routing), &env.config.timing)?;
         let power = vpga_timing::power::estimate(
             netlist,
             lib,
@@ -275,7 +259,7 @@ impl Stage<BackArtifacts<'_>> for TimingStage {
             &vpga_timing::power::PowerConfig::default(),
         );
         let stats = StageStats::new(StageId::Timing, Duration::ZERO, front.cells, nets(netlist))
-            .with_sta(1, 0, 0);
+            .with_sta(1);
         if env.config.emit.is_active() {
             crate::emit::emit_back_artifacts(
                 &env.config.emit,
@@ -284,7 +268,6 @@ impl Stage<BackArtifacts<'_>> for TimingStage {
                 lib,
                 placement,
                 Some(routing),
-                front.sta.graph(),
             );
         }
         store.power_mw = Some(power.total() * 1e3);
@@ -294,17 +277,5 @@ impl Stage<BackArtifacts<'_>> for TimingStage {
 
     fn pre_audit(&self, env: &StageEnv<'_>, store: &BackArtifacts<'_>) -> Result<(), AuditError> {
         audit::audit_sta_ready(&store.front.netlist, env.arch.library())
-    }
-
-    fn audit(&self, env: &StageEnv<'_>, store: &BackArtifacts<'_>) -> Result<(), AuditError> {
-        let sta = store.sta_report.as_ref().expect("sta produced a report");
-        audit::audit_sta_equivalence(
-            &store.front.netlist,
-            env.arch.library(),
-            store.routing_placement(self.variant),
-            store.routing.as_ref(),
-            &env.config.timing,
-            sta,
-        )
     }
 }

@@ -6,15 +6,13 @@ use std::time::Duration;
 use vpga_netlist::library::generic;
 use vpga_netlist::Netlist;
 use vpga_place::PlaceConfig;
-use vpga_timing::IncrementalSta;
 
 use super::artifacts::FrontArtifacts;
-use super::{lib_cells, moved_cells, nets, run_stage, Stage, StageEnv};
+use super::{lib_cells, nets, run_stage, Stage, StageEnv};
 use crate::audit::{self, AuditError};
 use crate::clock::derive_seed;
 use crate::config::FlowConfig;
 use crate::error::FlowError;
-use crate::faultpoint;
 use crate::stats::{StageId, StageStats};
 
 /// The front-end stage plan for `config` (compaction is optional).
@@ -116,8 +114,8 @@ impl Stage<FrontArtifacts> for CompactStage {
     }
 }
 
-/// Timing-driven placement: wirelength-driven start, then one
-/// criticality-weighted refinement feeding the incremental timer.
+/// Timing-driven placement: wirelength-driven start, one full STA pass,
+/// then one refinement weighted by that pass's net criticalities.
 struct PlaceStage;
 
 impl Stage<FrontArtifacts> for PlaceStage {
@@ -142,29 +140,18 @@ impl Stage<FrontArtifacts> for PlaceStage {
             ..env.config.place.clone()
         };
         let (mut placement, place_stats) = vpga_place::try_place_with_stats(netlist, lib, &seeded)?;
-        // The incremental timer is seeded once here; every later STA
-        // consumer (refinements, physical synthesis, the packer, the
-        // annealer weights) feeds it deltas instead of re-analyzing from
-        // scratch.
-        let mut sta = IncrementalSta::new(netlist, lib, &env.config.timing)?;
-        sta.full_analyze(netlist, &placement, None);
-        let mut crit_buf = Vec::new();
-        sta.net_criticalities_into(&mut crit_buf);
-        let weights: Vec<f64> = crit_buf.iter().map(|&c| 1.0 + 8.0 * c * c).collect();
+        let sta = vpga_timing::try_analyze(netlist, lib, &placement, None, &env.config.timing)?;
+        let weights: Vec<f64> = sta
+            .net_criticalities()
+            .iter()
+            .map(|&c| 1.0 + 8.0 * c * c)
+            .collect();
         let weighted = PlaceConfig {
             net_weights: Some(weights),
             ..seeded
         };
-        let pre_refine = placement.clone();
         let refine_stats =
             vpga_place::try_refine_with_stats(netlist, lib, &mut placement, &weighted, 0.6)?;
-        sta.update_moved_cells(
-            netlist,
-            &placement,
-            None,
-            &moved_cells(netlist, &pre_refine, &placement),
-        );
-        let counters = sta.counters();
         // Cost fields cover the wirelength-driven anneal (its own cost
         // function); the criticality-weighted refinement optimizes a
         // different (weighted) cost, so it contributes to the move
@@ -184,10 +171,9 @@ impl Stage<FrontArtifacts> for PlaceStage {
             place_stats.bbox_incremental + refine_stats.bbox_incremental,
             place_stats.bbox_full + refine_stats.bbox_full,
         )
-        .with_sta(counters.full, counters.incremental, counters.nodes_touched);
+        .with_sta(1);
         store.placement = Some(placement);
         store.weighted = Some(weighted);
-        store.sta = Some(sta);
         Ok(stats)
     }
 
@@ -201,8 +187,8 @@ impl Stage<FrontArtifacts> for PlaceStage {
     }
 }
 
-/// Physical synthesis: buffer insertion, then legalizing refinement, both
-/// replayed into the incremental timer.
+/// Physical synthesis: buffer insertion, then a legalizing refinement
+/// under placement's criticality weights.
 struct PhysSynthStage;
 
 impl Stage<FrontArtifacts> for PhysSynthStage {
@@ -220,43 +206,24 @@ impl Stage<FrontArtifacts> for PhysSynthStage {
             netlist,
             placement,
             weighted,
-            sta,
-            buffer_trace,
             ..
         } = store;
-        let (Some(netlist), Some(placement), Some(weighted), Some(sta)) = (
-            netlist.as_mut(),
-            placement.as_mut(),
-            weighted.as_ref(),
-            sta.as_mut(),
-        ) else {
+        let (Some(netlist), Some(placement), Some(weighted)) =
+            (netlist.as_mut(), placement.as_mut(), weighted.as_ref())
+        else {
             unreachable!("physical synthesis runs after placement")
         };
         let lib = env.arch.library();
-        let baseline = sta.counters();
         let max_len = placement.die().width() * env.config.buffer_max_length_frac;
-        let (_, buffer_edits) = vpga_place::insert_buffers_traced(
+        vpga_place::insert_buffers(
             netlist,
             lib,
             placement,
             env.config.buffer_max_fanout,
             max_len,
         )?;
-        // The timer replays the structural edits instead of rebuilding;
-        // this interior fault point covers its event-driven propagation
-        // loop.
-        faultpoint::fire("sta_incremental", env.job)?;
-        sta.apply_buffers(netlist, lib, placement, None, &buffer_edits);
-        let pre_legalize = placement.clone();
         let legalize_stats =
             vpga_place::try_refine_with_stats(netlist, lib, placement, weighted, 0.2)?;
-        sta.update_moved_cells(
-            netlist,
-            placement,
-            None,
-            &moved_cells(netlist, &pre_legalize, placement),
-        );
-        let delta = sta.counters().since(baseline);
         let stats = StageStats::new(
             StageId::PhysSynth,
             Duration::ZERO,
@@ -268,9 +235,7 @@ impl Stage<FrontArtifacts> for PhysSynthStage {
             legalize_stats.moves_attempted,
             legalize_stats.moves_accepted,
         )
-        .with_bbox_updates(legalize_stats.bbox_incremental, legalize_stats.bbox_full)
-        .with_sta(delta.full, delta.incremental, delta.nodes_touched);
-        *buffer_trace = Some(buffer_edits);
+        .with_bbox_updates(legalize_stats.bbox_incremental, legalize_stats.bbox_full);
         Ok(stats)
     }
 
@@ -280,19 +245,7 @@ impl Stage<FrontArtifacts> for PhysSynthStage {
             .placement
             .as_ref()
             .expect("place produced a placement");
-        let sta = store.sta.as_ref().expect("place seeded the timer");
-        let lib = env.arch.library();
-        audit::audit_netlist(netlist, lib)?;
-        audit::audit_placement(netlist, placement)?;
-        // Cross-validate the incremental state against the from-scratch
-        // oracle at the front-end boundary.
-        audit::audit_sta_equivalence(
-            netlist,
-            lib,
-            placement,
-            None,
-            &env.config.timing,
-            &sta.report(netlist),
-        )
+        audit::audit_netlist(netlist, env.arch.library())?;
+        audit::audit_placement(netlist, placement)
     }
 }

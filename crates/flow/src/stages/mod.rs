@@ -30,8 +30,7 @@ pub(crate) use front::{front_plan, run_front_stage};
 use std::time::Instant;
 
 use vpga_core::PlbArchitecture;
-use vpga_netlist::{CellId, Netlist};
-use vpga_place::Placement;
+use vpga_netlist::Netlist;
 
 use crate::audit::AuditError;
 use crate::clock::JobClock;
@@ -57,15 +56,9 @@ pub struct StageEnv<'a> {
 /// (deadline, fault point, retries, stats, audit gating) is applied
 /// uniformly by [`run_stage`] and must not be re-implemented per stage.
 pub trait Stage<S> {
-    /// The stage's identity (names the fault point and the stats record).
+    /// The stage's identity (names the fault point [`run_stage`] fires
+    /// before each attempt, and the stats record).
     fn id(&self) -> StageId;
-
-    /// The fault-point name [`run_stage`] fires before each attempt.
-    /// Defaults to the stage name; stages with interior fault points
-    /// (physical synthesis' `"sta_incremental"`) fire those themselves.
-    fn fault_point(&self) -> &'static str {
-        self.id().name()
-    }
 
     /// Whether a recoverable error consumes a retry (with a derived
     /// reseed) instead of failing the job. Only the stochastic stages
@@ -134,8 +127,8 @@ pub(crate) fn run_stage<S>(
     let t = Instant::now();
     let mut attempt = 0usize;
     let stats = loop {
-        let outcome = faultpoint::fire(stage.fault_point(), env.job)
-            .and_then(|()| stage.run(env, store, attempt));
+        let outcome =
+            faultpoint::fire(id.name(), env.job).and_then(|()| stage.run(env, store, attempt));
         match outcome {
             Ok(stats) => break stats,
             Err(e) if stage.retryable() && attempt < env.config.retries && retryable(&e) => {
@@ -156,22 +149,6 @@ pub(crate) fn run_stage<S>(
         ..stats.with_retries(attempt as u32)
     });
     Ok(())
-}
-
-/// Cells whose position differs (bitwise) between two placements — the
-/// delta a refinement pass hands the incremental timer.
-pub(crate) fn moved_cells(netlist: &Netlist, before: &Placement, after: &Placement) -> Vec<CellId> {
-    netlist
-        .cells()
-        .filter(|&(id, _)| match (before.position(id), after.position(id)) {
-            (Some((ax, ay)), Some((bx, by))) => {
-                ax.to_bits() != bx.to_bits() || ay.to_bits() != by.to_bits()
-            }
-            (None, None) => false,
-            _ => true,
-        })
-        .map(|(id, _)| id)
-        .collect()
 }
 
 pub(crate) fn lib_cells(netlist: &Netlist) -> usize {

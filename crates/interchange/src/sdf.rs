@@ -70,7 +70,7 @@ pub struct SdfFile {
 
 impl SdfFile {
     /// Builds the SDF annotation of `netlist` from the exact per-arc
-    /// delays the STA used ([`vpga_timing::TimingGraph::arc_delays`]).
+    /// delays the STA used ([`vpga_timing::arc_delays`]).
     /// `version` carries free-form fabric metadata (the flow passes
     /// `arch/variant`).
     pub fn from_timing(

@@ -22,22 +22,6 @@ pub struct BufferReport {
     pub length_buffers: usize,
 }
 
-/// One netlist edit made by buffer insertion: a repeater spliced between
-/// `net` and a cluster of its former sinks. Consumers that maintain
-/// derived state over the netlist (the incremental timer's levelized
-/// graph, in particular) replay these instead of rebuilding from scratch.
-#[derive(Clone, Debug, PartialEq, Eq)]
-pub struct BufferEdit {
-    /// The net that lost the sinks (the buffer's input).
-    pub net: NetId,
-    /// The inserted repeater cell.
-    pub buffer: CellId,
-    /// The net the repeater drives.
-    pub buffer_net: NetId,
-    /// The `(cell, pin)` sinks re-pointed from `net` onto `buffer_net`.
-    pub moved_sinks: Vec<(CellId, usize)>,
-}
-
 impl BufferReport {
     /// Total buffers inserted.
     pub fn total(&self) -> usize {
@@ -63,27 +47,9 @@ pub fn insert_buffers(
     max_fanout: usize,
     max_length: f64,
 ) -> Result<BufferReport, NetlistError> {
-    insert_buffers_traced(netlist, lib, placement, max_fanout, max_length).map(|(r, _)| r)
-}
-
-/// [`insert_buffers`], additionally returning the [`BufferEdit`] trace in
-/// application order so incremental consumers can replay the structural
-/// changes.
-///
-/// # Errors
-///
-/// Returns a [`NetlistError`] if the netlist edits fail (malformed input).
-pub fn insert_buffers_traced(
-    netlist: &mut Netlist,
-    lib: &Library,
-    placement: &mut Placement,
-    max_fanout: usize,
-    max_length: f64,
-) -> Result<(BufferReport, Vec<BufferEdit>), NetlistError> {
     assert!(max_fanout >= 2, "max_fanout must be at least 2");
     assert!(max_length > 0.0, "max_length must be positive");
     let mut report = BufferReport::default();
-    let mut edits: Vec<BufferEdit> = Vec::new();
     let nets: Vec<NetId> = netlist.nets().collect();
     for net in nets {
         let Some(driver) = netlist.driver(net) else {
@@ -106,7 +72,7 @@ pub fn insert_buffers_traced(
             continue;
         };
         // Sort sinks by distance from the driver; keep the nearest ones.
-        let mut sinks: Vec<(vpga_netlist::CellId, usize, f64)> = netlist
+        let mut sinks: Vec<(CellId, usize, f64)> = netlist
             .sinks(net)
             .iter()
             .map(|&(cell, pin)| {
@@ -136,12 +102,6 @@ pub fn insert_buffers_traced(
             for &(cell, pin, _) in chunk {
                 netlist.connect_pin(cell, pin, buf_net)?;
             }
-            edits.push(BufferEdit {
-                net,
-                buffer: buf_cell,
-                buffer_net: buf_net,
-                moved_sinks: chunk.iter().map(|&(cell, pin, _)| (cell, pin)).collect(),
-            });
             // Place the buffer at the chunk centroid.
             let (mut cx, mut cy, mut n) = (0.0, 0.0, 0usize);
             for &(cell, _, _) in chunk {
@@ -163,7 +123,7 @@ pub fn insert_buffers_traced(
             }
         }
     }
-    Ok((report, edits))
+    Ok(report)
 }
 
 #[cfg(test)]
@@ -231,33 +191,6 @@ mod tests {
         let vectors = vec![vec![true], vec![false], vec![true]];
         let div = vpga_netlist::sim::first_divergence(&golden, &lib, &n, &lib, &vectors).unwrap();
         assert_eq!(div, None);
-    }
-
-    #[test]
-    fn the_trace_replays_every_splice() {
-        let lib = generic::library();
-        let mut n = Netlist::new("fan");
-        let a = n.add_input("a");
-        let src = n.add_lib_cell("src", &lib, "INV", &[a]).unwrap();
-        for i in 0..20 {
-            let s = n
-                .add_lib_cell(format!("s{i}"), &lib, "INV", &[src])
-                .unwrap();
-            n.add_output(format!("y{i}"), s);
-        }
-        let mut p = place(&n, &lib, &PlaceConfig::default());
-        let (report, edits) = insert_buffers_traced(&mut n, &lib, &mut p, 8, 1e9).unwrap();
-        assert_eq!(edits.len(), report.total());
-        for e in &edits {
-            // The buffer reads the source net and drives its own net.
-            let buf = n.cell(e.buffer).unwrap();
-            assert_eq!(buf.inputs(), &[e.net]);
-            assert_eq!(buf.output(), Some(e.buffer_net));
-            // Every moved sink now reads the buffer net on that pin.
-            for &(cell, pin) in &e.moved_sinks {
-                assert_eq!(n.cell(cell).unwrap().inputs()[pin], e.buffer_net);
-            }
-        }
     }
 
     #[test]

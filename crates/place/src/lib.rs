@@ -29,6 +29,6 @@ pub use anneal::{
     place, place_with_stats, refine, refine_with_stats, try_place_with_stats,
     try_refine_with_stats, PlaceConfig, PlaceStats,
 };
-pub use buffers::{insert_buffers, insert_buffers_traced, BufferEdit, BufferReport};
+pub use buffers::{insert_buffers, BufferReport};
 pub use error::PlaceError;
 pub use grid::{Placement, Rect};

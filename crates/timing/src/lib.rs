@@ -16,14 +16,18 @@
 //! The report exposes the paper's Table 2 metric — the average slack over
 //! the 10 most critical paths ([`TimingReport::avg_top_slack`]) — plus the
 //! per-net criticalities the timing-driven placer and packer consume.
+//! [`arc_delays`] exports the per-arc delays the analysis folds, for the
+//! SDF writer.
+//!
+//! Every consumer runs one full pass: the flow times a netlist a handful
+//! of times (placement weights, packing and swap weights, post-route
+//! STA), and a pass over the paper-scale network switch takes a few
+//! milliseconds against seconds of placement and routing.
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
-pub mod incremental;
 pub mod power;
-
-pub use incremental::{ArcDelays, IncrementalSta, StaCounters, TimingGraph};
 
 use vpga_core::params;
 use vpga_netlist::{CellId, CellKind, Library, NetId, Netlist};
@@ -121,37 +125,21 @@ impl TimingReport {
     /// Per-net criticality in `[0, 1]` (1 = on the critical path), for the
     /// timing-driven placement weights.
     pub fn net_criticalities(&self) -> Vec<f64> {
-        let mut out = Vec::new();
-        self.net_criticalities_into(&mut out);
-        out
-    }
-
-    /// [`TimingReport::net_criticalities`] into a caller-provided buffer —
-    /// the hot-path variant that amortizes the allocation across repeated
-    /// queries.
-    pub fn net_criticalities_into(&self, out: &mut Vec<f64>) {
         let d = self.worst_arrival.max(1e-9);
-        out.clear();
-        out.extend(self.slack.iter().map(|&s| {
-            let c = 1.0 - s.max(0.0) / (d + self.config.clock_period - d).max(d);
-            c.clamp(0.0, 1.0)
-        }));
+        self.slack
+            .iter()
+            .map(|&s| {
+                let c = 1.0 - s.max(0.0) / (d + self.config.clock_period - d).max(d);
+                c.clamp(0.0, 1.0)
+            })
+            .collect()
     }
 
     /// Per-cell criticality (the maximum criticality over the nets a cell
     /// touches), for the packer's relocation cost.
     pub fn cell_criticalities(&self, netlist: &Netlist) -> Vec<f64> {
-        let mut out = Vec::new();
-        self.cell_criticalities_into(netlist, &mut out);
-        out
-    }
-
-    /// [`TimingReport::cell_criticalities`] into a caller-provided buffer.
-    pub fn cell_criticalities_into(&self, netlist: &Netlist, out: &mut Vec<f64>) {
-        let mut nets = Vec::new();
-        self.net_criticalities_into(&mut nets);
-        out.clear();
-        out.resize(netlist.cell_capacity(), 0.0);
+        let nets = self.net_criticalities();
+        let mut out = vec![0.0f64; netlist.cell_capacity()];
         for net in netlist.nets() {
             let c = nets[net.index()];
             if let Some(d) = netlist.driver(net) {
@@ -161,6 +149,7 @@ impl TimingReport {
                 out[sink.index()] = out[sink.index()].max(c);
             }
         }
+        out
     }
 
     /// The analysis configuration.
@@ -288,34 +277,7 @@ pub fn try_analyze(
     let order =
         vpga_netlist::graph::combinational_topo_order(netlist, lib).map_err(TimingError::Cyclic)?;
     let mut arrival = vec![0.0f64; netlist.net_capacity()];
-
-    // Wire parasitics per net.
-    let wire_len = |net: NetId| -> f64 {
-        match routing {
-            Some(r) => r.net_length(net),
-            None => placement.net_hpwl(netlist, net),
-        }
-    };
-    let sink_cap = |net: NetId| -> f64 {
-        netlist
-            .sinks(net)
-            .iter()
-            .filter_map(|&(cell, _)| {
-                netlist
-                    .cell(cell)
-                    .and_then(|c| c.lib_id())
-                    .and_then(|id| lib.cell(id))
-                    .map(|c| c.input_cap())
-            })
-            .sum()
-    };
-    // Net delay after the driver's output: Elmore with lumped wire.
-    let net_wire_delay = |net: NetId| -> f64 {
-        let len = wire_len(net);
-        let wire_cap = len * params::WIRE_CAP_PER_UM;
-        len * params::WIRE_RES_PER_UM * (wire_cap / 2.0 + sink_cap(net))
-    };
-    let net_load = |net: NetId| -> f64 { wire_len(net) * params::WIRE_CAP_PER_UM + sink_cap(net) };
+    let nets = net_parasitics(netlist, lib, placement, routing);
 
     // Launch points: primary inputs at t = 0, flip-flop Qs at clk→Q.
     let mut dffs: Vec<CellId> = Vec::new();
@@ -324,7 +286,7 @@ pub fn try_analyze(
             CellKind::Input | CellKind::Constant(_) => {
                 if let Some(net) = cell.output() {
                     arrival[net.index()] = if matches!(cell.kind(), CellKind::Input) {
-                        net_wire_delay(net)
+                        nets[net.index()].wire_delay
                     } else {
                         0.0
                     };
@@ -334,7 +296,8 @@ pub fn try_analyze(
                 let lc = lib.cell(lib_id).expect("lib cell");
                 if lc.is_sequential() {
                     let q = cell.output().expect("DFF drives Q");
-                    arrival[q.index()] = lc.delay(net_load(q)) + net_wire_delay(q);
+                    let p = nets[q.index()];
+                    arrival[q.index()] = lc.delay(p.load) + p.wire_delay;
                     dffs.push(id);
                 }
             }
@@ -353,7 +316,8 @@ pub fn try_analyze(
             .map(|n| arrival[n.index()])
             .fold(0.0, f64::max);
         let out = cell.output().expect("combinational output");
-        arrival[out.index()] = input_arrival + lc.delay(net_load(out)) + net_wire_delay(out);
+        let p = nets[out.index()];
+        arrival[out.index()] = input_arrival + lc.delay(p.load) + p.wire_delay;
     }
     // Endpoints and required times.
     let mut required = vec![f64::INFINITY; netlist.net_capacity()];
@@ -389,7 +353,8 @@ pub fn try_analyze(
             .cell(cell.lib_id().expect("combinational lib cell"))
             .expect("lib cell");
         let out = cell.output().expect("combinational output");
-        let stage = lc.delay(net_load(out)) + net_wire_delay(out);
+        let p = nets[out.index()];
+        let stage = lc.delay(p.load) + p.wire_delay;
         let up = required[out.index()] - stage;
         for n in cell.inputs() {
             if up < required[n.index()] {
@@ -417,6 +382,133 @@ pub fn try_analyze(
         worst_arrival,
         config: *config,
     })
+}
+
+/// The lumped parasitics of one net.
+#[derive(Clone, Copy, Default)]
+struct NetParasitics {
+    /// Elmore delay after the driver's output, ps: the lumped wire
+    /// resistance into half the wire capacitance plus every sink pin.
+    wire_delay: f64,
+    /// Capacitive load on the driver (wire plus sink pins), fF.
+    load: f64,
+}
+
+/// The one net-parasitic model, per net slot (dead slots stay zero):
+/// wire length is the routed length when `routing` is supplied, else the
+/// placement's half-perimeter estimate. STA, [`arc_delays`] and
+/// [`power::estimate`] all read it, so the SDF annotation and the power
+/// sum see exactly the numbers the analysis folded.
+fn net_parasitics(
+    netlist: &Netlist,
+    lib: &Library,
+    placement: &Placement,
+    routing: Option<&RoutingResult>,
+) -> Vec<NetParasitics> {
+    let mut out = vec![NetParasitics::default(); netlist.net_capacity()];
+    for net in netlist.nets() {
+        let len = match routing {
+            Some(r) => r.net_length(net),
+            None => placement.net_hpwl(netlist, net),
+        };
+        let sink_cap: f64 = netlist
+            .sinks(net)
+            .iter()
+            .filter_map(|&(cell, _)| {
+                netlist
+                    .cell(cell)
+                    .and_then(|c| c.lib_id())
+                    .and_then(|id| lib.cell(id))
+                    .map(|c| c.input_cap())
+            })
+            .sum();
+        let wire_cap = len * params::WIRE_CAP_PER_UM;
+        out[net.index()] = NetParasitics {
+            wire_delay: len * params::WIRE_RES_PER_UM * (wire_cap / 2.0 + sink_cap),
+            load: wire_cap + sink_cap,
+        };
+    }
+    out
+}
+
+/// The per-arc delays [`try_analyze`] folds into arrival times, for an
+/// interchange writer (SDF) to annotate: the cell (IOPATH) and net
+/// (INTERCONNECT) delays, by cell and net slot. Both come from the same
+/// net model and cell arcs as the analysis on the same inputs, so an
+/// exported value is bit-identical to what the STA used — re-parsing an
+/// export and comparing against this function is an exact check, not an
+/// approximate one.
+///
+/// A cell slot is set for every library cell that drives a net (its
+/// `delay(load)` at that net's load); ports and constants stay unset. A
+/// net slot is set for every net some live cell drives.
+pub fn arc_delays(
+    netlist: &Netlist,
+    lib: &Library,
+    placement: &Placement,
+    routing: Option<&RoutingResult>,
+) -> ArcDelays {
+    let nets = net_parasitics(netlist, lib, placement, routing);
+    let mut arcs = ArcDelays::with_capacity(netlist.cell_capacity(), netlist.net_capacity());
+    for (id, cell) in netlist.cells() {
+        let Some(out) = cell.output() else { continue };
+        let p = nets[out.index()];
+        arcs.set_net(out.index(), p.wire_delay);
+        if let Some(lc) = cell.lib_id().and_then(|l| lib.cell(l)) {
+            arcs.set_cell(id.index(), lc.delay(p.load));
+        }
+    }
+    arcs
+}
+
+/// Per-arc delay export of [`arc_delays`], indexed by cell and net slot.
+/// Stored SoA: dense `f64` value arrays plus validity bitmaps, instead of
+/// `Vec<Option<f64>>` — half the footprint (a tagged `Option<f64>` is 16
+/// bytes) and the values pack contiguously for the interchange writers
+/// that stream every slot.
+#[derive(Clone, Debug, Default)]
+pub struct ArcDelays {
+    cell_val: Vec<f64>,
+    cell_set: Vec<u64>,
+    net_val: Vec<f64>,
+    net_set: Vec<u64>,
+}
+
+impl ArcDelays {
+    fn with_capacity(cells: usize, nets: usize) -> ArcDelays {
+        ArcDelays {
+            cell_val: vec![0.0; cells],
+            cell_set: vec![0; cells.div_ceil(64)],
+            net_val: vec![0.0; nets],
+            net_set: vec![0; nets.div_ceil(64)],
+        }
+    }
+
+    fn set_cell(&mut self, i: usize, v: f64) {
+        self.cell_val[i] = v;
+        self.cell_set[i / 64] |= 1 << (i % 64);
+    }
+
+    fn set_net(&mut self, i: usize, v: f64) {
+        self.net_val[i] = v;
+        self.net_set[i / 64] |= 1 << (i % 64);
+    }
+
+    /// IOPATH delay of cell slot `i`: the cell's `delay(load)` at its
+    /// output net's current load. `None` for dead slots, ports, and
+    /// constants (no modeled delay arc).
+    pub fn cell(&self, i: usize) -> Option<f64> {
+        (self.cell_set.get(i / 64).copied().unwrap_or(0) >> (i % 64) & 1 == 1)
+            .then(|| self.cell_val[i])
+    }
+
+    /// INTERCONNECT delay of net slot `i`: the lumped wire delay every
+    /// sink of the net sees after its driver. `None` for dead and
+    /// undriven slots.
+    pub fn net(&self, i: usize) -> Option<f64> {
+        (self.net_set.get(i / 64).copied().unwrap_or(0) >> (i % 64) & 1 == 1)
+            .then(|| self.net_val[i])
+    }
 }
 
 #[cfg(test)]
@@ -485,6 +577,46 @@ mod tests {
         // Routed detours can only lengthen (or match) the HPWL estimate per
         // net, so the post-route critical delay is at least comparable.
         assert!(post.critical_delay() + 50.0 >= pre.critical_delay());
+    }
+
+    #[test]
+    fn arc_delays_are_the_delays_the_analysis_folds() {
+        let (n, arch) = pipeline();
+        let lib = arch.library();
+        let p = vpga_place::place(&n, lib, &PlaceConfig::default());
+        let r = vpga_route::route(&n, &p, &vpga_route::RouteConfig::default());
+        let out_of = |name: &str| -> (CellId, NetId) {
+            let id = n.cell_by_name(name).unwrap();
+            (id, n.cell(id).unwrap().output().unwrap())
+        };
+        for routing in [None, Some(&r)] {
+            let report = analyze(&n, lib, &p, routing, &TimingConfig::default());
+            let arcs = arc_delays(&n, lib, &p, routing);
+            // A primary input launches at its net's wire delay and has no
+            // cell arc.
+            let (a, a_net) = out_of("a");
+            assert!(arcs.cell(a.index()).is_none());
+            assert_eq!(
+                report.net_arrival(a_net).to_bits(),
+                arcs.net(a_net.index()).unwrap().to_bits()
+            );
+            // The flip-flop launches at clk→Q plus its Q wire.
+            let (ff, q) = out_of("ff");
+            let launch = arcs.cell(ff.index()).unwrap() + arcs.net(q.index()).unwrap();
+            assert_eq!(report.net_arrival(q).to_bits(), launch.to_bits());
+            // A combinational cell adds its arc and its output wire to
+            // its latest input, bit for bit.
+            let (g, g_net) = out_of("g");
+            let latest = n
+                .cell(g)
+                .unwrap()
+                .inputs()
+                .iter()
+                .map(|&i| report.net_arrival(i))
+                .fold(0.0, f64::max);
+            let folded = latest + arcs.cell(g.index()).unwrap() + arcs.net(g_net.index()).unwrap();
+            assert_eq!(report.net_arrival(g_net).to_bits(), folded.to_bits());
+        }
     }
 
     #[test]

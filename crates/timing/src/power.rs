@@ -203,28 +203,12 @@ pub fn estimate(
             activity[q.index()] = (2.0 * p * (1.0 - p)).min(1.0);
         }
     }
-    // Net capacitances and power.
-    let wire_len = |net: NetId| -> f64 {
-        match routing {
-            Some(r) => r.net_length(net),
-            None => placement.net_hpwl(netlist, net),
-        }
-    };
+    // Net capacitances (the driver loads STA sees) and power.
+    let nets = crate::net_parasitics(netlist, lib, placement, routing);
     let mut net_power = vec![0.0f64; cap];
     let mut total = 0.0;
     for net in netlist.nets() {
-        let sink_cap: f64 = netlist
-            .sinks(net)
-            .iter()
-            .filter_map(|&(cell, _)| {
-                netlist
-                    .cell(cell)
-                    .and_then(|c| c.lib_id())
-                    .and_then(|id| lib.cell(id))
-                    .map(|c| c.input_cap())
-            })
-            .sum();
-        let c_total = (wire_len(net) * params::WIRE_CAP_PER_UM + sink_cap) * 1e-15; // fF → F
+        let c_total = nets[net.index()].load * 1e-15; // fF → F
         let p = 0.5 * activity[net.index()] * c_total * config.vdd * config.vdd * config.clock_hz;
         net_power[net.index()] = p;
         total += p;

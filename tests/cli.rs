@@ -63,7 +63,7 @@ fn matrix_stats_show_route_legality() {
 
 #[test]
 fn gen_flow_program_roundtrip() {
-    let dir = std::env::temp_dir().join("vpga_cli_test");
+    let dir = std::env::temp_dir().join(format!("vpga_cli_roundtrip_{}", std::process::id()));
     std::fs::create_dir_all(&dir).expect("temp dir");
     let design = dir.join("alu.v");
     let fabric = dir.join("alu.fabric");
@@ -119,6 +119,7 @@ fn gen_flow_program_roundtrip() {
         String::from_utf8_lossy(&out.stderr)
     );
     let text = std::fs::read_to_string(&fabric).expect("file written");
+    let _ = std::fs::remove_dir_all(&dir);
     assert!(text.contains("plb "), "{text}");
     assert!(text.contains("vias="), "{text}");
 }

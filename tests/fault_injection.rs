@@ -75,29 +75,6 @@ fn every_armed_error_point_surfaces_its_stage_taxonomy() {
 }
 
 #[test]
-fn incremental_sta_fault_surfaces_as_a_physsynth_timing_error() {
-    let _guard = locked();
-    // The incremental timer's propagation loop runs inside physical
-    // synthesis: a failure there must attribute to that stage while
-    // keeping the timing-error taxonomy.
-    faultpoint::disarm_all();
-    faultpoint::arm("sta_incremental", None, FaultKind::Error);
-    let err = run_design(
-        &tiny_alu(),
-        &PlbArchitecture::granular(),
-        &FlowConfig::default(),
-    )
-    .expect_err("armed sta_incremental fault must fail the flow");
-    assert_eq!(err.stage(), Some(StageId::PhysSynth), "{err}");
-    assert!(
-        matches!(err.root(), FlowError::Timing(_)),
-        "wrong variant: {:?}",
-        err.root()
-    );
-    assert!(!faultpoint::any_armed(), "fault should be one-shot");
-}
-
-#[test]
 fn timeout_fault_reports_deadline_exceeded() {
     let _guard = locked();
     faultpoint::arm("route", None, FaultKind::Timeout);

@@ -6,8 +6,8 @@
 //!   text, and the parsed-back netlist + placement fingerprint equals
 //!   the original's (bit-identical snapshots).
 //! * SDF: the emitted annotation re-parses with every delay exactly
-//!   equal (`f64` bit patterns) to the [`vpga::timing::TimingGraph`]
-//!   arc delays it was built from.
+//!   equal (`f64` bit patterns) to the [`vpga::timing::arc_delays`] it
+//!   was built from.
 //!
 //! Plus the corruption half: truncated, line-shuffled, or token-spliced
 //! artifacts must produce positioned parse errors, never panics — the
@@ -24,7 +24,7 @@ use vpga::interchange::{sdf, snapshot_fingerprint, vxdl, InterchangeError};
 use vpga::netlist::library::generic;
 use vpga::netlist::{NetId, Netlist};
 use vpga::place::Placement;
-use vpga::timing::{IncrementalSta, TimingConfig};
+use vpga::timing::arc_delays;
 
 /// Strategy: a random netlist over the generic library, including
 /// flip-flops so the SDF writer's sequential (`d -> q`) arcs are
@@ -136,16 +136,13 @@ proptest! {
     }
 
     /// The SDF annotation re-parses to exactly the structure built from
-    /// the timing graph: every IOPATH / INTERCONNECT delay equal down to
-    /// the `f64` bit pattern, and re-emission is a fixpoint.
+    /// the STA's arc delays: every IOPATH / INTERCONNECT delay equal down
+    /// to the `f64` bit pattern, and re-emission is a fixpoint.
     #[test]
     fn sdf_round_trip_is_delay_exact(pair in netlist_and_placement()) {
         let (netlist, placement) = pair;
         let lib = generic::library();
-        let mut sta = IncrementalSta::new(&netlist, &lib, &TimingConfig::default())
-            .expect("random netlists are acyclic through registers");
-        sta.full_analyze(&netlist, &placement, None);
-        let arcs = sta.graph().arc_delays(&netlist, &placement, None);
+        let arcs = arc_delays(&netlist, &lib, &placement, None);
         let file = sdf::SdfFile::from_timing(&netlist, &lib, &arcs, "test/fixture");
         let text = file.to_text();
         let parsed = sdf::parse(&text).expect("emitted SDF parses");
@@ -237,9 +234,7 @@ proptest! {
     ) {
         let (netlist, placement) = pair;
         let lib = generic::library();
-        let mut sta = IncrementalSta::new(&netlist, &lib, &TimingConfig::default()).unwrap();
-        sta.full_analyze(&netlist, &placement, None);
-        let arcs = sta.graph().arc_delays(&netlist, &placement, None);
+        let arcs = arc_delays(&netlist, &lib, &placement, None);
         let text = sdf::SdfFile::from_timing(&netlist, &lib, &arcs, "x").to_text();
         let cut = char_floor(&text, text.len() * frac as usize / 100);
         if let Err(e) = sdf::parse(&text[..cut]) {
