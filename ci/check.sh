@@ -24,7 +24,8 @@
 #      within 5 s, a misspelled flag fails closed before the daemon binds,
 #      a daemon restarted over the same --checkpoint-dir with the default
 #      worker pool answers fully warm)
-#  14. serve load harness         (1000 mixed chaos jobs vs batch reference)
+#  14. serve load harness         (the defaults, 1000 mixed chaos jobs from 8
+#      clients, vs batch reference)
 #  15. cargo bench, smoke mode    (one sample per bench, catches bit-rot)
 #
 # The workspace has no network dependencies: rand/proptest/criterion are
@@ -275,8 +276,10 @@ for daemon in first restarted; do
     fi
 done
 
-step "serve load harness (release, 1000 mixed chaos jobs vs batch reference)"
-"$VPGA_BIN" serve-bench --jobs 1000 --clients 8
+step "serve load harness (release, default settings vs batch reference)"
+# No flags: the run exercises BenchConfig::default(), the settings
+# `vpga help` prints (1000 mixed chaos jobs from 8 clients).
+"$VPGA_BIN" serve-bench
 
 step "cargo bench (smoke mode, 1 sample per bench)"
 # --workspace picks up every [[bench]] target in crates/bench; the one

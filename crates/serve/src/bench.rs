@@ -15,8 +15,9 @@ use vpga_flow::{run_design, FlowConfig, FlowVariant};
 
 use crate::{client, spawn, DaemonConfig, DrainSummary};
 
-/// Load-harness knobs.
-#[derive(Clone, Debug)]
+/// Load-harness knobs; [`BenchConfig::default`] holds the ones `vpga
+/// serve-bench` runs without flags.
+#[derive(Clone, Debug, PartialEq)]
 pub struct BenchConfig {
     /// Total jobs to submit.
     pub jobs: usize,

@@ -29,13 +29,22 @@
 //! | path | effect |
 //! |---|---|
 //! | `/healthz` | liveness probe |
-//! | `/stats` | job counters, pool size and queue wait + cache counters |
+//! | `/stats` | job counters, pool size, queue wait and service time + cache counters |
 //! | `/job?design=alu&arch=granular&variant=a&params=tiny` | run one job, stream progress |
 //! | `/matrix?params=tiny` | run the full 16-cell matrix, print its fingerprint |
 //! | `/shutdown` | begin graceful drain |
 //!
 //! `params` on `/job` and `/matrix` names a size preset: `tiny` (the
-//! default), `small`, `medium` or `paper`.
+//! default), `small`, `medium` or `paper`. A request head that ends
+//! before its blank line, or runs past 8 KiB without one, is answered
+//! `400`.
+//!
+//! Each answer goes through one buffered writer, so it costs as many
+//! `write(2)` calls as it has flush points. `/healthz`, `/stats`,
+//! `/shutdown`, `400`, `404` and `503` are one write each. `/job` flushes
+//! its status line on admission, each `stage` line as it is written and
+//! the rest at the end: a warm hit is two writes. `/matrix` flushes its
+//! status line, each `cell` line and its closing lines.
 //!
 //! `/job` also honours `deadline_ms=N`, and — only when the daemon runs
 //! with chaos enabled (`--chaos`) — `poison=STAGE|result` (panic when the
@@ -68,7 +77,7 @@ pub use client::get;
 pub use signal::{install_sigterm_handler, raise_sigterm_flag, sigterm_seen};
 
 use std::collections::VecDeque;
-use std::io::{self, Write};
+use std::io::{self, BufWriter, Write};
 use std::net::{SocketAddr, TcpListener, TcpStream};
 use std::ops::RangeInclusive;
 use std::panic::{catch_unwind, AssertUnwindSafe};
@@ -182,6 +191,15 @@ struct Counters {
     /// that picked it up, µs.
     queue_wait_us_max: AtomicU64,
     queue_wait_us_sum: AtomicU64,
+    /// Longest and summed time a `/job` spent inside
+    /// [`CachedFlow::run_job`], µs.
+    service_us_max: AtomicU64,
+    service_us_sum: AtomicU64,
+}
+
+/// Microseconds since `start`, saturating.
+fn micros_since(start: Instant) -> u64 {
+    u64::try_from(start.elapsed().as_micros()).unwrap_or(u64::MAX)
 }
 
 struct Shared {
@@ -318,7 +336,8 @@ fn daemon_main(listener: &TcpListener, shared: &Arc<Shared>) -> DrainSummary {
                     // and eat the 503 before the client can see it.
                     let _ = stream.set_read_timeout(Some(Duration::from_millis(250)));
                     let _ = http::Request::read(&mut stream);
-                    http::respond_503(&mut stream, "queue full, retry later\n", Some(1));
+                    let stream = &mut BufWriter::new(&stream);
+                    http::respond_503(stream, "queue full, retry later\n", Some(1));
                 } else {
                     q.push_back((stream, accepted_at));
                     drop(q);
@@ -378,22 +397,22 @@ fn worker_main(shared: &Shared) {
                 q = guard;
             }
         };
-        let Some((mut stream, accepted_at)) = stream else {
+        let Some((stream, accepted_at)) = stream else {
             return;
         };
-        let waited = u64::try_from(accepted_at.elapsed().as_micros()).unwrap_or(u64::MAX);
+        let waited = micros_since(accepted_at);
         let c = &shared.counters;
         c.queue_wait_us_max.fetch_max(waited, Ordering::Relaxed);
         c.queue_wait_us_sum.fetch_add(waited, Ordering::Relaxed);
         if shared.draining.load(Ordering::SeqCst) {
             c.refused_draining.fetch_add(1, Ordering::Relaxed);
-            http::respond_503(&mut stream, "draining\n", None);
+            http::respond_503(&mut BufWriter::new(&stream), "draining\n", None);
             continue;
         }
         // Per-connection panic isolation: a panic (chaos poison escaping
         // past the flow's own catch_unwind, or a daemon bug) kills this
         // job only — the connection drops, the worker lives on.
-        let outcome = catch_unwind(AssertUnwindSafe(|| handle_conn(shared, &mut stream)));
+        let outcome = catch_unwind(AssertUnwindSafe(|| handle_conn(shared, &stream)));
         match outcome {
             Ok(Fate::Completed) => {
                 c.completed.fetch_add(1, Ordering::Relaxed);
@@ -416,16 +435,22 @@ enum Fate {
     Control,
 }
 
-fn handle_conn(shared: &Shared, stream: &mut TcpStream) -> Fate {
+/// Serves one connection. Every answer goes through one buffered
+/// writer: a control endpoint's whole response leaves in one write, and
+/// `/job` and `/matrix` write at their flush points only (see
+/// [`handle_job`]).
+fn handle_conn(shared: &Shared, mut stream: &TcpStream) -> Fate {
     let _ = stream.set_read_timeout(Some(Duration::from_secs(5)));
-    let req = match Request::read(stream) {
+    let req = Request::read(&mut stream);
+    let stream = &mut BufWriter::new(stream);
+    let req = match req {
         Ok(req) => req,
         Err(e) => {
             http::respond_400(stream, &format!("bad request: {e}\n"));
             return Fate::Failed;
         }
     };
-    match req.path.as_str() {
+    let fate = match req.path.as_str() {
         "/healthz" => {
             http::respond_200(stream, "ok\n");
             Fate::Control
@@ -434,7 +459,8 @@ fn handle_conn(shared: &Shared, stream: &mut TcpStream) -> Fate {
             let c = &shared.counters;
             let body = format!(
                 "accepted={} completed={} failed={} rejected={} refused_draining={} workers={} \
-                 queue_wait_us_max={} queue_wait_us_sum={}\ncache {}\n",
+                 queue_wait_us_max={} queue_wait_us_sum={} service_us_max={} \
+                 service_us_sum={}\ncache {}\n",
                 c.accepted.load(Ordering::Relaxed),
                 c.completed.load(Ordering::Relaxed),
                 c.failed.load(Ordering::Relaxed),
@@ -443,6 +469,8 @@ fn handle_conn(shared: &Shared, stream: &mut TcpStream) -> Fate {
                 shared.workers,
                 c.queue_wait_us_max.load(Ordering::Relaxed),
                 c.queue_wait_us_sum.load(Ordering::Relaxed),
+                c.service_us_max.load(Ordering::Relaxed),
+                c.service_us_sum.load(Ordering::Relaxed),
                 shared.cache.stats(),
             );
             http::respond_200(stream, &body);
@@ -460,7 +488,11 @@ fn handle_conn(shared: &Shared, stream: &mut TcpStream) -> Fate {
             http::respond_404(stream, &format!("no such endpoint {other}\n"));
             Fate::Control
         }
-    }
+    };
+    // The last write: a job's or a matrix's closing lines. A panic that
+    // unwinds past here flushes them as the writer drops.
+    let _ = stream.flush();
+    fate
 }
 
 fn parse_params(q: &Query) -> Result<DesignParams, String> {
@@ -504,7 +536,12 @@ fn parse_job(shared: &Shared, q: &Query) -> Result<ServiceJob, String> {
     })
 }
 
-fn handle_job(shared: &Shared, stream: &mut TcpStream, query: &str) -> Fate {
+/// Runs one `/job` and streams its progress. The status line is flushed
+/// on admission and each `stage` line as it is written, before a chaos
+/// stall; the `front`/`result` lines and the closing lines wait for the
+/// next flush, so a warm hit answers in two writes: the head, and the
+/// rest when [`handle_conn`] flushes.
+fn handle_job(shared: &Shared, stream: &mut BufWriter<&TcpStream>, query: &str) -> Fate {
     let q = Query::parse(query);
     let job = match parse_job(shared, &q) {
         Ok(job) => job,
@@ -521,6 +558,7 @@ fn handle_job(shared: &Shared, stream: &mut TcpStream, query: &str) -> Fate {
     };
     http::head_200(stream);
     let mut stalled = false;
+    let started = Instant::now();
     let outcome = shared.flow.run_job(&job, &mut |e| match e {
         JobEvent::Stage {
             stage,
@@ -546,16 +584,18 @@ fn handle_job(shared: &Shared, stream: &mut TcpStream, query: &str) -> Fate {
         }
         JobEvent::Front { hit } => {
             let _ = writeln!(stream, "front hit={hit}");
-            let _ = stream.flush();
         }
         JobEvent::Result { hit } => {
             let _ = writeln!(stream, "result hit={hit}");
-            let _ = stream.flush();
             if poison == Some("result") {
                 panic!("chaos poison at result");
             }
         }
     });
+    let service = micros_since(started);
+    let c = &shared.counters;
+    c.service_us_max.fetch_max(service, Ordering::Relaxed);
+    c.service_us_sum.fetch_add(service, Ordering::Relaxed);
     match outcome {
         Ok(out) => {
             let _ = writeln!(stream, "fingerprint {:#018x}", out.fingerprint());
@@ -577,7 +617,9 @@ fn handle_job(shared: &Shared, stream: &mut TcpStream, query: &str) -> Fate {
     }
 }
 
-fn handle_matrix(shared: &Shared, stream: &mut TcpStream, query: &str) -> Fate {
+/// Runs the 16-cell matrix: the status line is flushed on admission and
+/// each `cell` line as its cell finishes.
+fn handle_matrix(shared: &Shared, stream: &mut BufWriter<&TcpStream>, query: &str) -> Fate {
     let q = Query::parse(query);
     let params = match parse_params(&q) {
         Ok(p) => p,

@@ -1,10 +1,10 @@
 //! End-to-end daemon tests over real sockets: admission control, job
 //! execution with fingerprint parity, deadline fast-fail, chaos
-//! poisoning, graceful drain, and how fast an idle daemon answers and
-//! stops.
+//! poisoning, graceful drain, incomplete requests, how a warm answer
+//! arrives, and how fast an idle daemon answers and stops.
 
 use std::io::{BufRead, BufReader, Read, Write};
-use std::net::TcpStream;
+use std::net::{Shutdown, TcpStream};
 use std::time::{Duration, Instant};
 
 use vpga_core::PlbArchitecture;
@@ -54,6 +54,21 @@ fn healthz_stats_and_404() {
     assert!(max <= sum, "stats: {body}");
     let (_, body) = get(daemon.addr(), "/stats").unwrap();
     assert!(stat(&body, "queue_wait_us_sum") >= Some(sum), "{body}");
+    // The time jobs spent in the flow: none has run yet. A job that
+    // fails before its first stage still spent its time there, and that
+    // fits in its round trip.
+    assert_eq!(stat(&body, "service_us_max"), Some(0), "stats: {body}");
+    assert_eq!(stat(&body, "service_us_sum"), Some(0), "stats: {body}");
+    let start = Instant::now();
+    let job = "/job?design=alu&arch=granular&variant=a&deadline_ms=0";
+    let (status, _) = get(daemon.addr(), job).unwrap();
+    let round_trip = u64::try_from(start.elapsed().as_micros()).unwrap();
+    assert_eq!(status, 200);
+    let (_, body) = get(daemon.addr(), "/stats").unwrap();
+    let max = stat(&body, "service_us_max").expect("service_us_max");
+    let sum = stat(&body, "service_us_sum").expect("service_us_sum");
+    assert!(max <= sum && sum <= round_trip, "{round_trip} µs: {body}");
+    assert_eq!(stat(&body, "failed"), Some(1), "stats: {body}");
     let (status, _) = get(daemon.addr(), "/nope").unwrap();
     assert_eq!(status, 404);
     daemon.shutdown();
@@ -79,6 +94,77 @@ fn bad_requests_are_rejected_not_crashed() {
     assert!(body.contains("tiny|small|medium|paper"), "{body}");
     let (status, _) = get(daemon.addr(), "/healthz").unwrap();
     assert_eq!(status, 200, "daemon must survive bad requests");
+    daemon.shutdown();
+    daemon.join();
+}
+
+#[test]
+fn incomplete_request_heads_fail_closed() {
+    let daemon = test_daemon(false);
+    // A client that half-closes after its request line, before the blank
+    // line that ends the head, and one whose head runs past 8 KiB.
+    let oversized = format!(
+        "GET /healthz?pad={} HTTP/1.1\r\nHost: vpga\r\n\r\n",
+        "x".repeat(9 << 10)
+    );
+    let heads = [("GET /healthz HTTP/1.1\r\n", true), (&*oversized, false)];
+    for (failed, (head, half_close)) in (1..).zip(heads) {
+        let mut stream = TcpStream::connect(daemon.addr()).unwrap();
+        stream
+            .set_read_timeout(Some(Duration::from_secs(30)))
+            .unwrap();
+        stream.write_all(head.as_bytes()).unwrap();
+        if half_close {
+            stream.shutdown(Shutdown::Write).unwrap();
+        }
+        // The answer itself may be lost: closing with request bytes
+        // unread resets the connection. The daemon counts the request
+        // before it closes, so the counters are read once it has.
+        let _ = stream.read_to_end(&mut Vec::new());
+        let (_, body) = get(daemon.addr(), "/stats").unwrap();
+        assert_eq!(stat(&body, "failed"), Some(failed), "{body}");
+        assert_eq!(stat(&body, "completed"), Some(0), "{body}");
+    }
+    daemon.shutdown();
+    daemon.join();
+}
+
+#[test]
+fn a_warm_hit_arrives_in_at_most_two_reads() {
+    let daemon = test_daemon(false);
+    let path = "/job?design=alu&arch=granular&variant=a&params=tiny";
+    get(daemon.addr(), path).unwrap();
+    let (status, warm) = get(daemon.addr(), path).unwrap();
+    assert_eq!(status, 200);
+    assert!(warm.contains("result hit=true"), "warm run: {warm}");
+    // The daemon writes the status line on admission and the rest of a
+    // hit at once, so the client's reads see at most those two writes.
+    // Written a format fragment at a time (about 25 writes), a warm
+    // answer took 5 to 16 reads.
+    let expected =
+        format!("HTTP/1.1 200 OK\r\nContent-Type: text/plain\r\nConnection: close\r\n\r\n{warm}");
+    let request = format!("GET {path} HTTP/1.1\r\nHost: vpga\r\nConnection: close\r\n\r\n");
+    for _ in 0..10 {
+        let mut stream = TcpStream::connect(daemon.addr()).unwrap();
+        stream
+            .set_read_timeout(Some(Duration::from_secs(30)))
+            .unwrap();
+        stream.write_all(request.as_bytes()).unwrap();
+        let mut answer = Vec::new();
+        let mut reads = 0;
+        let mut chunk = [0u8; 64 << 10];
+        loop {
+            match stream.read(&mut chunk).unwrap() {
+                0 => break,
+                n => {
+                    answer.extend_from_slice(&chunk[..n]);
+                    reads += 1;
+                }
+            }
+        }
+        assert_eq!(String::from_utf8(answer).unwrap(), expected);
+        assert!(reads <= 2, "a warm hit arrived in {reads} reads");
+    }
     daemon.shutdown();
     daemon.join();
 }

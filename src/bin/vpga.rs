@@ -35,7 +35,7 @@ use vpga::designs::{DesignParams, NamedDesign};
 use vpga::flow::{run_design, CheckpointStore, Executor, FlowConfig, Matrix, MatrixRun};
 use vpga::netlist::library::generic;
 use vpga::netlist::{io, Netlist};
-use vpga::serve::{DaemonConfig, DEFAULT_WORKERS};
+use vpga::serve::{BenchConfig, DaemonConfig, DEFAULT_WORKERS};
 
 fn main() -> ExitCode {
     let args: Vec<String> = std::env::args().skip(1).collect();
@@ -99,7 +99,7 @@ const REPEATABLE: &str = "--arch-file";
 fn run(args: &[String]) -> CmdResult {
     let name = args.first().map_or("help", String::as_str);
     if matches!(name, "help" | "--help" | "-h") {
-        print_usage();
+        eprintln!("{}", usage());
         return Ok(());
     }
     let command = COMMANDS
@@ -205,9 +205,12 @@ impl<'a> Args<'a> {
     }
 }
 
-fn print_usage() {
+/// The text `vpga help` prints; the service defaults come from
+/// [`DaemonConfig::default`] and [`BenchConfig::default`].
+fn usage() -> String {
     let daemon = DaemonConfig::default();
-    eprintln!(
+    let bench = BenchConfig::default();
+    format!(
         "vpga — Via-Patterned Gate Array implementation flow\n\n\
          usage:\n\
          \x20 vpga gen <alu|fpu|switch|firewire> [--size S] [-o FILE]   generate a benchmark as Verilog\n\
@@ -254,7 +257,9 @@ fn print_usage() {
          \x20                                                   (e.g. \"/job?design=alu&arch=granular&variant=a&params=tiny\")\n\
          \x20 vpga serve-bench [--jobs N] [--clients N] [--cache-kb N] [--designs N]\n\
          \x20                                                   load-test an in-process daemon against\n\
-         \x20                                                   batch-mode reference fingerprints\n\n\
+         \x20                                                   batch-mode reference fingerprints;\n\
+         \x20                                                   defaults: --jobs {}, --clients {},\n\
+         \x20                                                   --cache-kb {}, --designs {}\n\n\
          every command rejects unknown and repeated flags (only --arch-file repeats),\n\
          flags missing their value and extra arguments, naming the argument's position",
         DEFAULT_WORKERS.start(),
@@ -262,7 +267,11 @@ fn print_usage() {
         daemon.workers,
         daemon.queue_depth,
         daemon.cache_budget >> 20,
-    );
+        bench.jobs,
+        bench.clients,
+        bench.cache_budget >> 10,
+        bench.designs,
+    )
 }
 
 /// The flow settings `flow` and `matrix` share: `--no-compaction` and the
@@ -733,16 +742,26 @@ fn cmd_submit(args: &Args) -> CmdResult {
     }
 }
 
+/// The harness settings of `vpga serve-bench`: [`BenchConfig::default`]
+/// with each flag given applied over it.
+fn serve_bench_config(args: &Args) -> Result<BenchConfig, String> {
+    let mut config = BenchConfig::default();
+    config.jobs = args.number("--jobs")?.unwrap_or(config.jobs);
+    config.clients = args.number("--clients")?.unwrap_or(config.clients);
+    if let Some(kb) = args.number::<usize>("--cache-kb")? {
+        config.cache_budget = kb
+            .checked_mul(1 << 10)
+            .ok_or_else(|| format!("--cache-kb {kb} overflows the address space"))?;
+    }
+    config.designs = args.number("--designs")?.unwrap_or(config.designs);
+    Ok(config)
+}
+
 /// `vpga serve-bench` — the load harness: an in-process daemon hammered
 /// with mixed hit/miss/zero-deadline/poisoned jobs, every published
 /// fingerprint checked against the batch-mode reference.
 fn cmd_serve_bench(args: &Args) -> CmdResult {
-    let config = vpga::serve::BenchConfig {
-        jobs: args.number("--jobs")?.unwrap_or(1000),
-        clients: args.number("--clients")?.unwrap_or(8),
-        cache_budget: args.number::<usize>("--cache-kb")?.unwrap_or(512) << 10,
-        designs: args.number("--designs")?.unwrap_or(4),
-    };
+    let config = serve_bench_config(args)?;
     eprintln!(
         "serve-bench: {} jobs across {} clients, cache budget {} KiB ...",
         config.jobs,
@@ -871,5 +890,37 @@ mod tests {
         let line = argv(&format!("serve --cache-mb {}", usize::MAX >> 8));
         let e = serve_config(&parse(&line).unwrap()).unwrap_err();
         assert!(e.contains("--cache-mb"), "{e}");
+    }
+
+    #[test]
+    fn serve_bench_without_flags_runs_the_harness_defaults() {
+        let line = argv("serve-bench");
+        let config = serve_bench_config(&parse(&line).unwrap()).unwrap();
+        let defaults = BenchConfig::default();
+        assert_eq!(config, defaults);
+        // `vpga help` prints the same defaults.
+        let help = usage();
+        for printed in [
+            format!("--jobs {}, --clients {},", defaults.jobs, defaults.clients),
+            format!(
+                "--cache-kb {}, --designs {}",
+                defaults.cache_budget >> 10,
+                defaults.designs
+            ),
+        ] {
+            assert!(help.contains(&printed), "{printed:?} not in:\n{help}");
+        }
+        // Each flag overrides its own field only.
+        let line = argv("serve-bench --clients 2 --cache-kb 64");
+        let config = serve_bench_config(&parse(&line).unwrap()).unwrap();
+        let expected = BenchConfig {
+            clients: 2,
+            cache_budget: 64 << 10,
+            ..defaults
+        };
+        assert_eq!(config, expected);
+        let line = argv(&format!("serve-bench --cache-kb {}", usize::MAX >> 8));
+        let e = serve_bench_config(&parse(&line).unwrap()).unwrap_err();
+        assert!(e.contains("--cache-kb"), "{e}");
     }
 }
