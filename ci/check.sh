@@ -6,27 +6,30 @@
 #   2. cargo fmt --check          (formatting)
 #   3. cargo clippy -D warnings   (lints, also with fault-inject on; skipped
 #      if clippy is not installed)
-#   4. cargo build --release      (whole workspace, all targets)
-#   5. cargo test                 (whole workspace)
-#   6. cargo test --features fault-inject   (fault-injection harness)
-#   7. perfbench self-test        (Verilog write/read round trip == direct run)
-#   8. audited tiny matrix        (debug assertions + inter-stage auditors),
+#   4. cargo doc -D warnings      (rustdoc: no unresolved or private
+#      intra-doc link, so a renamed or deleted item cannot leave a dangling
+#      link behind; the vendored shims are left out)
+#   5. cargo build --release      (whole workspace, all targets)
+#   6. cargo test                 (whole workspace)
+#   7. cargo test --features fault-inject   (fault-injection harness)
+#   8. perfbench self-test        (Verilog write/read round trip == direct run)
+#   9. audited tiny matrix        (debug assertions + inter-stage auditors),
 #      and route legality: the tiny and small matrices (small in release)
 #      must print 16 `route: legal` lines and no overflow. Medium stays
 #      ungated: its network switch overflows until routing capacity is
 #      sized to the design.
-#   9. single-design flow golden  (vpga flow design fingerprint, tiny ALU)
-#  10. kill-and-resume smoke      (interrupted checkpointed matrix resumes bit-identical)
-#  11. interchange round-trip     (SDF/.vxdl emission verifies + checkpoints migrate)
-#  12. .varch round-trip          (reloaded builtins hit the golden; malformed
+#  10. single-design flow golden  (vpga flow design fingerprint, tiny ALU)
+#  11. kill-and-resume smoke      (interrupted checkpointed matrix resumes bit-identical)
+#  12. interchange round-trip     (SDF/.vxdl emission verifies + checkpoints migrate)
+#  13. .varch round-trip          (reloaded builtins hit the golden; malformed
 #      and zero-area descriptions fail closed)
-#  13. serve smoke                (cold/warm daemon matrix golden, SIGTERM drain
+#  14. serve smoke                (cold/warm daemon matrix golden, SIGTERM drain
 #      within 5 s, a misspelled flag fails closed before the daemon binds,
 #      a daemon restarted over the same --checkpoint-dir with the default
 #      worker pool answers fully warm)
-#  14. serve load harness         (the defaults, 1000 mixed chaos jobs from 8
+#  15. serve load harness         (the defaults, 1000 mixed chaos jobs from 8
 #      clients, vs batch reference)
-#  15. cargo bench, smoke mode    (one sample per bench, catches bit-rot)
+#  16. cargo bench, smoke mode    (one sample per bench, catches bit-rot)
 #
 # The workspace has no network dependencies: rand/proptest/criterion are
 # vendored as path crates under vendor/, so every step works offline.
@@ -70,6 +73,12 @@ if cargo clippy --version >/dev/null 2>&1; then
 else
     step "clippy not installed; skipping lint step"
 fi
+
+step "cargo doc --workspace --no-deps (rustdoc warnings are errors)"
+# vendor/proptest carries an unresolved link of its own, so the three
+# vendored shims are left out.
+RUSTDOCFLAGS="-D warnings" cargo doc --workspace --no-deps \
+    --exclude proptest --exclude rand --exclude criterion
 
 step "cargo build --release --workspace"
 cargo build --release --workspace --all-targets

@@ -46,9 +46,9 @@ fn bench_physical(c: &mut Criterion) {
     vpga_compact::compact(&mut mapped, &arch).unwrap();
     let place_cfg = vpga_place::PlaceConfig::default();
     c.bench_function("place/anneal", |b| {
-        b.iter(|| vpga_place::place(black_box(&mapped), arch.library(), &place_cfg))
+        b.iter(|| vpga_place::place(black_box(&mapped), arch.library(), &place_cfg).unwrap())
     });
-    let placement = vpga_place::place(&mapped, arch.library(), &place_cfg);
+    let (placement, _) = vpga_place::place(&mapped, arch.library(), &place_cfg).unwrap();
     c.bench_function("pack/quadrisection", |b| {
         b.iter(|| {
             vpga_pack::pack(
@@ -56,15 +56,17 @@ fn bench_physical(c: &mut Criterion) {
                 &arch,
                 &placement,
                 &vpga_pack::PackConfig::default(),
+                None,
             )
             .unwrap()
         })
     });
-    let array = vpga_pack::pack(
+    let (array, _) = vpga_pack::pack(
         &mapped,
         &arch,
         &placement,
         &vpga_pack::PackConfig::default(),
+        None,
     )
     .unwrap();
     let mut packed_placement = placement.clone();
@@ -74,9 +76,9 @@ fn bench_physical(c: &mut Criterion) {
         ..vpga_route::RouteConfig::default()
     };
     c.bench_function("route/pathfinder", |b| {
-        b.iter(|| vpga_route::route(black_box(&mapped), &packed_placement, &route_cfg))
+        b.iter(|| vpga_route::route(black_box(&mapped), &packed_placement, &route_cfg).unwrap())
     });
-    let routing = vpga_route::route(&mapped, &packed_placement, &route_cfg);
+    let routing = vpga_route::route(&mapped, &packed_placement, &route_cfg).unwrap();
     c.bench_function("timing/sta_post_route", |b| {
         b.iter(|| {
             vpga_timing::analyze(
@@ -84,8 +86,8 @@ fn bench_physical(c: &mut Criterion) {
                 arch.library(),
                 &packed_placement,
                 Some(&routing),
-                &vpga_timing::TimingConfig::default(),
             )
+            .unwrap()
         })
     });
 }

@@ -28,14 +28,14 @@ fn network_switch() -> (Netlist, PlbArchitecture) {
 fn bench_pack(c: &mut Criterion) {
     let (mapped, arch) = network_switch();
     let pc = vpga_place::PlaceConfig::default();
-    let placement = vpga_place::place(&mapped, arch.library(), &pc);
+    let (placement, _) = vpga_place::place(&mapped, arch.library(), &pc).expect("placeable");
     let cfg = PackConfig::default();
     // The JSON payload tracked in BENCH_pack_swap.json is emitted by the
     // bench itself, so the recorded work profile can never drift from
     // what the bench measured.
     let mut p = placement.clone();
     let (_, stats) =
-        vpga_pack::pack_iterative_with_stats(&mapped, &arch, &mut p, &pc, &cfg).expect("packable");
+        vpga_pack::pack_iterative(&mapped, &arch, &mut p, &pc, &cfg, None).expect("packable");
     let payload = format!(
         "{{\"items\": {}, \"relocations\": {}, \"spilled\": {}, \"passes\": {}}}",
         stats.items, stats.relocations, stats.spilled, stats.passes
@@ -49,7 +49,7 @@ fn bench_pack(c: &mut Criterion) {
     c.bench_function("pack/iterative_netswitch", |b| {
         b.iter(|| {
             let mut p = placement.clone();
-            vpga_pack::pack_iterative_with_stats(black_box(&mapped), &arch, &mut p, &pc, &cfg)
+            vpga_pack::pack_iterative(black_box(&mapped), &arch, &mut p, &pc, &cfg, None).unwrap()
         })
     });
 }
@@ -57,14 +57,14 @@ fn bench_pack(c: &mut Criterion) {
 fn bench_swap(c: &mut Criterion) {
     let (mapped, arch) = network_switch();
     let pc = vpga_place::PlaceConfig::default();
-    let mut placement = vpga_place::place(&mapped, arch.library(), &pc);
-    let array =
-        vpga_pack::pack(&mapped, &arch, &placement, &PackConfig::default()).expect("packable");
+    let (mut placement, _) = vpga_place::place(&mapped, arch.library(), &pc).expect("placeable");
+    let (array, _) = vpga_pack::pack(&mapped, &arch, &placement, &PackConfig::default(), None)
+        .expect("packable");
     vpga_pack::apply_to_placement(&array, &mapped, &mut placement);
     let cfg = SwapConfig::default();
     let mut a = array.clone();
     let mut p = placement.clone();
-    let (_, stats) = vpga_pack::swap_optimize_with_stats(&mut a, &mapped, &mut p, &cfg);
+    let (_, stats) = vpga_pack::swap_optimize(&mut a, &mapped, &mut p, &cfg);
     println!(
         "swap payload: {{\"moves_attempted\": {}, \"moves_accepted\": {}, \"rounds\": {}}}",
         stats.moves_attempted, stats.moves_accepted, stats.rounds
@@ -73,7 +73,7 @@ fn bench_swap(c: &mut Criterion) {
         b.iter(|| {
             let mut a = array.clone();
             let mut p = placement.clone();
-            vpga_pack::swap_optimize_with_stats(&mut a, black_box(&mapped), &mut p, &cfg)
+            vpga_pack::swap_optimize(&mut a, black_box(&mapped), &mut p, &cfg)
         })
     });
 }

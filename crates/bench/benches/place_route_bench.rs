@@ -31,19 +31,21 @@ fn network_switch() -> (Netlist, PlbArchitecture) {
 fn bench_try_move(c: &mut Criterion) {
     let (mapped, arch) = network_switch();
     let cfg = vpga_place::PlaceConfig::default();
-    let (_, stats) = vpga_place::place_with_stats(&mapped, arch.library(), &cfg);
+    let (_, stats) = vpga_place::place(&mapped, arch.library(), &cfg).expect("placeable");
     println!(
         "place/anneal: {} try_move attempts per run ({} incremental bbox updates, {} full rescans)",
         stats.moves_attempted, stats.bbox_incremental, stats.bbox_full
     );
     c.bench_function("place/anneal_netswitch", |b| {
-        b.iter(|| vpga_place::place(black_box(&mapped), arch.library(), &cfg))
+        b.iter(|| vpga_place::place(black_box(&mapped), arch.library(), &cfg).unwrap())
     });
 }
 
 fn bench_negotiation(c: &mut Criterion) {
     let (mapped, arch) = network_switch();
-    let placement = vpga_place::place(&mapped, arch.library(), &vpga_place::PlaceConfig::default());
+    let (placement, _) =
+        vpga_place::place(&mapped, arch.library(), &vpga_place::PlaceConfig::default())
+            .expect("placeable");
 
     // One full negotiation iteration: every net routed once by A*.
     let one_iter = vpga_route::RouteConfig {
@@ -51,7 +53,7 @@ fn bench_negotiation(c: &mut Criterion) {
         ..vpga_route::RouteConfig::default()
     };
     c.bench_function("route/negotiation_iteration", |b| {
-        b.iter(|| vpga_route::route(black_box(&mapped), &placement, &one_iter))
+        b.iter(|| vpga_route::route(black_box(&mapped), &placement, &one_iter).unwrap())
     });
 
     // Congested convergence: a tight channel forces several negotiation
@@ -66,7 +68,7 @@ fn bench_negotiation(c: &mut Criterion) {
         incremental: false,
         ..tight.clone()
     };
-    let probe = vpga_route::route(&mapped, &placement, &tight);
+    let probe = vpga_route::route(&mapped, &placement, &tight).expect("routable");
     // The JSON payload tracked in BENCH_place_route.json is emitted by the
     // bench itself — including the per-iteration reroute counts — so the
     // recorded work profile can never drift from what the bench measured.
@@ -85,10 +87,10 @@ fn bench_negotiation(c: &mut Criterion) {
         eprintln!("warning: could not write {}: {e}", payload_path.display());
     }
     c.bench_function("route/congested_dirty_net", |b| {
-        b.iter(|| vpga_route::route(black_box(&mapped), &placement, &tight))
+        b.iter(|| vpga_route::route(black_box(&mapped), &placement, &tight).unwrap())
     });
     c.bench_function("route/congested_full_ripup", |b| {
-        b.iter(|| vpga_route::route(black_box(&mapped), &placement, &full))
+        b.iter(|| vpga_route::route(black_box(&mapped), &placement, &full).unwrap())
     });
 }
 

@@ -21,7 +21,7 @@ fn main() {
     let design = NamedDesign::Fpu.generate(&params);
     let arch = PlbArchitecture::granular();
     let runs = [
-        ("full (criticality + flexible)", FlowConfig::default(), true),
+        ("full (criticality + flexible)", FlowConfig::default()),
         (
             "no flexibility",
             FlowConfig {
@@ -31,7 +31,6 @@ fn main() {
                 },
                 ..FlowConfig::default()
             },
-            true,
         ),
         (
             "no criticality",
@@ -39,10 +38,9 @@ fn main() {
                 pack_criticality: false,
                 ..FlowConfig::default()
             },
-            false,
         ),
     ];
-    for (label, config, _criticality) in runs {
+    for (label, config) in runs {
         match run_design(&design, &arch, &config) {
             Ok(out) => {
                 let (c, r, used) = out.flow_b.array.expect("flow b array");

@@ -32,9 +32,12 @@ fn main() {
             let golden = design.generate(&params);
             let mut mapped = vpga_synth::map_netlist_fast(&golden, &src, &arch).expect("mappable");
             vpga_compact::compact(&mut mapped, &arch).expect("compactable");
-            let placement = vpga_place::place(&mapped, arch.library(), &PlaceConfig::default());
-            let array = vpga_pack::pack(&mapped, &arch, &placement, &PackConfig::default())
-                .expect("packable");
+            let (placement, _) =
+                vpga_place::place(&mapped, arch.library(), &PlaceConfig::default())
+                    .expect("placeable");
+            let (array, _) =
+                vpga_pack::pack(&mapped, &arch, &placement, &PackConfig::default(), None)
+                    .expect("packable");
             let program = FabricProgram::generate(&mapped, &arch, &array).expect("programmable");
             println!(
                 "  {:16} {:5} slots, {:6} / {:7} config vias populated ({:4.1} %)",

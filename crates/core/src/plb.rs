@@ -127,28 +127,6 @@ impl PlbInstance {
         self.used.plus(demand).fits(&self.capacity)
     }
 
-    /// Atomically seats a whole group of cells, using the flexible
-    /// retargeting rule per member; on failure the PLB is unchanged.
-    /// Returns the slot class each member landed in.
-    pub fn place_group_flexible(
-        &mut self,
-        arch: &PlbArchitecture,
-        members: &[(CellClass, Option<Tt3>)],
-    ) -> Option<Vec<CellClass>> {
-        let snapshot = self.used.clone();
-        let mut landed = Vec::with_capacity(members.len());
-        for &(class, function) in members {
-            match self.place_flexible(arch, class, function) {
-                Some(slot) => landed.push(slot),
-                None => {
-                    self.used = snapshot;
-                    return None;
-                }
-            }
-        }
-        Some(landed)
-    }
-
     /// Occupies every slot in `demand`; returns `false` (and leaves the PLB
     /// unchanged) if it does not fit.
     pub fn place_group(&mut self, demand: &SlotSet) -> bool {

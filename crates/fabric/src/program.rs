@@ -370,8 +370,10 @@ mod tests {
         let golden = design.generate(&DesignParams::tiny());
         let mut mapped = vpga_synth::map_netlist_fast(&golden, &src, arch).unwrap();
         vpga_compact::compact(&mut mapped, arch).unwrap();
-        let placement = vpga_place::place(&mapped, arch.library(), &PlaceConfig::default());
-        let array = vpga_pack::pack(&mapped, arch, &placement, &PackConfig::default()).unwrap();
+        let (placement, _) =
+            vpga_place::place(&mapped, arch.library(), &PlaceConfig::default()).unwrap();
+        let (array, _) =
+            vpga_pack::pack(&mapped, arch, &placement, &PackConfig::default(), None).unwrap();
         (mapped, array)
     }
 
@@ -432,8 +434,10 @@ mod tests {
         let g3 = n.add_lib_cell("g3", &src, "NAND2", &[g1, g2]).unwrap();
         n.add_output("y", g3);
         let mapped = vpga_synth::map_netlist_fast(&n, &src, &arch).unwrap();
-        let placement = vpga_place::place(&mapped, arch.library(), &PlaceConfig::default());
-        let array = vpga_pack::pack(&mapped, &arch, &placement, &PackConfig::default()).unwrap();
+        let (placement, _) =
+            vpga_place::place(&mapped, arch.library(), &PlaceConfig::default()).unwrap();
+        let (array, _) =
+            vpga_pack::pack(&mapped, &arch, &placement, &PackConfig::default(), None).unwrap();
         let program = FabricProgram::generate(&mapped, &arch, &array).unwrap();
         // At least one gate landed on a MUX/XOA slot if any PLB holds >1
         // gate; regardless, reconstruction must hold.

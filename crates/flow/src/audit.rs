@@ -401,7 +401,7 @@ mod tests {
                 .unwrap();
         }
         nl.add_output("y", cur);
-        let p = vpga_place::place(&nl, &lib, &PlaceConfig::default());
+        let (p, _) = vpga_place::place(&nl, &lib, &PlaceConfig::default()).unwrap();
         (nl, lib, p)
     }
 
@@ -418,7 +418,8 @@ mod tests {
                 keep_routes: true,
                 ..vpga_route::RouteConfig::default()
             },
-        );
+        )
+        .unwrap();
         audit_route(&nl, &p, &routing, 16).unwrap();
     }
 
@@ -441,8 +442,9 @@ mod tests {
         let lib = arch.library().clone();
         let design = vpga_designs::NamedDesign::Alu.generate(&vpga_designs::DesignParams::tiny());
         let nl = vpga_synth::map_netlist_fast(&design, &generic::library(), &arch).unwrap();
-        let p = vpga_place::place(&nl, &lib, &PlaceConfig::default());
-        let array = vpga_pack::pack(&nl, &arch, &p, &vpga_pack::PackConfig::default()).unwrap();
+        let (p, _) = vpga_place::place(&nl, &lib, &PlaceConfig::default()).unwrap();
+        let (array, _) =
+            vpga_pack::pack(&nl, &arch, &p, &vpga_pack::PackConfig::default(), None).unwrap();
         audit_pack(&nl, &arch, &array).unwrap();
     }
 }

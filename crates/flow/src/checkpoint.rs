@@ -41,7 +41,7 @@ use crate::stats::{StageId, StageStats};
 /// completed count, config fingerprint, payload length.
 const HEADER_LEN: usize = 8 + 1 + 1 + 8 + 8;
 
-const MAGIC: &[u8; 8] = b"VPGACKP4";
+const MAGIC: &[u8; 8] = b"VPGACKP5";
 const KIND_FRONT: u8 = 0;
 const KIND_RESULT: u8 = 1;
 
@@ -86,9 +86,9 @@ pub(crate) fn config_fingerprint(
 /// with every back-end-only knob (packing, the packer's criticality
 /// weighting, routing) normalized to its default, so jobs that differ
 /// only in back-end parameters share one front-end cache entry. The
-/// front-end stages read none of those fields — synthesis, compaction,
-/// placement, and physical synthesis consume `compaction`, `place`,
-/// `timing`, and the buffer bounds only.
+/// front-end stages read none of those fields — of the settable ones,
+/// synthesis, compaction, placement, and physical synthesis consume
+/// `compaction` and `place` only.
 pub(crate) fn front_config_fingerprint(
     config: &FlowConfig,
     params: &DesignParams,
@@ -189,9 +189,7 @@ pub(crate) fn encode_front(w: &mut Writer, store: &FrontArtifacts, stages: &[Sta
     w.opt(store.netlist.as_ref(), |w, n| n.encode_snapshot(w));
     w.opt(store.placement.as_ref(), |w, p| p.encode_snapshot(w));
     w.opt(store.weighted.as_ref(), |w, cfg| {
-        w.f64(cfg.utilization);
         w.u64(cfg.seed);
-        w.usize(cfg.moves_per_cell);
         w.opt(cfg.net_weights.as_ref(), |w, ws| {
             w.usize(ws.len());
             for &x in ws {
@@ -229,9 +227,7 @@ fn decode_front(r: &mut Reader<'_>) -> Option<(FrontArtifacts, Vec<StageStats>)>
     store.netlist = r.opt(Netlist::decode_snapshot)?;
     store.placement = r.opt(Placement::decode_snapshot)?;
     store.weighted = r.opt(|r| {
-        let utilization = r.f64()?;
         let seed = r.u64()?;
-        let moves_per_cell = r.usize()?;
         let net_weights = r.opt(|r| {
             let n = r.usize()?;
             let mut ws = Vec::with_capacity(n.min(1 << 24));
@@ -240,12 +236,7 @@ fn decode_front(r: &mut Reader<'_>) -> Option<(FrontArtifacts, Vec<StageStats>)>
             }
             Some(ws)
         })?;
-        Some(PlaceConfig {
-            utilization,
-            seed,
-            moves_per_cell,
-            net_weights,
-        })
+        Some(PlaceConfig { seed, net_weights })
     })?;
     let stages = decode_stats_list(r)?;
     Some((store, stages))

@@ -7,7 +7,6 @@ use std::time::Duration;
 use vpga_pack::PackConfig;
 use vpga_place::PlaceConfig;
 use vpga_route::RouteConfig;
-use vpga_timing::TimingConfig;
 
 use crate::clock::CancelToken;
 
@@ -72,17 +71,11 @@ pub struct FlowConfig {
     pub pack: PackConfig,
     /// Routing settings.
     pub route: RouteConfig,
-    /// Timing settings (0.5 ns clock by default).
-    pub timing: TimingConfig,
     /// Run the regularity-driven logic compaction step.
     pub compaction: bool,
     /// Feed STA cell criticalities into the packer's relocation cost
     /// (§3.1); disable for the A2 ablation.
     pub pack_criticality: bool,
-    /// Buffer-insertion fanout bound.
-    pub buffer_max_fanout: usize,
-    /// Buffer-insertion length bound as a fraction of the die side.
-    pub buffer_max_length_frac: f64,
     /// Run the inter-stage auditors of [`crate::audit`] after every stage.
     /// Defaults to on in debug builds and off in release (`--audit`
     /// enables it there). Auditing reads stage outputs only — metrics and
@@ -121,11 +114,8 @@ impl Default for FlowConfig {
             place: PlaceConfig::default(),
             pack: PackConfig::default(),
             route: RouteConfig::default(),
-            timing: TimingConfig::default(),
             compaction: true,
             pack_criticality: true,
-            buffer_max_fanout: 12,
-            buffer_max_length_frac: 0.5,
             audit: cfg!(debug_assertions),
             retries: 0,
             deadline: None,

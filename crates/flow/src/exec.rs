@@ -2,7 +2,7 @@
 //!
 //! [`Executor`] is a bounded worker pool over [`std::thread::scope`] (no
 //! external crates). [`Executor::run`] races an index-ordered queue of
-//! independent jobs; [`Executor::run_dag`] schedules a dependency DAG of
+//! independent jobs; `Executor::run_dag` schedules a dependency DAG of
 //! tasks, dispatching ready tasks lowest-index-first, with the calling
 //! thread as worker 0 and helpers spawned only while more tasks are ready
 //! than workers are free. Every flow job is a
@@ -99,7 +99,7 @@ impl Executor {
     }
 
     /// Runs `job(0) ..= job(n - 1)`, returning results in index order:
-    /// a DAG without edges on [`Executor::run_dag`], so one worker (or one
+    /// a DAG without edges on `Executor::run_dag`, so one worker (or one
     /// job) runs a plain serial loop on the calling thread. Either way
     /// `out[i]` is exactly `job(i)`.
     ///

@@ -3,7 +3,7 @@
 //! Every pipeline stage calls [`fire`] at a named fault point before doing
 //! real work. Without the `fault-inject` feature the call compiles to a
 //! no-op `Ok(())`; with the feature, tests (or the CLI via the
-//! `VPGA_FAULT` environment variable) can [`arm`] a point to force a
+//! `VPGA_FAULT` environment variable) can `arm` a point to force a
 //! panic, a stage-representative typed error, or a deadline timeout —
 //! proving the panic-isolation, retry, and report paths actually fire.
 //!

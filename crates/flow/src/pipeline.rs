@@ -321,4 +321,26 @@ mod tests {
         .unwrap();
         assert_ne!(a.fingerprint(), lut.fingerprint());
     }
+
+    /// `pack_criticality` is a back-end knob: turning it off shares the
+    /// front-end cache key and leaves flow a alone, but changes flow b.
+    #[test]
+    fn pack_criticality_acts_on_flow_b_alone() {
+        let params = DesignParams::tiny();
+        let design = NamedDesign::Fpu.generate(&params);
+        let arch = PlbArchitecture::granular();
+        let with = FlowConfig::default();
+        let without = FlowConfig {
+            pack_criticality: false,
+            ..FlowConfig::default()
+        };
+        assert_eq!(
+            crate::checkpoint::front_config_fingerprint(&with, &params, &arch),
+            crate::checkpoint::front_config_fingerprint(&without, &params, &arch)
+        );
+        let on = run_design(&design, &arch, &with).unwrap();
+        let off = run_design(&design, &arch, &without).unwrap();
+        assert_eq!(on.flow_a.fingerprint(), off.flow_a.fingerprint());
+        assert_ne!(on.flow_b.fingerprint(), off.flow_b.fingerprint());
+    }
 }

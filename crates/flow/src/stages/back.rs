@@ -3,7 +3,6 @@
 
 use std::time::Duration;
 
-use vpga_pack::PackConfig;
 use vpga_place::PlaceConfig;
 use vpga_route::RouteConfig;
 
@@ -66,20 +65,11 @@ impl Stage<BackArtifacts<'_>> for PackStage {
     ) -> Result<StageStats, FlowError> {
         let front = store.front;
         let netlist = &front.netlist;
-        let sta = vpga_timing::try_analyze(
-            netlist,
-            env.arch.library(),
-            &front.placement,
-            None,
-            &env.config.timing,
-        )?;
-        let pack_cfg = PackConfig {
-            criticality: env
-                .config
-                .pack_criticality
-                .then(|| sta.cell_criticalities(netlist)),
-            ..env.config.pack.clone()
-        };
+        let sta = vpga_timing::analyze(netlist, env.arch.library(), &front.placement, None)?;
+        let criticality = env
+            .config
+            .pack_criticality
+            .then(|| sta.cell_criticalities(netlist));
         // Packing iterates with the (stochastic) placement refiner, so a
         // retry reseeds the place config and starts over from a fresh copy
         // of the front-end placement.
@@ -89,12 +79,13 @@ impl Stage<BackArtifacts<'_>> for PackStage {
             seed: derive_seed(env.config.place.seed, attempt),
             ..env.config.place.clone()
         };
-        let (array, pack_stats) = vpga_pack::pack_iterative_with_stats(
+        let (array, pack_stats) = vpga_pack::pack_iterative(
             netlist,
             env.arch,
             &mut b_placement,
             &seeded,
-            &pack_cfg,
+            &env.config.pack,
+            criticality.as_deref(),
         )?;
         let stats = StageStats::new(StageId::Pack, Duration::ZERO, front.cells, nets(netlist))
             .with_cost(hpwl_before, b_placement.total_hpwl(netlist))
@@ -134,12 +125,7 @@ impl Stage<BackArtifacts<'_>> for SwapStage {
         let netlist = &front.netlist;
         let sta = store.front_sta.as_ref().expect("pack timed the front-end");
         let swap_cfg = vpga_pack::SwapConfig {
-            net_weights: Some(
-                sta.net_criticalities()
-                    .iter()
-                    .map(|&c| 1.0 + 8.0 * c * c)
-                    .collect(),
-            ),
+            net_weights: Some(sta.net_weights()),
             ..vpga_pack::SwapConfig::default()
         };
         let BackArtifacts {
@@ -148,8 +134,7 @@ impl Stage<BackArtifacts<'_>> for SwapStage {
         let (Some(array), Some(b_placement)) = (array.as_mut(), b_placement.as_mut()) else {
             unreachable!("swap runs after packing")
         };
-        let (_, swap_stats) =
-            vpga_pack::swap_optimize_with_stats(array, netlist, b_placement, &swap_cfg);
+        let (_, swap_stats) = vpga_pack::swap_optimize(array, netlist, b_placement, &swap_cfg);
         Ok(
             StageStats::new(StageId::Swap, Duration::ZERO, front.cells, nets(netlist))
                 .with_cost(swap_stats.cost_initial, swap_stats.cost_final)
@@ -205,7 +190,7 @@ impl Stage<BackArtifacts<'_>> for RouteStage {
             ..base
         };
         let placement = store.routing_placement(self.variant);
-        let routing = vpga_route::try_route(netlist, placement, &cfg)?;
+        let routing = vpga_route::route(netlist, placement, &cfg)?;
         let stats = StageStats::new(StageId::Route, Duration::ZERO, front.cells, nets(netlist))
             .with_reroutes(
                 routing.total_reroutes() as u64,
@@ -249,15 +234,8 @@ impl Stage<BackArtifacts<'_>> for TimingStage {
         let lib = env.arch.library();
         let placement = store.routing_placement(self.variant);
         let routing = store.routing.as_ref().expect("route produced a result");
-        let sta =
-            vpga_timing::try_analyze(netlist, lib, placement, Some(routing), &env.config.timing)?;
-        let power = vpga_timing::power::estimate(
-            netlist,
-            lib,
-            placement,
-            Some(routing),
-            &vpga_timing::power::PowerConfig::default(),
-        );
+        let sta = vpga_timing::analyze(netlist, lib, placement, Some(routing))?;
+        let power = vpga_timing::power::estimate(netlist, lib, placement, Some(routing));
         let stats = StageStats::new(StageId::Timing, Duration::ZERO, front.cells, nets(netlist))
             .with_sta(1);
         if env.config.emit.is_active() {

@@ -15,6 +15,13 @@ use crate::config::FlowConfig;
 use crate::error::FlowError;
 use crate::stats::{StageId, StageStats};
 
+/// Physical synthesis buffers every net with more sinks than this.
+const BUFFER_MAX_FANOUT: usize = 12;
+
+/// Physical synthesis buffers every net whose half-perimeter exceeds this
+/// fraction of the die width.
+const BUFFER_MAX_LENGTH_FRAC: f64 = 0.5;
+
 /// The front-end stage plan for `config` (compaction is optional).
 pub(crate) fn front_plan(config: &FlowConfig) -> Vec<StageId> {
     let mut plan = vec![StageId::Synth];
@@ -139,19 +146,13 @@ impl Stage<FrontArtifacts> for PlaceStage {
             seed: derive_seed(env.config.place.seed, attempt),
             ..env.config.place.clone()
         };
-        let (mut placement, place_stats) = vpga_place::try_place_with_stats(netlist, lib, &seeded)?;
-        let sta = vpga_timing::try_analyze(netlist, lib, &placement, None, &env.config.timing)?;
-        let weights: Vec<f64> = sta
-            .net_criticalities()
-            .iter()
-            .map(|&c| 1.0 + 8.0 * c * c)
-            .collect();
+        let (mut placement, place_stats) = vpga_place::place(netlist, lib, &seeded)?;
+        let sta = vpga_timing::analyze(netlist, lib, &placement, None)?;
         let weighted = PlaceConfig {
-            net_weights: Some(weights),
+            net_weights: Some(sta.net_weights()),
             ..seeded
         };
-        let refine_stats =
-            vpga_place::try_refine_with_stats(netlist, lib, &mut placement, &weighted, 0.6)?;
+        let refine_stats = vpga_place::refine(netlist, lib, &mut placement, &weighted, 0.6)?;
         // Cost fields cover the wirelength-driven anneal (its own cost
         // function); the criticality-weighted refinement optimizes a
         // different (weighted) cost, so it contributes to the move
@@ -214,16 +215,9 @@ impl Stage<FrontArtifacts> for PhysSynthStage {
             unreachable!("physical synthesis runs after placement")
         };
         let lib = env.arch.library();
-        let max_len = placement.die().width() * env.config.buffer_max_length_frac;
-        vpga_place::insert_buffers(
-            netlist,
-            lib,
-            placement,
-            env.config.buffer_max_fanout,
-            max_len,
-        )?;
-        let legalize_stats =
-            vpga_place::try_refine_with_stats(netlist, lib, placement, weighted, 0.2)?;
+        let max_len = placement.die().width() * BUFFER_MAX_LENGTH_FRAC;
+        vpga_place::insert_buffers(netlist, lib, placement, BUFFER_MAX_FANOUT, max_len)?;
+        let legalize_stats = vpga_place::refine(netlist, lib, placement, weighted, 0.2)?;
         let stats = StageStats::new(
             StageId::PhysSynth,
             Duration::ZERO,

@@ -1,21 +1,21 @@
 //! The typed stage graph the flow runs over.
 //!
 //! Each of the eight pipeline stages is a [`Stage`] implementation over a
-//! typed artifact store ([`FrontArtifacts`] for the shared front-end,
-//! [`BackArtifacts`] for a variant back-end) whose `run` does the real
+//! typed artifact store (`FrontArtifacts` for the shared front-end,
+//! `BackArtifacts` for a variant back-end) whose `run` does the real
 //! work and nothing else: it takes its inputs from the store's `Option`
 //! slots, panicking with a message that names a missing one, and fills
 //! its own. Everything the old monolithic pipeline hand-rolled at every
 //! call site — the deadline check, the `--audit` invariant hooks, the
 //! fault point, the retry loop with [`crate::derive_seed`] reseeds, and
 //! the [`StageStats`] record — lives in exactly one place, the
-//! [`run_stage`] runner.
+//! `run_stage` runner.
 //!
 //! Both callers of the graph — the scheduler of [`crate::exec`] (behind
 //! [`crate::run_design`] and the matrix) and the service's
 //! [`crate::CachedFlow`] — go through the two leg functions
 //! `exec::run_front` and `exec::run_back`, which walk the stage plans
-//! ([`front_plan`] / [`back_plan`]) through the per-stage dispatchers, so
+//! (`front_plan` / `back_plan`) through the per-stage dispatchers, so
 //! a stage executes identically whether it runs on one thread, in a
 //! daemon job, or after a checkpoint resume.
 
@@ -54,9 +54,9 @@ pub struct StageEnv<'a> {
 /// Implementations do the stage's real work in [`Stage::run`] and express
 /// their invariants in the audit hooks; the cross-cutting middleware
 /// (deadline, fault point, retries, stats, audit gating) is applied
-/// uniformly by [`run_stage`] and must not be re-implemented per stage.
+/// uniformly by `run_stage` and must not be re-implemented per stage.
 pub trait Stage<S> {
-    /// The stage's identity (names the fault point [`run_stage`] fires
+    /// The stage's identity (names the fault point `run_stage` fires
     /// before each attempt, and the stats record).
     fn id(&self) -> StageId;
 
@@ -76,7 +76,7 @@ pub trait Stage<S> {
     ///
     /// # Errors
     ///
-    /// The stage's typed failure, without job context ([`run_stage`]
+    /// The stage's typed failure, without job context (`run_stage`
     /// attaches it).
     fn run(
         &self,

@@ -7,7 +7,7 @@
 //! stage is an annealer (placement, swap) or a relocator (quadrisection
 //! packing). Wall time is the only non-deterministic field; everything
 //! else is bit-identical across runs and across worker counts, which the
-//! determinism tests pin via [`StageStats::fingerprint`].
+//! determinism tests pin via [`StageStats::fold_fingerprint`].
 
 use std::cell::Cell;
 use std::fmt;

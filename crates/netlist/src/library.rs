@@ -118,13 +118,6 @@ impl Default for MatchFlex {
     }
 }
 
-impl MatchFlex {
-    /// True when both freedoms are granted (the common case).
-    pub fn is_default(self) -> bool {
-        self == MatchFlex::default()
-    }
-}
-
 /// One characterized cell of a restricted library.
 ///
 /// Combinational cells carry a default [`Tt3`] giving their function over
@@ -245,11 +238,6 @@ impl LibCell {
     /// The set of functions this cell's via pattern can select.
     pub fn allowed(&self) -> &FunctionSet256 {
         &self.allowed
-    }
-
-    /// True if the cell admits more than one configuration.
-    pub fn is_programmable(&self) -> bool {
-        self.allowed.len() > 1
     }
 
     /// The cell's name, unique within its library.

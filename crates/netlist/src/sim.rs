@@ -10,7 +10,7 @@ use vpga_logic::Tt3;
 use crate::cell::CellKind;
 use crate::error::NetlistError;
 use crate::graph;
-use crate::ids::{CellId, NetId};
+use crate::ids::CellId;
 use crate::library::Library;
 use crate::netlist::Netlist;
 
@@ -174,12 +174,6 @@ impl<'a> Simulator<'a> {
                 self.values[net.index()]
             })
             .collect()
-    }
-
-    /// The current value of an arbitrary net (after the last
-    /// [`eval`](Simulator::eval)/[`step`](Simulator::step)).
-    pub fn net_value(&self, net: NetId) -> bool {
-        self.values[net.index()]
     }
 }
 

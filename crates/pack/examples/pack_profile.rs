@@ -42,28 +42,25 @@ fn main() {
     );
     let pc = PlaceConfig::default();
     let t = Instant::now();
-    let mut placement = vpga_place::place(&netlist, arch.library(), &pc);
+    let (mut placement, _) = vpga_place::place(&netlist, arch.library(), &pc).expect("placeable");
     eprintln!("place: {:.1?}", t.elapsed());
 
     let t = Instant::now();
-    let (mut array, stats) = vpga_pack::pack_iterative_with_stats(
+    let (mut array, stats) = vpga_pack::pack_iterative(
         &netlist,
         &arch,
         &mut placement,
         &pc,
         &PackConfig::default(),
+        None,
     )
     .expect("packable");
     let pack_wall = t.elapsed();
     eprintln!("pack_iterative: {pack_wall:.1?}  {stats:?}");
 
     let t = Instant::now();
-    let (gain, sstats) = vpga_pack::swap_optimize_with_stats(
-        &mut array,
-        &netlist,
-        &mut placement,
-        &SwapConfig::default(),
-    );
+    let (gain, sstats) =
+        vpga_pack::swap_optimize(&mut array, &netlist, &mut placement, &SwapConfig::default());
     let swap_wall = t.elapsed();
     eprintln!("swap: {swap_wall:.1?}  gain {gain:.4}  {sstats:?}");
     println!(

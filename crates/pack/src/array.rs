@@ -5,6 +5,7 @@ use std::fmt;
 
 use vpga_core::{PlbArchitecture, PlbInstance, SlotSet};
 use vpga_netlist::{CellClass, CellId};
+use vpga_place::PlaceError;
 
 /// Errors raised while sizing or filling a PLB array.
 #[derive(Clone, Debug, PartialEq)]
@@ -30,9 +31,9 @@ pub enum PackError {
         /// Items left unseated in the final attempt.
         leftover: usize,
     },
-    /// `target_fill` outside `(0, 1]` — the array-sizing bound is
-    /// undefined.
-    InvalidTargetFill(f64),
+    /// The placement refinement inside the §3.1 pack ↔ physical-synthesis
+    /// loop ([`crate::pack_iterative`]) failed.
+    Refine(PlaceError),
     /// The netlist references a library cell the architecture's library
     /// does not contain (netlist mapped against a different library).
     ForeignCell {
@@ -58,9 +59,7 @@ impl fmt::Display for PackError {
             PackError::Unpackable { leftover } => {
                 write!(f, "{leftover} items could not be seated in the array")
             }
-            PackError::InvalidTargetFill(t) => {
-                write!(f, "target_fill {t} outside (0, 1]")
-            }
+            PackError::Refine(e) => write!(f, "placement refinement failed: {e}"),
             PackError::ForeignCell { cell } => write!(
                 f,
                 "cell {cell:?} references a library cell outside the architecture's library"
@@ -69,7 +68,14 @@ impl fmt::Display for PackError {
     }
 }
 
-impl Error for PackError {}
+impl Error for PackError {
+    fn source(&self) -> Option<&(dyn Error + 'static)> {
+        match self {
+            PackError::Refine(e) => Some(e),
+            _ => None,
+        }
+    }
+}
 
 /// A cols × rows array of PLBs with cell assignments — the output of the
 /// legalization step and the layout substrate of flow b.

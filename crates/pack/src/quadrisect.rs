@@ -27,42 +27,37 @@ use vpga_place::{PlaceConfig, Placement};
 use crate::arena::{ItemArena, NCLASS, NO_PLB};
 use crate::array::{PackError, PlbArray};
 
+/// Array-sizing headroom: the array is sized so the binding resource class
+/// is at most this full. Lower values give easier packing and a larger
+/// die.
+pub const TARGET_FILL: f64 = 0.85;
+
+/// Retries with a grown array if packing fails.
+pub const GROWTH_RETRIES: usize = 8;
+
 /// Tunables for [`pack`] and [`pack_iterative`].
 #[derive(Clone, Debug)]
 pub struct PackConfig {
-    /// Array-sizing headroom: the array is sized so the binding resource
-    /// class is at most this full. Lower values give easier packing and a
-    /// larger die.
-    pub target_fill: f64,
     /// Enable the §3.2 flexibility rule: a cell may take a slot of another
     /// class when its via-programmed function allows it.
     pub flexible: bool,
     /// Iterations of the §3.1 pack ↔ physical-synthesis loop (1 = a single
     /// pack with no replacement).
     pub iterations: usize,
-    /// Per-cell timing criticality in `[0, 1]`, indexed by
-    /// [`CellId::index`]; weights the relocation cost.
-    pub criticality: Option<Vec<f64>>,
-    /// Retries with a grown array if packing fails.
-    pub growth_retries: usize,
 }
 
 impl Default for PackConfig {
     fn default() -> PackConfig {
         PackConfig {
-            target_fill: 0.85,
             flexible: true,
             iterations: 2,
-            criticality: None,
-            growth_retries: 8,
         }
     }
 }
 
 /// Counters from one quadrisection packing run (accumulated over the
-/// grow-and-retry attempts, and over repack passes in
-/// [`pack_iterative_with_stats`]) — the per-stage instrumentation the flow
-/// executor reports.
+/// grow-and-retry attempts, and over repack passes in [`pack_iterative`])
+/// — the per-stage instrumentation the flow executor reports.
 #[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
 pub struct PackStats {
     /// Movable units (cells plus whole compaction groups) packed.
@@ -72,53 +67,36 @@ pub struct PackStats {
     /// Items the recursion could not seat geometrically, handled by the
     /// nearest-fit spill pass.
     pub spilled: u64,
-    /// Array-growth retries taken before the design fit.
-    pub growth_retries: u32,
+    /// Array growths taken before the design fit.
+    pub growths: u32,
     /// Full quadrisection passes run (> 1 only for the §3.1 loop).
     pub passes: u32,
 }
 
-/// Packs the placed netlist into a PLB array of `arch`. The placement is
-/// read-only; apply the result with [`apply_to_placement`].
+/// Packs the placed netlist into a PLB array of `arch` in one
+/// quadrisection pass; returns the array and the packer's [`PackStats`].
+/// The placement is read-only; apply the result with
+/// [`apply_to_placement`].
+///
+/// `criticality` holds per-cell timing criticality in `[0, 1]`, indexed by
+/// [`CellId::index`], and weights the relocation cost; `None` weighs
+/// every cell alike.
 ///
 /// # Errors
 ///
-/// * [`PackError::InvalidTargetFill`] if `config.target_fill` is outside
-///   `(0, 1]`,
 /// * [`PackError::ForeignCell`] if the netlist was mapped against a
 ///   different library,
 /// * [`PackError::GroupTooLarge`] if a compaction group exceeds one PLB,
 /// * [`PackError::Unpackable`] if the design cannot be seated even after
-///   growing the array `config.growth_retries` times.
+///   growing the array [`GROWTH_RETRIES`] times.
 pub fn pack(
     netlist: &Netlist,
     arch: &PlbArchitecture,
     placement: &Placement,
     config: &PackConfig,
-) -> Result<PlbArray, PackError> {
-    pack_with_stats(netlist, arch, placement, config).map(|(array, _)| array)
-}
-
-/// [`pack`], also returning the packer's [`PackStats`].
-///
-/// # Errors
-///
-/// Propagates [`pack`] errors.
-pub fn pack_with_stats(
-    netlist: &Netlist,
-    arch: &PlbArchitecture,
-    placement: &Placement,
-    config: &PackConfig,
+    criticality: Option<&[f64]>,
 ) -> Result<(PlbArray, PackStats), PackError> {
-    if !(config.target_fill > 0.0 && config.target_fill <= 1.0) {
-        return Err(PackError::InvalidTargetFill(config.target_fill));
-    }
-    let mut arena = ItemArena::build(
-        netlist,
-        arch,
-        config.flexible,
-        config.criticality.as_deref(),
-    )?;
+    let mut arena = ItemArena::build(netlist, arch, config.flexible, criticality)?;
     arena.refresh_positions(placement);
     let mut stats = PackStats {
         items: arena.items,
@@ -202,12 +180,12 @@ fn pack_once(
                 available: 0,
             });
         }
-        let need = (demand as f64 / (cap as f64 * config.target_fill)).ceil() as usize;
+        let need = (demand as f64 / (cap as f64 * TARGET_FILL)).ceil() as usize;
         n_plbs = n_plbs.max(need);
     }
     // Grow-and-retry loop.
     let mut attempt_plbs = n_plbs;
-    for retry in 0..=config.growth_retries {
+    for retry in 0..=GROWTH_RETRIES {
         let cols = (attempt_plbs as f64).sqrt().ceil() as usize;
         let rows = attempt_plbs.div_ceil(cols);
         let mut attempt = Attempt::new(arena, config, cols, rows, die);
@@ -244,10 +222,10 @@ fn pack_once(
             }
         }
         if leftover == 0 {
-            stats.growth_retries += retry as u32;
+            stats.growths += retry as u32;
             return Ok(attempt.into_array(arch));
         }
-        if retry == config.growth_retries {
+        if retry == GROWTH_RETRIES {
             return Err(PackError::Unpackable { leftover });
         }
         // Escalating growth: gentle first (stay near the sizing bound),
@@ -671,8 +649,9 @@ impl<'a> Attempt<'a> {
     }
 
     /// Seats an item into the given PLB; returns success. Mirrors
-    /// `PlbInstance::place`/`place_flexible`/`place_group{,_flexible}`
-    /// over the dense occupancy counters and precomputed seat masks.
+    /// `PlbInstance::place`/`place_flexible`/`place_group` (and, for a
+    /// flexible group, `place_flexible` per member with rollback) over the
+    /// dense occupancy counters and precomputed seat masks.
     fn seat(&mut self, plb: usize, it: u32) -> bool {
         let range = self.arena.cells_of(it);
         if range.len() > 1 {
@@ -787,45 +766,24 @@ impl<'a> Attempt<'a> {
 }
 
 /// The §3.1 iterative loop: pack, pin well-seated cells, re-run physical
-/// synthesis for the rest, and pack again. Returns the final array and
-/// updates `placement` to the legalized positions.
+/// synthesis ([`vpga_place::refine`]) for the rest, and pack again.
+/// Returns the final array and the [`PackStats`] accumulated over every
+/// pack pass, and updates `placement` to the legalized positions.
+/// `criticality` weights the relocation cost as in [`pack`].
 ///
 /// # Errors
 ///
-/// Propagates [`pack`] errors.
+/// Propagates [`pack`] errors, and a failed refinement as
+/// [`PackError::Refine`].
 pub fn pack_iterative(
     netlist: &Netlist,
     arch: &PlbArchitecture,
     placement: &mut Placement,
     place_config: &PlaceConfig,
     config: &PackConfig,
-) -> Result<PlbArray, PackError> {
-    pack_iterative_with_stats(netlist, arch, placement, place_config, config)
-        .map(|(array, _)| array)
-}
-
-/// [`pack_iterative`], also returning the accumulated [`PackStats`] across
-/// every pack pass of the §3.1 loop.
-///
-/// # Errors
-///
-/// Propagates [`pack`] errors.
-pub fn pack_iterative_with_stats(
-    netlist: &Netlist,
-    arch: &PlbArchitecture,
-    placement: &mut Placement,
-    place_config: &PlaceConfig,
-    config: &PackConfig,
+    criticality: Option<&[f64]>,
 ) -> Result<(PlbArray, PackStats), PackError> {
-    if !(config.target_fill > 0.0 && config.target_fill <= 1.0) {
-        return Err(PackError::InvalidTargetFill(config.target_fill));
-    }
-    let mut arena = ItemArena::build(
-        netlist,
-        arch,
-        config.flexible,
-        config.criticality.as_deref(),
-    )?;
+    let mut arena = ItemArena::build(netlist, arch, config.flexible, criticality)?;
     arena.refresh_positions(placement);
     let mut stats = PackStats {
         items: arena.items,
@@ -876,7 +834,8 @@ pub fn pack_iterative_with_stats(
             placement.set_fixed(id, true);
             pinned.push(id);
         }
-        vpga_place::refine(netlist, arch.library(), placement, place_config, 0.3);
+        vpga_place::refine(netlist, arch.library(), placement, place_config, 0.3)
+            .map_err(PackError::Refine)?;
         for id in pinned {
             placement.set_fixed(id, false);
         }
@@ -906,9 +865,9 @@ mod tests {
         for arch in [PlbArchitecture::granular(), PlbArchitecture::lut_based()] {
             for design in vpga_designs::NamedDesign::ALL {
                 let netlist = mapped_design(design, &arch);
-                let placement =
-                    vpga_place::place(&netlist, arch.library(), &PlaceConfig::default());
-                let array = pack(&netlist, &arch, &placement, &PackConfig::default())
+                let (placement, _) =
+                    vpga_place::place(&netlist, arch.library(), &PlaceConfig::default()).unwrap();
+                let (array, _) = pack(&netlist, &arch, &placement, &PackConfig::default(), None)
                     .unwrap_or_else(|e| panic!("{design} on {}: {e}", arch.name()));
                 // Every library cell is assigned.
                 let lib_cells = netlist
@@ -924,8 +883,9 @@ mod tests {
     fn per_plb_capacity_is_respected() {
         let arch = PlbArchitecture::granular();
         let netlist = mapped_design(vpga_designs::NamedDesign::Alu, &arch);
-        let placement = vpga_place::place(&netlist, arch.library(), &PlaceConfig::default());
-        let array = pack(&netlist, &arch, &placement, &PackConfig::default()).unwrap();
+        let (placement, _) =
+            vpga_place::place(&netlist, arch.library(), &PlaceConfig::default()).unwrap();
+        let (array, _) = pack(&netlist, &arch, &placement, &PackConfig::default(), None).unwrap();
         for (_, plb) in array.iter() {
             for class in CellClass::PLB_CLASSES {
                 assert!(plb.used(class) <= arch.capacity().count(class));
@@ -959,8 +919,9 @@ mod tests {
                 mapped.set_group(cell, Some(g)).unwrap();
             }
         }
-        let placement = vpga_place::place(&mapped, arch.library(), &PlaceConfig::default());
-        let array = pack(&mapped, &arch, &placement, &PackConfig::default()).unwrap();
+        let (placement, _) =
+            vpga_place::place(&mapped, arch.library(), &PlaceConfig::default()).unwrap();
+        let (array, _) = pack(&mapped, &arch, &placement, &PackConfig::default(), None).unwrap();
         let homes: std::collections::HashSet<usize> = cells
             .iter()
             .map(|&c| array.plb_of(c).expect("assigned"))
@@ -997,8 +958,9 @@ mod tests {
             }
             m
         };
-        let placement = vpga_place::place(&mapped, arch.library(), &PlaceConfig::default());
-        let r = pack(&mapped, &arch, &placement, &PackConfig::default());
+        let (placement, _) =
+            vpga_place::place(&mapped, arch.library(), &PlaceConfig::default()).unwrap();
+        let r = pack(&mapped, &arch, &placement, &PackConfig::default(), None);
         assert!(matches!(r, Err(PackError::GroupTooLarge { .. })), "{r:?}");
     }
 
@@ -1023,12 +985,13 @@ mod tests {
                 .is_some_and(|f| !vpga_logic::cells::mux_set().contains(f))
         });
         assert!(uses_nd3, "AND3 must land on the gate slot");
-        let placement = vpga_place::place(
+        let (placement, _) = vpga_place::place(
             &mapped,
             PlbArchitecture::granular().library(),
             &PlaceConfig::default(),
-        );
-        let r = pack(&mapped, &arch, &placement, &PackConfig::default());
+        )
+        .unwrap();
+        let r = pack(&mapped, &arch, &placement, &PackConfig::default(), None);
         assert!(
             matches!(r, Err(PackError::CapacityExceeded { .. })),
             "{r:?}"
@@ -1039,7 +1002,8 @@ mod tests {
     fn flexible_packing_uses_fewer_or_equal_plbs() {
         let arch = PlbArchitecture::granular();
         let netlist = mapped_design(vpga_designs::NamedDesign::Fpu, &arch);
-        let placement = vpga_place::place(&netlist, arch.library(), &PlaceConfig::default());
+        let (placement, _) =
+            vpga_place::place(&netlist, arch.library(), &PlaceConfig::default()).unwrap();
         let rigid = pack(
             &netlist,
             &arch,
@@ -1048,11 +1012,12 @@ mod tests {
                 flexible: false,
                 ..PackConfig::default()
             },
+            None,
         );
-        let flexible = pack(&netlist, &arch, &placement, &PackConfig::default());
+        let flexible = pack(&netlist, &arch, &placement, &PackConfig::default(), None);
         // Rigid packing may fail outright where flexible succeeds; when
         // both succeed, flexible never uses more PLBs.
-        if let (Ok(r), Ok(f)) = (&rigid, &flexible) {
+        if let (Ok((r, _)), Ok((f, _))) = (&rigid, &flexible) {
             assert!(f.len() <= r.len() || f.plbs_used() <= r.plbs_used());
         } else {
             assert!(flexible.is_ok());
@@ -1064,9 +1029,9 @@ mod tests {
         let arch = PlbArchitecture::granular();
         let netlist = mapped_design(vpga_designs::NamedDesign::Alu, &arch);
         let pc = PlaceConfig::default();
-        let mut p1 = vpga_place::place(&netlist, arch.library(), &pc);
+        let (mut p1, _) = vpga_place::place(&netlist, arch.library(), &pc).unwrap();
         let mut p2 = p1.clone();
-        let one = pack_iterative(
+        let (one, _) = pack_iterative(
             &netlist,
             &arch,
             &mut p1,
@@ -1075,9 +1040,10 @@ mod tests {
                 iterations: 1,
                 ..PackConfig::default()
             },
+            None,
         )
         .unwrap();
-        let looped = pack_iterative(
+        let (looped, _) = pack_iterative(
             &netlist,
             &arch,
             &mut p2,
@@ -1086,6 +1052,7 @@ mod tests {
                 iterations: 3,
                 ..PackConfig::default()
             },
+            None,
         )
         .unwrap();
         let w1 = p1.total_hpwl(&netlist);
@@ -1100,8 +1067,9 @@ mod tests {
     fn applied_placement_sits_on_plb_centers() {
         let arch = PlbArchitecture::lut_based();
         let netlist = mapped_design(vpga_designs::NamedDesign::Alu, &arch);
-        let mut placement = vpga_place::place(&netlist, arch.library(), &PlaceConfig::default());
-        let array = pack(&netlist, &arch, &placement, &PackConfig::default()).unwrap();
+        let (mut placement, _) =
+            vpga_place::place(&netlist, arch.library(), &PlaceConfig::default()).unwrap();
+        let (array, _) = pack(&netlist, &arch, &placement, &PackConfig::default(), None).unwrap();
         apply_to_placement(&array, &netlist, &mut placement);
         for (id, cell) in netlist.cells() {
             if cell.lib_id().is_none() {

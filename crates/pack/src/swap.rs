@@ -69,28 +69,14 @@ pub struct SwapStats {
 
 /// Anneals whole-PLB content swaps to minimize (criticality-weighted)
 /// wirelength; updates both the array's assignments and the placement's
-/// positions. Returns the fractional wirelength reduction achieved.
+/// positions. Returns the fractional wirelength reduction achieved and the
+/// annealer's [`SwapStats`].
 ///
 /// # Panics
 ///
 /// Panics if `placement` has not been updated to the array (run
 /// [`crate::apply_to_placement`] first).
 pub fn swap_optimize(
-    array: &mut PlbArray,
-    netlist: &Netlist,
-    placement: &mut Placement,
-    config: &SwapConfig,
-) -> f64 {
-    swap_optimize_with_stats(array, netlist, placement, config).0
-}
-
-/// [`swap_optimize`], also returning the annealer's [`SwapStats`].
-///
-/// # Panics
-///
-/// Panics if `placement` has not been updated to the array (run
-/// [`crate::apply_to_placement`] first).
-pub fn swap_optimize_with_stats(
     array: &mut PlbArray,
     netlist: &Netlist,
     placement: &mut Placement,
@@ -397,11 +383,13 @@ mod tests {
         let src = generic::library();
         let design = vpga_designs::NamedDesign::Alu.generate(&vpga_designs::DesignParams::tiny());
         let mapped = vpga_synth::map_netlist_fast(&design, &src, &arch).unwrap();
-        let mut placement = vpga_place::place(&mapped, arch.library(), &PlaceConfig::default());
-        let mut array = pack(&mapped, &arch, &placement, &PackConfig::default()).unwrap();
+        let (mut placement, _) =
+            vpga_place::place(&mapped, arch.library(), &PlaceConfig::default()).unwrap();
+        let (mut array, _) =
+            pack(&mapped, &arch, &placement, &PackConfig::default(), None).unwrap();
         apply_to_placement(&array, &mapped, &mut placement);
         let before = placement.total_hpwl(&mapped);
-        let gain = swap_optimize(&mut array, &mapped, &mut placement, &SwapConfig::default());
+        let (gain, _) = swap_optimize(&mut array, &mapped, &mut placement, &SwapConfig::default());
         let after = placement.total_hpwl(&mapped);
         assert!(
             after <= before + 1e-6,
@@ -427,10 +415,12 @@ mod tests {
         let g = n.add_lib_cell("g", &src, "INV", &[a]).unwrap();
         n.add_output("y", g);
         let mapped = vpga_synth::map_netlist_fast(&n, &src, &arch).unwrap();
-        let mut placement = vpga_place::place(&mapped, arch.library(), &PlaceConfig::default());
-        let mut array = pack(&mapped, &arch, &placement, &PackConfig::default()).unwrap();
+        let (mut placement, _) =
+            vpga_place::place(&mapped, arch.library(), &PlaceConfig::default()).unwrap();
+        let (mut array, _) =
+            pack(&mapped, &arch, &placement, &PackConfig::default(), None).unwrap();
         apply_to_placement(&array, &mapped, &mut placement);
-        let gain = swap_optimize(&mut array, &mapped, &mut placement, &SwapConfig::default());
+        let (gain, _) = swap_optimize(&mut array, &mapped, &mut placement, &SwapConfig::default());
         assert_eq!(gain, 0.0);
     }
 }

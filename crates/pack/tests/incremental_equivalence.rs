@@ -218,14 +218,13 @@ fn swap_oracle(
 /// the core stats, every assignment, and every position.
 fn check_swap_against_oracle(netlist: &Netlist, arch: &PlbArchitecture, config: &SwapConfig) {
     let pc = PlaceConfig::default();
-    let mut placement = vpga_place::place(netlist, arch.library(), &pc);
-    let mut array =
-        vpga_pack::pack(netlist, arch, &placement, &PackConfig::default()).expect("packable");
+    let (mut placement, _) = vpga_place::place(netlist, arch.library(), &pc).expect("placeable");
+    let (mut array, _) =
+        vpga_pack::pack(netlist, arch, &placement, &PackConfig::default(), None).expect("packable");
     vpga_pack::apply_to_placement(&array, netlist, &mut placement);
     let mut placement_o = placement.clone();
     let (gain_o, s_o, cells_o) = swap_oracle(&array, netlist, &mut placement_o, config);
-    let (gain, s) =
-        vpga_pack::swap_optimize_with_stats(&mut array, netlist, &mut placement, config);
+    let (gain, s) = vpga_pack::swap_optimize(&mut array, netlist, &mut placement, config);
     assert_eq!(gain.to_bits(), gain_o.to_bits());
     assert_eq!(s, s_o);
     for (ix, cells) in cells_o.iter().enumerate() {

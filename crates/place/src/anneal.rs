@@ -25,15 +25,18 @@ use crate::grid::Placement;
 #[cfg(test)]
 use crate::grid::Rect;
 
+/// Fraction of the die area occupied by cells: sizes the site grid, and
+/// with it flow a's die.
+pub const UTILIZATION: f64 = 0.7;
+
+/// Annealing effort: moves per movable cell per temperature step.
+pub const MOVES_PER_CELL: usize = 8;
+
 /// Tunables for [`place`] and [`refine`].
 #[derive(Clone, Debug)]
 pub struct PlaceConfig {
-    /// Fraction of die area occupied by cells (flow-a die sizing).
-    pub utilization: f64,
     /// RNG seed (runs are deterministic for a given seed).
     pub seed: u64,
-    /// Annealing effort: moves per cell per temperature step.
-    pub moves_per_cell: usize,
     /// Per-net weights (timing criticality); `None` = uniform.
     pub net_weights: Option<Vec<f64>>,
 }
@@ -41,9 +44,7 @@ pub struct PlaceConfig {
 impl Default for PlaceConfig {
     fn default() -> PlaceConfig {
         PlaceConfig {
-            utilization: 0.7,
             seed: 6,
-            moves_per_cell: 8,
             net_weights: None,
         }
     }
@@ -71,46 +72,19 @@ pub struct PlaceStats {
 }
 
 /// Places all library cells of `netlist` by simulated annealing from a
-/// fresh random start; returns the placement.
-///
-/// # Panics
-///
-/// Panics if `config.utilization` is outside `(0, 1]`.
-pub fn place(netlist: &Netlist, lib: &Library, config: &PlaceConfig) -> Placement {
-    place_with_stats(netlist, lib, config).0
-}
-
-/// [`place`], also returning the annealer's [`PlaceStats`].
-///
-/// # Panics
-///
-/// Panics if `config.utilization` is outside `(0, 1]`.
-pub fn place_with_stats(
-    netlist: &Netlist,
-    lib: &Library,
-    config: &PlaceConfig,
-) -> (Placement, PlaceStats) {
-    try_place_with_stats(netlist, lib, config).unwrap_or_else(|e| panic!("{e}"))
-}
-
-/// Non-panicking [`place_with_stats`]: configuration and feasibility
-/// problems come back as a [`PlaceError`] instead of aborting the worker.
+/// fresh random start on a die sized at [`UTILIZATION`]; returns the
+/// placement and the annealer's [`PlaceStats`].
 ///
 /// # Errors
 ///
-/// * [`PlaceError::InvalidUtilization`] if `config.utilization` is outside
-///   `(0, 1]`,
-/// * [`PlaceError::GridTooSmall`] if the site grid cannot seat every
-///   movable cell.
-pub fn try_place_with_stats(
+/// [`PlaceError::GridTooSmall`] if the site grid cannot seat every
+/// movable cell.
+pub fn place(
     netlist: &Netlist,
     lib: &Library,
     config: &PlaceConfig,
 ) -> Result<(Placement, PlaceStats), PlaceError> {
-    if !(config.utilization > 0.0 && config.utilization <= 1.0) {
-        return Err(PlaceError::InvalidUtilization(config.utilization));
-    }
-    let mut placement = Placement::initial(netlist, lib, config.utilization);
+    let mut placement = Placement::initial(netlist, lib, UTILIZATION);
     let stats = {
         let mut engine = Engine::new(netlist, lib, &mut placement, config);
         engine.check_capacity()?;
@@ -126,49 +100,18 @@ pub fn try_place_with_stats(
 /// Refines an existing placement at reduced temperature, honouring fixed
 /// cells and region constraints — the physical-synthesis re-run inside the
 /// §3.1 packing loop. `heat` in `(0, 1]` scales the starting temperature
-/// (1.0 = full anneal, 0.1 = gentle cleanup).
+/// (1.0 = full anneal, 0.1 = gentle cleanup). Returns the annealer's
+/// [`PlaceStats`].
 ///
 /// Unplaced movable cells are scattered first, so this also legalizes
 /// netlists that gained cells (e.g. after buffer insertion).
 ///
-/// # Panics
-///
-/// Panics if `heat` is not in `(0, 1]`.
-pub fn refine(
-    netlist: &Netlist,
-    lib: &Library,
-    placement: &mut Placement,
-    config: &PlaceConfig,
-    heat: f64,
-) {
-    let _ = refine_with_stats(netlist, lib, placement, config, heat);
-}
-
-/// [`refine`], also returning the annealer's [`PlaceStats`].
-///
-/// # Panics
-///
-/// Panics if `heat` is not in `(0, 1]`.
-pub fn refine_with_stats(
-    netlist: &Netlist,
-    lib: &Library,
-    placement: &mut Placement,
-    config: &PlaceConfig,
-    heat: f64,
-) -> PlaceStats {
-    try_refine_with_stats(netlist, lib, placement, config, heat).unwrap_or_else(|e| panic!("{e}"))
-}
-
-/// Non-panicking [`refine_with_stats`].
-///
 /// # Errors
 ///
 /// * [`PlaceError::InvalidHeat`] if `heat` is outside `(0, 1]`,
-/// * [`PlaceError::InvalidUtilization`] if `config.utilization` is outside
-///   `(0, 1]`,
 /// * [`PlaceError::GridTooSmall`] if the site grid cannot seat every
 ///   movable cell.
-pub fn try_refine_with_stats(
+pub fn refine(
     netlist: &Netlist,
     lib: &Library,
     placement: &mut Placement,
@@ -177,9 +120,6 @@ pub fn try_refine_with_stats(
 ) -> Result<PlaceStats, PlaceError> {
     if !(heat > 0.0 && heat <= 1.0) {
         return Err(PlaceError::InvalidHeat(heat));
-    }
-    if !(config.utilization > 0.0 && config.utilization <= 1.0) {
-        return Err(PlaceError::InvalidUtilization(config.utilization));
     }
     let mut engine = Engine::new(netlist, lib, placement, config);
     engine.check_capacity()?;
@@ -434,7 +374,6 @@ fn fill_counts(row: &[u32], pos: &[(f64, f64)], b: &mut NetBox) {
 struct Engine<'a> {
     netlist: &'a Netlist,
     placement: &'a mut Placement,
-    config: &'a PlaceConfig,
     movable: Vec<CellId>,
     /// Site grid: cols × rows, each holding at most one cell.
     cols: usize,
@@ -502,7 +441,7 @@ impl<'a> Engine<'a> {
         netlist: &'a Netlist,
         lib: &'a Library,
         placement: &'a mut Placement,
-        config: &'a PlaceConfig,
+        config: &PlaceConfig,
     ) -> Engine<'a> {
         let movable: Vec<CellId> = netlist
             .cells()
@@ -512,9 +451,7 @@ impl<'a> Engine<'a> {
             .map(|(id, _)| id)
             .collect();
         let _ = lib;
-        let n_sites = ((movable.len() as f64) / config.utilization)
-            .ceil()
-            .max(1.0) as usize;
+        let n_sites = ((movable.len() as f64) / UTILIZATION).ceil().max(1.0) as usize;
         let cols = (n_sites as f64).sqrt().ceil() as usize;
         let rows = n_sites.div_ceil(cols);
         let mut weights = vec![1.0; netlist.net_capacity()];
@@ -636,7 +573,6 @@ impl<'a> Engine<'a> {
         Engine {
             netlist,
             placement,
-            config,
             movable,
             cols,
             rows,
@@ -1008,7 +944,7 @@ impl<'a> Engine<'a> {
             / deltas.len().max(1) as f64;
         let mut t = (20.0 * var.sqrt()).max(1.0) * heat;
         let mut window = self.cols.max(self.rows);
-        let moves = self.config.moves_per_cell * self.movable.len();
+        let moves = MOVES_PER_CELL * self.movable.len();
         let stop = 0.002 * self.total_cost().max(1.0) / self.netlist.num_nets().max(1) as f64;
         for _ in 0..200 {
             let mut accepted = 0usize;
@@ -1145,7 +1081,7 @@ mod tests {
         let (nl, lib) = inverter_chain(60);
         let config = PlaceConfig::default();
         // Random baseline.
-        let mut baseline = Placement::initial(&nl, &lib, config.utilization);
+        let mut baseline = Placement::initial(&nl, &lib, UTILIZATION);
         {
             let mut engine = Engine::new(&nl, &lib, &mut baseline, &config);
             let mut rng = SmallRng::seed_from_u64(config.seed);
@@ -1153,7 +1089,7 @@ mod tests {
             engine.commit();
         }
         let random_cost = baseline.total_hpwl(&nl);
-        let placed = place(&nl, &lib, &config);
+        let (placed, _) = place(&nl, &lib, &config).unwrap();
         let annealed_cost = placed.total_hpwl(&nl);
         assert!(
             annealed_cost < 0.6 * random_cost,
@@ -1165,7 +1101,7 @@ mod tests {
     #[test]
     fn annealed_placement_has_no_overlaps() {
         let (nl, lib) = inverter_chain(40);
-        let p = place(&nl, &lib, &PlaceConfig::default());
+        let (p, _) = place(&nl, &lib, &PlaceConfig::default()).unwrap();
         // Tolerance well below the site pitch: every cell has its own site.
         assert_eq!(p.overlap_count(&nl, p.site_pitch() * 0.5), 0);
     }
@@ -1174,8 +1110,8 @@ mod tests {
     fn placement_is_deterministic_for_a_seed() {
         let (nl, lib) = inverter_chain(20);
         let config = PlaceConfig::default();
-        let p1 = place(&nl, &lib, &config);
-        let p2 = place(&nl, &lib, &config);
+        let (p1, _) = place(&nl, &lib, &config).unwrap();
+        let (p2, _) = place(&nl, &lib, &config).unwrap();
         for (id, _) in nl.cells() {
             assert_eq!(p1.position(id), p2.position(id));
         }
@@ -1185,11 +1121,11 @@ mod tests {
     fn fixed_cells_do_not_move_during_refine() {
         let (nl, lib) = inverter_chain(12);
         let config = PlaceConfig::default();
-        let mut p = place(&nl, &lib, &config);
+        let (mut p, _) = place(&nl, &lib, &config).unwrap();
         let anchor = nl.cell_by_name("i5").unwrap();
         let pos = p.position(anchor).unwrap();
         p.set_fixed(anchor, true);
-        refine(&nl, &lib, &mut p, &config, 0.3);
+        refine(&nl, &lib, &mut p, &config, 0.3).unwrap();
         assert_eq!(p.position(anchor), Some(pos));
         assert!(p.is_complete(&nl));
     }
@@ -1198,7 +1134,7 @@ mod tests {
     fn region_constraints_are_respected() {
         let (nl, lib) = inverter_chain(12);
         let config = PlaceConfig::default();
-        let mut p = place(&nl, &lib, &config);
+        let (mut p, _) = place(&nl, &lib, &config).unwrap();
         let die = p.die();
         let half = Rect {
             x0: die.x0,
@@ -1210,7 +1146,7 @@ mod tests {
         // Move it inside the region first, then constrain.
         p.set_position(constrained, half.x0 + 1.0, half.y0 + 1.0);
         p.set_region(constrained, Some(half));
-        refine(&nl, &lib, &mut p, &config, 0.5);
+        refine(&nl, &lib, &mut p, &config, 0.5).unwrap();
         let (x, y) = p.position(constrained).unwrap();
         assert!(half.contains(x, y), "cell escaped its region: {x},{y}");
     }
@@ -1234,9 +1170,8 @@ mod tests {
         let config = PlaceConfig {
             net_weights: Some(weights),
             seed: 6,
-            ..PlaceConfig::default()
         };
-        let p = place(&nl, &lib, &config);
+        let (p, _) = place(&nl, &lib, &config).unwrap();
         let critical = p.net_hpwl(&nl, g1);
         // The heavily weighted net must be among the shortest movable nets.
         let other = p.net_hpwl(&nl, h1);
@@ -1283,7 +1218,7 @@ mod tests {
                 seed: seed ^ 0xdead_beef,
                 ..PlaceConfig::default()
             };
-            let mut placement = Placement::initial(&nl, &lib, config.utilization);
+            let mut placement = Placement::initial(&nl, &lib, UTILIZATION);
             let mut engine = Engine::new(&nl, &lib, &mut placement, &config);
             let mut rng = SmallRng::seed_from_u64(config.seed);
             engine.scatter(&mut rng);
@@ -1316,9 +1251,8 @@ mod tests {
         let config = PlaceConfig {
             net_weights: Some(weights),
             seed: 6,
-            ..PlaceConfig::default()
         };
-        let mut p = place(&nl, &lib, &config);
+        let (mut p, _) = place(&nl, &lib, &config).unwrap();
         let mut engine = Engine::new(&nl, &lib, &mut p, &config);
         let mut rng = SmallRng::seed_from_u64(config.seed);
         engine.scatter_unplaced_only(&mut rng);

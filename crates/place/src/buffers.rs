@@ -144,7 +144,7 @@ mod tests {
                 .unwrap();
             n.add_output(format!("y{i}"), s);
         }
-        let mut p = place(&n, &lib, &PlaceConfig::default());
+        let (mut p, _) = place(&n, &lib, &PlaceConfig::default()).unwrap();
         let report = insert_buffers(&mut n, &lib, &mut p, 8, 1e9).unwrap();
         assert!(report.fanout_buffers >= 2, "{report:?}");
         n.validate(&lib).unwrap();
@@ -163,7 +163,7 @@ mod tests {
         let s2 = n.add_lib_cell("s2", &lib, "INV", &[src]).unwrap();
         n.add_output("y1", s1);
         n.add_output("y2", s2);
-        let mut p = place(&n, &lib, &PlaceConfig::default());
+        let (mut p, _) = place(&n, &lib, &PlaceConfig::default()).unwrap();
         // Stretch the net artificially.
         let s2c = n.cell_by_name("s2").unwrap();
         let die = p.die();
@@ -186,7 +186,7 @@ mod tests {
             n.add_output(format!("y{i}"), s);
         }
         let golden = n.clone();
-        let mut p = place(&n, &lib, &PlaceConfig::default());
+        let (mut p, _) = place(&n, &lib, &PlaceConfig::default()).unwrap();
         insert_buffers(&mut n, &lib, &mut p, 4, 1e9).unwrap();
         let vectors = vec![vec![true], vec![false], vec![true]];
         let div = vpga_netlist::sim::first_divergence(&golden, &lib, &n, &lib, &vectors).unwrap();
@@ -201,7 +201,7 @@ mod tests {
         let g = n.add_lib_cell("g", &lib, "INV", &[a]).unwrap();
         n.add_output("y", g);
         let before = n.num_cells();
-        let mut p = place(&n, &lib, &PlaceConfig::default());
+        let (mut p, _) = place(&n, &lib, &PlaceConfig::default()).unwrap();
         let report = insert_buffers(&mut n, &lib, &mut p, 8, 1e9).unwrap();
         assert_eq!(report.total(), 0);
         assert_eq!(n.num_cells(), before);

@@ -3,15 +3,11 @@
 use std::error::Error;
 use std::fmt;
 
-/// Recoverable placement failures surfaced by [`crate::try_place_with_stats`]
-/// and [`crate::try_refine_with_stats`]. The panicking entry points
-/// ([`crate::place`], [`crate::refine`]) are thin wrappers that abort on
-/// these same conditions.
+/// Recoverable placement failures surfaced by [`crate::place`] and
+/// [`crate::refine`].
 #[derive(Clone, Debug, PartialEq)]
 #[non_exhaustive]
 pub enum PlaceError {
-    /// `utilization` outside `(0, 1]` — the die cannot be sized.
-    InvalidUtilization(f64),
     /// `heat` outside `(0, 1]` — the refinement schedule is undefined.
     InvalidHeat(f64),
     /// The site grid cannot seat every movable cell (infeasible start).
@@ -26,9 +22,6 @@ pub enum PlaceError {
 impl fmt::Display for PlaceError {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         match self {
-            PlaceError::InvalidUtilization(u) => {
-                write!(f, "utilization {u} outside (0, 1]")
-            }
             PlaceError::InvalidHeat(h) => write!(f, "refinement heat {h} outside (0, 1]"),
             PlaceError::GridTooSmall { cells, sites } => {
                 write!(

@@ -7,15 +7,21 @@
 //! provides the open equivalent:
 //!
 //! * [`Placement`] — cell coordinates on a uniform site grid sized from the
-//!   total cell area and a utilization target, with primary I/O pinned to
-//!   the die periphery,
+//!   total cell area at [`UTILIZATION`], with primary I/O pinned to the die
+//!   periphery,
 //! * [`place`] — VPR-style simulated annealing minimizing
-//!   criticality-weighted half-perimeter wirelength, with adaptive range
-//!   limiting and support for region constraints and fixed cells (the hooks
+//!   criticality-weighted half-perimeter wirelength, [`MOVES_PER_CELL`]
+//!   moves per cell per temperature step, with adaptive range limiting,
+//! * [`refine`] — the same annealer from an existing placement at reduced
+//!   temperature, honouring region constraints and fixed cells (the hooks
 //!   the packing iteration of §3.1 uses),
 //! * [`insert_buffers`] — post-placement repeater insertion on long or
 //!   high-fanout nets (the physical-synthesis netlist edits the paper
 //!   attributes to Dolphin).
+//!
+//! [`place`] and [`refine`] are the crate's only entry points; both return
+//! the annealer's [`PlaceStats`] and report infeasible inputs as a
+//! [`PlaceError`].
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
@@ -25,10 +31,7 @@ mod buffers;
 mod error;
 mod grid;
 
-pub use anneal::{
-    place, place_with_stats, refine, refine_with_stats, try_place_with_stats,
-    try_refine_with_stats, PlaceConfig, PlaceStats,
-};
+pub use anneal::{place, refine, PlaceConfig, PlaceStats, MOVES_PER_CELL, UTILIZATION};
 pub use buffers::{insert_buffers, BufferReport};
 pub use error::PlaceError;
 pub use grid::{Placement, Rect};

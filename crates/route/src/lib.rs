@@ -2,11 +2,17 @@
 //! detailed routing on the regular array of PLBs" of §3.1.
 //!
 //! A negotiated-congestion (PathFinder-style) router over a uniform tile
-//! grid: edge costs combine a base cost, a present-congestion penalty, and
-//! an accumulated history penalty, iterated until no edge exceeds its
-//! channel capacity. Per-net routed wirelengths feed the Elmore wire
-//! delays of `vpga-timing`; this is the post-layout extraction step of the
-//! paper's flow.
+//! grid: edge costs combine a base cost, a present-congestion penalty
+//! ([`PRESENT_FACTOR`] per track over capacity), and an accumulated
+//! history penalty ([`HISTORY_INCREMENT`] per overflowed track per
+//! iteration), iterated until no edge exceeds its channel capacity.
+//! Per-net routed wirelengths feed the Elmore wire delays of
+//! `vpga-timing`; this is the post-layout extraction step of the paper's
+//! flow.
+//!
+//! [`route`] is the crate's one entry point. Its [`RoutingResult`]
+//! carries the router's statistics, and degenerate configurations and
+//! unreachable sinks come back as a [`RouteError`].
 //!
 //! Each net grows one routed tree, VPR-style. Its sink tiles are taken
 //! nearest-first (Manhattan distance from the source tile, ties by row,
@@ -47,8 +53,7 @@ use std::collections::{BinaryHeap, HashSet};
 use vpga_netlist::{CellKind, NetId, Netlist};
 use vpga_place::Placement;
 
-/// Recoverable routing failures surfaced by [`try_route`]. The panicking
-/// [`route`] entry point is a thin wrapper that aborts on these.
+/// Recoverable routing failures surfaced by [`route`].
 #[derive(Clone, Debug, PartialEq)]
 #[non_exhaustive]
 pub enum RouteError {
@@ -109,10 +114,6 @@ pub struct RouteConfig {
     pub tile_size: Option<f64>,
     /// Grid sizing target when `tile_size` is `None`.
     pub target_tiles: usize,
-    /// Present-congestion penalty factor.
-    pub present_factor: f64,
-    /// History penalty increment per overflowed edge per iteration.
-    pub history_increment: f64,
     /// Retain the per-net tile paths in the result (costs memory on large
     /// designs; needed for physical hand-off and route inspection).
     pub keep_routes: bool,
@@ -130,13 +131,19 @@ impl Default for RouteConfig {
             max_iterations: 8,
             tile_size: None,
             target_tiles: 4096,
-            present_factor: 0.6,
-            history_increment: 0.4,
             keep_routes: false,
             incremental: true,
         }
     }
 }
+
+/// Present-congestion penalty factor: the price of each track a net would
+/// take beyond an edge's capacity.
+pub const PRESENT_FACTOR: f64 = 0.6;
+
+/// History penalty increment per overflowed track per negotiation
+/// iteration.
+pub const HISTORY_INCREMENT: f64 = 0.4;
 
 /// Result of a routing run: per-net wirelengths plus congestion statistics.
 #[derive(Clone, Debug)]
@@ -513,24 +520,15 @@ impl Scratch {
 }
 
 /// The congestion-aware price of one more net on an edge:
-/// `1 + present_factor·max(0, occ+1−cap) + history`.
+/// `1 + PRESENT_FACTOR·max(0, occ+1−cap) + history`.
 fn edge_price(occupancy: u32, history: f64, config: &RouteConfig) -> f64 {
     let over = occupancy as f64 + 1.0 - config.channel_capacity as f64;
-    1.0 + config.present_factor * over.max(0.0) + history
+    1.0 + PRESENT_FACTOR * over.max(0.0) + history
 }
 
-/// Routes every multi-tile net of the placed netlist.
-///
-/// # Panics
-///
-/// Panics if the placement lacks positions for placed library cells (run
-/// placement first) or if the config is degenerate.
-pub fn route(netlist: &Netlist, placement: &Placement, config: &RouteConfig) -> RoutingResult {
-    try_route(netlist, placement, config).unwrap_or_else(|e| panic!("{e}"))
-}
-
-/// Non-panicking [`route`]: degenerate configs and unreachable sinks come
-/// back as a [`RouteError`] instead of aborting the worker.
+/// Routes every multi-tile net of the placed netlist; pins without a
+/// position are left out. The result carries the router's statistics
+/// (iterations, reroutes, overflow).
 ///
 /// # Errors
 ///
@@ -540,7 +538,7 @@ pub fn route(netlist: &Netlist, placement: &Placement, config: &RouteConfig) -> 
 /// * [`RouteError::GridTooLarge`] if the tile size cuts the die into more
 ///   tiles than `u32` ids can number,
 /// * [`RouteError::Unroutable`] if a sink tile cannot be reached.
-pub fn try_route(
+pub fn route(
     netlist: &Netlist,
     placement: &Placement,
     config: &RouteConfig,
@@ -659,7 +657,7 @@ pub fn try_route(
         for (e, &occ) in occupancy.iter().enumerate() {
             if occ > config.channel_capacity {
                 overflow += 1;
-                history[e] += config.history_increment * (occ - config.channel_capacity) as f64;
+                history[e] += HISTORY_INCREMENT * (occ - config.channel_capacity) as f64;
                 price[e] = edge_price(occ, history[e], config);
             }
         }
@@ -730,8 +728,8 @@ mod tests {
                 .unwrap();
         }
         nl.add_output("y", cur);
-        let p = vpga_place::place(&nl, &lib, &PlaceConfig::default());
-        let r = route(&nl, &p, cfg);
+        let (p, _) = vpga_place::place(&nl, &lib, &PlaceConfig::default()).unwrap();
+        let r = route(&nl, &p, cfg).unwrap();
         (nl, r)
     }
 
@@ -754,7 +752,7 @@ mod tests {
         let a = nl.add_input("a");
         let g = nl.add_lib_cell("g", &lib, "INV", &[a]).unwrap();
         nl.add_output("y", g);
-        let mut p = vpga_place::place(&nl, &lib, &PlaceConfig::default());
+        let (mut p, _) = vpga_place::place(&nl, &lib, &PlaceConfig::default()).unwrap();
         let gc = nl.cell_by_name("g").unwrap();
         let die = p.die();
         p.set_position(gc, die.x1 - 0.01, die.y1 - 0.01);
@@ -762,7 +760,7 @@ mod tests {
             tile_size: Some(die.width() / 8.0),
             ..RouteConfig::default()
         };
-        let r = route(&nl, &p, &cfg);
+        let r = route(&nl, &p, &cfg).unwrap();
         let a_net = nl.cell(nl.inputs()[0]).unwrap().output().unwrap();
         let (ax, ay) = p.position(nl.inputs()[0]).unwrap();
         let (gx, gy) = p.position(gc).unwrap();
@@ -785,7 +783,7 @@ mod tests {
             let g = nl.add_lib_cell(format!("g{i}"), &lib, "INV", &[a]).unwrap();
             nl.add_output(format!("y{i}"), g);
         }
-        let p = vpga_place::place(&nl, &lib, &PlaceConfig::default());
+        let (p, _) = vpga_place::place(&nl, &lib, &PlaceConfig::default()).unwrap();
         let tight = RouteConfig {
             channel_capacity: 1,
             max_iterations: 12,
@@ -801,7 +799,7 @@ mod tests {
         // the router must spread or accept history-guided detours and end
         // legal (or at least reduce overflow drastically).
         let (nl, p, tight) = congested();
-        let r = route(&nl, &p, &tight);
+        let r = route(&nl, &p, &tight).unwrap();
         assert!(
             r.overflow_edges() <= 1,
             "negotiation left {} overflows",
@@ -817,7 +815,7 @@ mod tests {
         let g1 = nl.add_lib_cell("g1", &lib, "INV", &[a]).unwrap();
         let g2 = nl.add_lib_cell("g2", &lib, "INV", &[g1]).unwrap();
         nl.add_output("y", g2);
-        let mut p = vpga_place::place(&nl, &lib, &PlaceConfig::default());
+        let (mut p, _) = vpga_place::place(&nl, &lib, &PlaceConfig::default()).unwrap();
         // Co-locate the two inverters: their net is intra-tile.
         let c1 = nl.cell_by_name("g1").unwrap();
         let c2 = nl.cell_by_name("g2").unwrap();
@@ -827,7 +825,7 @@ mod tests {
             tile_size: Some(p.die().width()),
             ..RouteConfig::default()
         };
-        let r = route(&nl, &p, &cfg);
+        let r = route(&nl, &p, &cfg).unwrap();
         assert_eq!(r.net_length(g1), 0.0);
     }
 
@@ -846,12 +844,12 @@ mod tests {
     fn incremental_matches_full_ripup_when_uncongested() {
         let lib = generic::library();
         let (nl, r_inc) = routed_chain(30, &RouteConfig::default());
-        let p = vpga_place::place(&nl, &lib, &PlaceConfig::default());
+        let (p, _) = vpga_place::place(&nl, &lib, &PlaceConfig::default()).unwrap();
         let full_ripup = RouteConfig {
             incremental: false,
             ..RouteConfig::default()
         };
-        let r_full = route(&nl, &p, &full_ripup);
+        let r_full = route(&nl, &p, &full_ripup).unwrap();
         assert_eq!(r_inc.overflow_edges(), r_full.overflow_edges());
         assert_eq!(
             r_inc.total_length().to_bits(),
@@ -869,12 +867,12 @@ mod tests {
     #[test]
     fn incremental_converges_like_full_ripup_under_congestion() {
         let (nl, p, tight) = congested();
-        let r_inc = route(&nl, &p, &tight);
+        let r_inc = route(&nl, &p, &tight).unwrap();
         let full = RouteConfig {
             incremental: false,
             ..tight.clone()
         };
-        let r_full = route(&nl, &p, &full);
+        let r_full = route(&nl, &p, &full).unwrap();
         assert_eq!(
             r_inc.overflow_edges(),
             r_full.overflow_edges(),
@@ -898,8 +896,8 @@ mod tests {
     #[test]
     fn routing_is_deterministic_across_runs() {
         let (nl, p, tight) = congested();
-        let r1 = route(&nl, &p, &tight);
-        let r2 = route(&nl, &p, &tight);
+        let r1 = route(&nl, &p, &tight).unwrap();
+        let r2 = route(&nl, &p, &tight).unwrap();
         assert_eq!(r1.total_length().to_bits(), r2.total_length().to_bits());
         assert_eq!(r1.overflow_edges(), r2.overflow_edges());
         assert_eq!(r1.reroutes_per_iteration(), r2.reroutes_per_iteration());
@@ -922,8 +920,8 @@ mod route_extraction_tests {
         let a = nl.add_input("a");
         let g = nl.add_lib_cell("g", &lib, "INV", &[a]).unwrap();
         nl.add_output("y", g);
-        let p = vpga_place::place(&nl, &lib, &PlaceConfig::default());
-        let r = route(&nl, &p, &RouteConfig::default());
+        let (p, _) = vpga_place::place(&nl, &lib, &PlaceConfig::default()).unwrap();
+        let r = route(&nl, &p, &RouteConfig::default()).unwrap();
         assert!(r.net_route(g).is_none());
     }
 
@@ -934,14 +932,14 @@ mod route_extraction_tests {
         let a = nl.add_input("a");
         let g = nl.add_lib_cell("g", &lib, "INV", &[a]).unwrap();
         nl.add_output("y", g);
-        let p = vpga_place::place(&nl, &lib, &PlaceConfig::default());
+        let (p, _) = vpga_place::place(&nl, &lib, &PlaceConfig::default()).unwrap();
         assert!(p.die().area() > 0.0);
         for tile_size in [0.0, -1.0, f64::NAN, f64::INFINITY] {
             let cfg = RouteConfig {
                 tile_size: Some(tile_size),
                 ..RouteConfig::default()
             };
-            match try_route(&nl, &p, &cfg) {
+            match route(&nl, &p, &cfg) {
                 Err(RouteError::InvalidTileSize { tile_size: got }) => {
                     assert_eq!(got.to_bits(), tile_size.to_bits());
                 }
@@ -955,7 +953,7 @@ mod route_extraction_tests {
             ..RouteConfig::default()
         };
         assert!(matches!(
-            try_route(&nl, &p, &cfg),
+            route(&nl, &p, &cfg),
             Err(RouteError::GridTooLarge { .. })
         ));
     }
@@ -1007,7 +1005,7 @@ mod route_extraction_tests {
         for (i, &n) in nets.iter().rev().take(6).enumerate() {
             nl.add_output(format!("y{i}"), n);
         }
-        let mut p = vpga_place::place(&nl, &lib, &PlaceConfig::default());
+        let (mut p, _) = vpga_place::place(&nl, &lib, &PlaceConfig::default()).unwrap();
         let die = p.die();
         let cells: Vec<_> = nl.cells().map(|(id, _)| id).collect();
         for cell in cells {
@@ -1024,7 +1022,7 @@ mod route_extraction_tests {
     /// routed nets with 8 or more sink tiles.
     fn assert_trees(nl: &Netlist, p: &Placement, cfg: &RouteConfig) -> (RoutingResult, usize) {
         type Tile = (usize, usize);
-        let r = route(nl, p, cfg);
+        let r = route(nl, p, cfg).unwrap();
         let (cols, rows) = r.grid_dims();
         let die = p.die();
         let tile_of = |(x, y): (f64, f64)| -> Tile {
@@ -1107,7 +1105,7 @@ mod route_extraction_tests {
                 .unwrap();
         }
         nl.add_output("y", cur);
-        let p = vpga_place::place(&nl, &lib, &PlaceConfig::default());
+        let (p, _) = vpga_place::place(&nl, &lib, &PlaceConfig::default()).unwrap();
         let keep = RouteConfig {
             keep_routes: true,
             ..RouteConfig::default()

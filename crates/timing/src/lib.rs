@@ -10,14 +10,19 @@
 //!   [`vpga_route::RoutingResult`] is supplied, else over the placement
 //!   half-perimeter estimate,
 //! * timing starts at primary inputs and flip-flop Q pins (clk→Q arc) and
-//!   ends at primary outputs and flip-flop D pins (setup-constrained),
-//!   against the paper's 0.5 ns cycle.
+//!   ends at primary outputs and flip-flop D pins (setup-constrained by
+//!   [`vpga_core::params::DFF_SETUP_PS`]), against the paper's 0.5 ns cycle
+//!   ([`vpga_core::params::CLOCK_PERIOD_PS`]).
 //!
 //! The report exposes the paper's Table 2 metric — the average slack over
 //! the 10 most critical paths ([`TimingReport::avg_top_slack`]) — plus the
-//! per-net criticalities the timing-driven placer and packer consume.
+//! per-net criticalities the timing-driven placer and packer consume, and
+//! the net weights derived from them ([`TimingReport::net_weights`]).
 //! [`arc_delays`] exports the per-arc delays the analysis folds, for the
 //! SDF writer.
+//!
+//! [`analyze`] is the crate's one entry point; a netlist it cannot
+//! levelize comes back as a [`TimingError`].
 //!
 //! Every consumer runs one full pass: the flow times a netlist a handful
 //! of times (placement weights, packing and swap weights, post-route
@@ -33,24 +38,6 @@ use vpga_core::params;
 use vpga_netlist::{CellId, CellKind, Library, NetId, Netlist};
 use vpga_place::Placement;
 use vpga_route::RoutingResult;
-
-/// Analysis settings.
-#[derive(Clone, Copy, Debug)]
-pub struct TimingConfig {
-    /// Clock period, ps (the paper uses 500 ps).
-    pub clock_period: f64,
-    /// Flip-flop setup time, ps.
-    pub setup: f64,
-}
-
-impl Default for TimingConfig {
-    fn default() -> TimingConfig {
-        TimingConfig {
-            clock_period: params::CLOCK_PERIOD_PS,
-            setup: params::DFF_SETUP_PS,
-        }
-    }
-}
 
 /// One timing endpoint (primary output or flip-flop D pin).
 #[derive(Clone, Debug, PartialEq)]
@@ -72,21 +59,12 @@ pub struct TimingReport {
     slack: Vec<f64>,
     endpoints: Vec<Endpoint>,
     worst_arrival: f64,
-    config: TimingConfig,
 }
 
 impl TimingReport {
     /// Arrival time on a net, ps.
     pub fn net_arrival(&self, net: NetId) -> f64 {
         self.arrival.get(net.index()).copied().unwrap_or(0.0)
-    }
-
-    /// Slack of a net, ps (minimum over paths through it).
-    pub fn net_slack(&self, net: NetId) -> f64 {
-        self.slack
-            .get(net.index())
-            .copied()
-            .unwrap_or(self.config.clock_period)
     }
 
     /// All endpoints, most critical (smallest slack) first.
@@ -99,7 +77,7 @@ impl TimingReport {
         self.endpoints
             .first()
             .map(|e| e.slack)
-            .unwrap_or(self.config.clock_period)
+            .unwrap_or(params::CLOCK_PERIOD_PS)
     }
 
     /// Latest data arrival anywhere, ps (the critical-path delay).
@@ -112,7 +90,7 @@ impl TimingReport {
     pub fn avg_top_slack(&self, n: usize) -> f64 {
         let take = n.min(self.endpoints.len()).max(1);
         if self.endpoints.is_empty() {
-            return self.config.clock_period;
+            return params::CLOCK_PERIOD_PS;
         }
         self.endpoints
             .iter()
@@ -129,9 +107,19 @@ impl TimingReport {
         self.slack
             .iter()
             .map(|&s| {
-                let c = 1.0 - s.max(0.0) / (d + self.config.clock_period - d).max(d);
+                let c = 1.0 - s.max(0.0) / (d + params::CLOCK_PERIOD_PS - d).max(d);
                 c.clamp(0.0, 1.0)
             })
+            .collect()
+    }
+
+    /// Per-net timing-driven weights `1 + 8c²` over
+    /// [`TimingReport::net_criticalities`], for the criticality-weighted
+    /// wirelength of the placement refinement and the PLB swap.
+    pub fn net_weights(&self) -> Vec<f64> {
+        self.net_criticalities()
+            .iter()
+            .map(|&c| 1.0 + 8.0 * c * c)
             .collect()
     }
 
@@ -150,11 +138,6 @@ impl TimingReport {
             }
         }
         out
-    }
-
-    /// The analysis configuration.
-    pub fn config(&self) -> TimingConfig {
-        self.config
     }
 
     /// Traces the critical path into endpoint `index` (into
@@ -202,7 +185,7 @@ impl std::fmt::Display for TimingReport {
             self.worst_slack(),
             self.avg_top_slack(10),
             self.endpoints.len(),
-            self.config.clock_period
+            params::CLOCK_PERIOD_PS
         )?;
         for e in self.endpoints.iter().take(5) {
             writeln!(
@@ -215,8 +198,7 @@ impl std::fmt::Display for TimingReport {
     }
 }
 
-/// STA failures surfaced by [`try_analyze`]. The panicking [`analyze`]
-/// entry point is a thin wrapper that aborts on these.
+/// STA failures surfaced by [`analyze`].
 #[derive(Clone, Debug, PartialEq, Eq)]
 #[non_exhaustive]
 pub enum TimingError {
@@ -241,38 +223,22 @@ impl std::error::Error for TimingError {
     }
 }
 
-/// Runs static timing analysis.
+/// Runs static timing analysis against the [`params::CLOCK_PERIOD_PS`]
+/// cycle, with [`params::DFF_SETUP_PS`] setup at every flip-flop.
 ///
 /// `routing` supplies exact routed wirelengths; without it, wire parasitics
 /// are estimated from the placement's half-perimeter bounding boxes
 /// (pre-route timing).
 ///
-/// # Panics
+/// # Errors
 ///
-/// Panics if the netlist has combinational cycles (validate first).
+/// [`TimingError::Cyclic`] if the combinational part of the netlist has a
+/// cycle.
 pub fn analyze(
     netlist: &Netlist,
     lib: &Library,
     placement: &Placement,
     routing: Option<&RoutingResult>,
-    config: &TimingConfig,
-) -> TimingReport {
-    try_analyze(netlist, lib, placement, routing, config).unwrap_or_else(|e| panic!("{e}"))
-}
-
-/// Non-panicking [`analyze`]: a cyclic netlist comes back as a
-/// [`TimingError`] instead of aborting the worker.
-///
-/// # Errors
-///
-/// [`TimingError::Cyclic`] if the combinational part of the netlist has a
-/// cycle.
-pub fn try_analyze(
-    netlist: &Netlist,
-    lib: &Library,
-    placement: &Placement,
-    routing: Option<&RoutingResult>,
-    config: &TimingConfig,
 ) -> Result<TimingReport, TimingError> {
     let order =
         vpga_netlist::graph::combinational_topo_order(netlist, lib).map_err(TimingError::Cyclic)?;
@@ -325,7 +291,7 @@ pub fn try_analyze(
     for &po in netlist.outputs() {
         let cell = netlist.cell(po).expect("live PO");
         let net = cell.inputs()[0];
-        let req = config.clock_period;
+        let req = params::CLOCK_PERIOD_PS;
         required[net.index()] = required[net.index()].min(req);
         endpoints.push(Endpoint {
             name: netlist.cell_name(po).to_owned(),
@@ -337,7 +303,7 @@ pub fn try_analyze(
     for &ff in &dffs {
         let cell = netlist.cell(ff).expect("live DFF");
         let d = cell.inputs()[0];
-        let req = config.clock_period - config.setup;
+        let req = params::CLOCK_PERIOD_PS - params::DFF_SETUP_PS;
         required[d.index()] = required[d.index()].min(req);
         endpoints.push(Endpoint {
             name: netlist.cell_name(ff).to_owned(),
@@ -369,7 +335,7 @@ pub fn try_analyze(
             if r.is_finite() {
                 r - a
             } else {
-                config.clock_period
+                params::CLOCK_PERIOD_PS
             }
         })
         .collect();
@@ -380,7 +346,6 @@ pub fn try_analyze(
         slack,
         endpoints,
         worst_arrival,
-        config: *config,
     })
 }
 
@@ -431,7 +396,7 @@ fn net_parasitics(
     out
 }
 
-/// The per-arc delays [`try_analyze`] folds into arrival times, for an
+/// The per-arc delays [`analyze`] folds into arrival times, for an
 /// interchange writer (SDF) to annotate: the cell (IOPATH) and net
 /// (INTERCONNECT) delays, by cell and net slot. Both come from the same
 /// net model and cell arcs as the analysis on the same inputs, so an
@@ -536,8 +501,8 @@ mod tests {
     #[test]
     fn arrivals_accumulate_along_paths() {
         let (n, arch) = pipeline();
-        let p = vpga_place::place(&n, arch.library(), &PlaceConfig::default());
-        let report = analyze(&n, arch.library(), &p, None, &TimingConfig::default());
+        let (p, _) = vpga_place::place(&n, arch.library(), &PlaceConfig::default()).unwrap();
+        let report = analyze(&n, arch.library(), &p, None).unwrap();
         let g_net = n
             .cell(n.cell_by_name("g").unwrap())
             .unwrap()
@@ -557,8 +522,8 @@ mod tests {
     #[test]
     fn slacks_are_against_the_500ps_clock() {
         let (n, arch) = pipeline();
-        let p = vpga_place::place(&n, arch.library(), &PlaceConfig::default());
-        let report = analyze(&n, arch.library(), &p, None, &TimingConfig::default());
+        let (p, _) = vpga_place::place(&n, arch.library(), &PlaceConfig::default()).unwrap();
+        let report = analyze(&n, arch.library(), &p, None).unwrap();
         for e in report.endpoints() {
             assert!(e.slack <= 500.0);
             assert!(e.slack > 0.0, "tiny pipeline should meet 500 ps: {e:?}");
@@ -570,10 +535,10 @@ mod tests {
     #[test]
     fn routed_wirelengths_slow_paths_down() {
         let (n, arch) = pipeline();
-        let p = vpga_place::place(&n, arch.library(), &PlaceConfig::default());
-        let pre = analyze(&n, arch.library(), &p, None, &TimingConfig::default());
-        let r = vpga_route::route(&n, &p, &vpga_route::RouteConfig::default());
-        let post = analyze(&n, arch.library(), &p, Some(&r), &TimingConfig::default());
+        let (p, _) = vpga_place::place(&n, arch.library(), &PlaceConfig::default()).unwrap();
+        let pre = analyze(&n, arch.library(), &p, None).unwrap();
+        let r = vpga_route::route(&n, &p, &vpga_route::RouteConfig::default()).unwrap();
+        let post = analyze(&n, arch.library(), &p, Some(&r)).unwrap();
         // Routed detours can only lengthen (or match) the HPWL estimate per
         // net, so the post-route critical delay is at least comparable.
         assert!(post.critical_delay() + 50.0 >= pre.critical_delay());
@@ -583,14 +548,14 @@ mod tests {
     fn arc_delays_are_the_delays_the_analysis_folds() {
         let (n, arch) = pipeline();
         let lib = arch.library();
-        let p = vpga_place::place(&n, lib, &PlaceConfig::default());
-        let r = vpga_route::route(&n, &p, &vpga_route::RouteConfig::default());
+        let (p, _) = vpga_place::place(&n, lib, &PlaceConfig::default()).unwrap();
+        let r = vpga_route::route(&n, &p, &vpga_route::RouteConfig::default()).unwrap();
         let out_of = |name: &str| -> (CellId, NetId) {
             let id = n.cell_by_name(name).unwrap();
             (id, n.cell(id).unwrap().output().unwrap())
         };
         for routing in [None, Some(&r)] {
-            let report = analyze(&n, lib, &p, routing, &TimingConfig::default());
+            let report = analyze(&n, lib, &p, routing).unwrap();
             let arcs = arc_delays(&n, lib, &p, routing);
             // A primary input launches at its net's wire delay and has no
             // cell arc.
@@ -622,8 +587,8 @@ mod tests {
     #[test]
     fn criticalities_are_normalized() {
         let (n, arch) = pipeline();
-        let p = vpga_place::place(&n, arch.library(), &PlaceConfig::default());
-        let report = analyze(&n, arch.library(), &p, None, &TimingConfig::default());
+        let (p, _) = vpga_place::place(&n, arch.library(), &PlaceConfig::default()).unwrap();
+        let report = analyze(&n, arch.library(), &p, None).unwrap();
         for c in report.net_criticalities() {
             assert!((0.0..=1.0).contains(&c));
         }
@@ -644,8 +609,8 @@ mod tests {
             let g = n.add_lib_cell("g", &lib, cell, &[a, b, c]).unwrap();
             let q = n.add_lib_cell("ff", &lib, "DFF", &[g]).unwrap();
             n.add_output("y", q);
-            let p = vpga_place::place(&n, &lib, &PlaceConfig::default());
-            let report = analyze(&n, &lib, &p, None, &TimingConfig::default());
+            let (p, _) = vpga_place::place(&n, &lib, &PlaceConfig::default()).unwrap();
+            let report = analyze(&n, &lib, &p, None).unwrap();
             let w = report.worst_slack();
             (n, w)
         };
@@ -662,8 +627,8 @@ mod tests {
     #[test]
     fn critical_path_traces_through_the_pipeline() {
         let (n, arch) = pipeline();
-        let p = vpga_place::place(&n, arch.library(), &PlaceConfig::default());
-        let report = analyze(&n, arch.library(), &p, None, &TimingConfig::default());
+        let (p, _) = vpga_place::place(&n, arch.library(), &PlaceConfig::default()).unwrap();
+        let report = analyze(&n, arch.library(), &p, None).unwrap();
         // Worst endpoint's path must end at a launch point and be non-empty.
         let path = report.critical_path(&n, arch.library(), 0);
         assert!(!path.is_empty());
@@ -680,8 +645,8 @@ mod tests {
     #[test]
     fn display_lists_worst_endpoints() {
         let (n, arch) = pipeline();
-        let p = vpga_place::place(&n, arch.library(), &PlaceConfig::default());
-        let report = analyze(&n, arch.library(), &p, None, &TimingConfig::default());
+        let (p, _) = vpga_place::place(&n, arch.library(), &PlaceConfig::default()).unwrap();
+        let report = analyze(&n, arch.library(), &p, None).unwrap();
         let s = report.to_string();
         assert!(s.contains("critical delay"), "{s}");
         assert!(s.contains("slack"), "{s}");
@@ -693,8 +658,8 @@ mod tests {
         let mut n = Netlist::new("empty");
         let a = n.add_input("a");
         n.add_output("y", a);
-        let p = vpga_place::place(&n, arch.library(), &PlaceConfig::default());
-        let report = analyze(&n, arch.library(), &p, None, &TimingConfig::default());
+        let (p, _) = vpga_place::place(&n, arch.library(), &PlaceConfig::default()).unwrap();
+        let report = analyze(&n, arch.library(), &p, None).unwrap();
         assert!(report.worst_slack() > 400.0);
     }
 }

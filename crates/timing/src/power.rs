@@ -6,43 +6,32 @@
 //! axis: probabilistic switching-activity propagation (signal probabilities
 //! through the instance functions, transition densities through Boolean
 //! differences) and the standard dynamic-power sum
-//! `P = ½ · Σ_net α · C_net · V² · f`.
+//! `P = ½ · Σ_net α · C_net · V² · f` at [`VDD`] and [`CLOCK_HZ`]. Primary
+//! inputs start at [`INPUT_PROBABILITY`] and [`INPUT_ACTIVITY`].
 //!
-//! Sequential feedback is handled by fixed-point iteration on the flip-flop
-//! output probabilities.
+//! Sequential feedback is handled by [`FEEDBACK_ITERATIONS`] rounds of
+//! fixed-point iteration on the flip-flop output probabilities.
 
 use vpga_core::params;
 use vpga_netlist::{CellKind, Library, NetId, Netlist};
 use vpga_place::Placement;
 use vpga_route::RoutingResult;
 
-/// Power-model settings.
-#[derive(Clone, Copy, Debug)]
-pub struct PowerConfig {
-    /// Supply voltage, volts.
-    pub vdd: f64,
-    /// Clock frequency, Hz (defaults to the 500 ps cycle).
-    pub clock_hz: f64,
-    /// Signal probability assumed at every primary input.
-    pub input_probability: f64,
-    /// Transition density assumed at every primary input (fraction of
-    /// cycles with a toggle).
-    pub input_activity: f64,
-    /// Fixed-point iterations for sequential feedback.
-    pub iterations: usize,
-}
+/// Supply voltage, volts.
+pub const VDD: f64 = 1.8;
 
-impl Default for PowerConfig {
-    fn default() -> PowerConfig {
-        PowerConfig {
-            vdd: 1.8,
-            clock_hz: 1.0 / (params::CLOCK_PERIOD_PS * 1e-12),
-            input_probability: 0.5,
-            input_activity: 0.5,
-            iterations: 12,
-        }
-    }
-}
+/// Clock frequency, Hz: the [`params::CLOCK_PERIOD_PS`] cycle.
+pub const CLOCK_HZ: f64 = 1.0 / (params::CLOCK_PERIOD_PS * 1e-12);
+
+/// Signal probability assumed at every primary input.
+pub const INPUT_PROBABILITY: f64 = 0.5;
+
+/// Transition density assumed at every primary input (fraction of cycles
+/// with a toggle).
+pub const INPUT_ACTIVITY: f64 = 0.5;
+
+/// Fixed-point iterations for sequential feedback.
+pub const FEEDBACK_ITERATIONS: usize = 12;
 
 /// Estimated switching activity and dynamic power.
 #[derive(Clone, Debug)]
@@ -92,7 +81,6 @@ pub fn estimate(
     lib: &Library,
     placement: &Placement,
     routing: Option<&RoutingResult>,
-    config: &PowerConfig,
 ) -> PowerReport {
     let order =
         vpga_netlist::graph::combinational_topo_order(netlist, lib).expect("netlist is acyclic");
@@ -105,8 +93,8 @@ pub fn estimate(
         match cell.kind() {
             CellKind::Input => {
                 let net = cell.output().expect("PI net");
-                probability[net.index()] = config.input_probability;
-                activity[net.index()] = config.input_activity;
+                probability[net.index()] = INPUT_PROBABILITY;
+                activity[net.index()] = INPUT_ACTIVITY;
             }
             CellKind::Constant(v) => {
                 let net = cell.output().expect("tie net");
@@ -123,7 +111,7 @@ pub fn estimate(
         }
     }
     // Fixed-point over the sequential feedback.
-    for _ in 0..config.iterations.max(1) {
+    for _ in 0..FEEDBACK_ITERATIONS {
         for &id in &order {
             let cell = netlist.cell(id).expect("live cell");
             let f = netlist
@@ -209,7 +197,7 @@ pub fn estimate(
     let mut total = 0.0;
     for net in netlist.nets() {
         let c_total = nets[net.index()].load * 1e-15; // fF → F
-        let p = 0.5 * activity[net.index()] * c_total * config.vdd * config.vdd * config.clock_hz;
+        let p = 0.5 * activity[net.index()] * c_total * VDD * VDD * CLOCK_HZ;
         net_power[net.index()] = p;
         total += p;
     }
@@ -246,8 +234,8 @@ mod tests {
         )
         .unwrap();
         n.add_output("y", g);
-        let p = vpga_place::place(&n, &lib, &PlaceConfig::default());
-        let report = estimate(&n, &lib, &p, None, &PowerConfig::default());
+        let (p, _) = vpga_place::place(&n, &lib, &PlaceConfig::default()).unwrap();
+        let report = estimate(&n, &lib, &p, None);
         assert!((report.net_probability(g) - 0.25).abs() < 1e-9);
         // XOR Boolean difference is 1 everywhere: activity = a_a + a_b.
     }
@@ -261,8 +249,8 @@ mod tests {
         let one = n.constant(true);
         let g = n.add_lib_cell("g", &lib, "ND2", &[a, one]).unwrap();
         n.add_output("y", g);
-        let p = vpga_place::place(&n, &lib, &PlaceConfig::default());
-        let report = estimate(&n, &lib, &p, None, &PowerConfig::default());
+        let (p, _) = vpga_place::place(&n, &lib, &PlaceConfig::default()).unwrap();
+        let report = estimate(&n, &lib, &p, None);
         assert_eq!(report.net_activity(one), 0.0);
         assert!(report.total() > 0.0);
     }
@@ -282,8 +270,8 @@ mod tests {
             n.set_config(id, &lib, Some(vpga_logic::Tt3::NAND3))
                 .unwrap();
             n.add_output("y", g);
-            let p = vpga_place::place(&n, &lib, &PlaceConfig::default());
-            estimate(&n, &lib, &p, None, &PowerConfig::default()).total()
+            let (p, _) = vpga_place::place(&n, &lib, &PlaceConfig::default()).unwrap();
+            estimate(&n, &lib, &p, None).total()
         };
         let lut = run(&PlbArchitecture::lut_based(), "LUT3");
         let gate = run(&PlbArchitecture::granular(), "ND3");
@@ -301,8 +289,8 @@ mod tests {
         let ff = n.cell_by_name("ff").unwrap();
         n.connect_pin(ff, 0, inv).unwrap();
         n.add_output("q", q);
-        let p = vpga_place::place(&n, &lib, &PlaceConfig::default());
-        let report = estimate(&n, &lib, &p, None, &PowerConfig::default());
+        let (p, _) = vpga_place::place(&n, &lib, &PlaceConfig::default()).unwrap();
+        let report = estimate(&n, &lib, &p, None);
         // A toggle flop: probability 0.5 is the fixed point.
         assert!((report.net_probability(q) - 0.5).abs() < 0.05);
         assert!(report.net_activity(q) > 0.2);

@@ -15,7 +15,6 @@ use vpga::pack::PackConfig;
 use vpga::place::PlaceConfig;
 use vpga::route::RouteConfig;
 use vpga::synth::MappingStats;
-use vpga::timing::TimingConfig;
 
 fn main() -> Result<(), Box<dyn std::error::Error>> {
     let params = DesignParams::tiny();
@@ -40,8 +39,8 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
 
     // Timing-driven placement (Dolphin substitute).
     let place_cfg = PlaceConfig::default();
-    let mut placement = vpga::place::place(&netlist, lib, &place_cfg);
-    let sta = vpga::timing::analyze(&netlist, lib, &placement, None, &TimingConfig::default());
+    let (mut placement, _) = vpga::place::place(&netlist, lib, &place_cfg)?;
+    let sta = vpga::timing::analyze(&netlist, lib, &placement, None)?;
     println!(
         "\n-- after placement --\nHPWL {:.0} µm, est. critical delay {:.0} ps",
         placement.total_hpwl(&netlist),
@@ -51,19 +50,20 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     // Physical synthesis: buffers on long/high-fanout nets.
     let max_len = placement.die().width() * 0.5;
     let buffered = vpga::place::insert_buffers(&mut netlist, lib, &mut placement, 12, max_len)?;
-    vpga::place::refine(&netlist, lib, &mut placement, &place_cfg, 0.2);
+    vpga::place::refine(&netlist, lib, &mut placement, &place_cfg, 0.2)?;
     println!(
         "\n-- physical synthesis --\ninserted {} buffers",
         buffered.total()
     );
 
     // Packing into the regular PLB array (the step flow a skips).
-    let array = vpga::pack::pack_iterative(
+    let (array, _) = vpga::pack::pack_iterative(
         &netlist,
         &arch,
         &mut placement,
         &place_cfg,
         &PackConfig::default(),
+        None,
     )?;
     println!("\n-- after packing --\n{array}");
 
@@ -72,14 +72,8 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
         tile_size: Some(array.plb_pitch()),
         ..RouteConfig::default()
     };
-    let routing = vpga::route::route(&netlist, &placement, &route_cfg);
-    let sta = vpga::timing::analyze(
-        &netlist,
-        lib,
-        &placement,
-        Some(&routing),
-        &TimingConfig::default(),
-    );
+    let routing = vpga::route::route(&netlist, &placement, &route_cfg)?;
+    let sta = vpga::timing::analyze(&netlist, lib, &placement, Some(&routing))?;
     println!(
         "\n-- post-layout --\nwirelength {:.0} µm ({} overflows), critical delay {:.0} ps, \
          top-10 slack {:.1} ps at the 500 ps cycle",

@@ -528,13 +528,14 @@ fn cmd_program(args: &Args) -> CmdResult {
     let mut mapped = vpga::synth::map_netlist_fast(&design, &src, &arch)?;
     vpga::compact::compact(&mut mapped, &arch)?;
     let place_cfg = vpga::place::PlaceConfig::default();
-    let mut placement = vpga::place::place(&mapped, arch.library(), &place_cfg);
-    let array = vpga::pack::pack_iterative(
+    let (mut placement, _) = vpga::place::place(&mapped, arch.library(), &place_cfg)?;
+    let (array, _) = vpga::pack::pack_iterative(
         &mapped,
         &arch,
         &mut placement,
         &place_cfg,
         &vpga::pack::PackConfig::default(),
+        None,
     )?;
     let program = vpga::fabric::FabricProgram::generate(&mapped, &arch, &array)?;
     // Sanity: the program must reconstruct to an equivalent netlist.

@@ -48,13 +48,15 @@ fn packed_arrays_are_legal() {
                 vpga::synth::map_netlist_fast(&golden, &src, &arch).expect("mapping succeeds");
             vpga::compact::compact(&mut mapped, &arch).expect("compaction succeeds");
             let place_cfg = PlaceConfig::default();
-            let mut placement = vpga::place::place(&mapped, arch.library(), &place_cfg);
-            let array = vpga::pack::pack_iterative(
+            let (mut placement, _) = vpga::place::place(&mapped, arch.library(), &place_cfg)
+                .expect("placement succeeds");
+            let (array, _) = vpga::pack::pack_iterative(
                 &mapped,
                 &arch,
                 &mut placement,
                 &place_cfg,
                 &PackConfig::default(),
+                None,
             )
             .expect("packing succeeds");
             // Every cell assigned.
@@ -103,28 +105,23 @@ fn routed_arrays_are_congestion_legal() {
     let mut mapped = vpga::synth::map_netlist_fast(&golden, &src, &arch).unwrap();
     vpga::compact::compact(&mut mapped, &arch).unwrap();
     let place_cfg = PlaceConfig::default();
-    let mut placement = vpga::place::place(&mapped, arch.library(), &place_cfg);
-    let array = vpga::pack::pack_iterative(
+    let (mut placement, _) = vpga::place::place(&mapped, arch.library(), &place_cfg).unwrap();
+    let (array, _) = vpga::pack::pack_iterative(
         &mapped,
         &arch,
         &mut placement,
         &place_cfg,
         &PackConfig::default(),
+        None,
     )
     .unwrap();
     let route_cfg = vpga::route::RouteConfig {
         tile_size: Some(array.plb_pitch()),
         ..vpga::route::RouteConfig::default()
     };
-    let routing = vpga::route::route(&mapped, &placement, &route_cfg);
+    let routing = vpga::route::route(&mapped, &placement, &route_cfg).unwrap();
     assert_eq!(routing.overflow_edges(), 0, "array routing must be legal");
-    let sta = vpga::timing::analyze(
-        &mapped,
-        arch.library(),
-        &placement,
-        Some(&routing),
-        &vpga::timing::TimingConfig::default(),
-    );
+    let sta = vpga::timing::analyze(&mapped, arch.library(), &placement, Some(&routing)).unwrap();
     let dffs = mapped
         .cells()
         .filter(|(_, c)| {

@@ -148,9 +148,11 @@ mod physical_properties {
             let mut mapped = map_netlist_fast(&netlist, &src, &arch).unwrap();
             vpga::compact::compact(&mut mapped, &arch).unwrap();
             let place_cfg = PlaceConfig { seed, ..PlaceConfig::default() };
-            let placement = vpga::place::place(&mapped, arch.library(), &place_cfg);
-            let array = vpga::pack::pack(&mapped, &arch, &placement, &PackConfig::default())
-                .expect("packable");
+            let (placement, _) =
+                vpga::place::place(&mapped, arch.library(), &place_cfg).expect("placeable");
+            let (array, _) =
+                vpga::pack::pack(&mapped, &arch, &placement, &PackConfig::default(), None)
+                    .expect("packable");
             let lib_cells = mapped.cells().filter(|(_, c)| c.lib_id().is_some()).count();
             prop_assert_eq!(array.num_assigned(), lib_cells);
             for col in 0..array.cols() {
@@ -181,9 +183,9 @@ mod physical_properties {
         fn routing_is_legal_and_lower_bounded(netlist in arbitrary_netlist(), seed in 0u64..1000) {
             let src = generic::library();
             let place_cfg = PlaceConfig { seed, ..PlaceConfig::default() };
-            let placement = vpga::place::place(&netlist, &src, &place_cfg);
+            let (placement, _) = vpga::place::place(&netlist, &src, &place_cfg).expect("placeable");
             let cfg = vpga::route::RouteConfig::default();
-            let result = vpga::route::route(&netlist, &placement, &cfg);
+            let result = vpga::route::route(&netlist, &placement, &cfg).expect("routable");
             prop_assert_eq!(result.overflow_edges(), 0);
             let tile = result.tile_size();
             for net in netlist.nets() {
@@ -216,10 +218,11 @@ mod physical_properties {
             let arch = PlbArchitecture::lut_based();
             let mut mapped = map_netlist_fast(&netlist, &src, &arch).unwrap();
             vpga::compact::compact(&mut mapped, &arch).unwrap();
-            let placement =
-                vpga::place::place(&mapped, arch.library(), &PlaceConfig::default());
-            let array = vpga::pack::pack(&mapped, &arch, &placement, &PackConfig::default())
-                .expect("packable");
+            let (placement, _) = vpga::place::place(&mapped, arch.library(), &PlaceConfig::default())
+                .expect("placeable");
+            let (array, _) =
+                vpga::pack::pack(&mapped, &arch, &placement, &PackConfig::default(), None)
+                    .expect("packable");
             let program = vpga::fabric::FabricProgram::generate(&mapped, &arch, &array)
                 .expect("programmable");
             let rebuilt = program.reconstruct(&mapped, &arch).expect("reconstructs");
